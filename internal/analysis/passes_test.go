@@ -206,9 +206,9 @@ func TestFieldPtrEscapes(t *testing.T) {
 	v := b.Alloc(st)
 	fp := b.FieldPtrName(st, v, "a")
 	g := b.Local(ir.I64)
-	b.Store(ir.I64, fp, g)   // escape: stored
-	b.Call("sink", fp)       // escape: passed across a call
-	b.Ret(fp)                // escape: returned
+	b.Store(ir.I64, fp, g) // escape: stored
+	b.Call("sink", fp)     // escape: passed across a call
+	b.Ret(fp)              // escape: returned
 	res := analyze(t, m)
 	if got := rules(res)[analysis.RuleFieldPtrEscape]; got != 3 {
 		t.Errorf("fieldptr escapes = %d, want 3 (store, call, return):\n%s", got, res.Findings.Render())

@@ -24,11 +24,11 @@ const uafPass = "uaf"
 
 // UAF rule IDs.
 const (
-	RuleUseAfterFree    = "use-after-free"
-	RulePossibleUAF     = "possible-use-after-free"
-	RuleDoubleFree      = "double-free"
-	RulePossibleDouble  = "possible-double-free"
-	RuleUninitFptrRead  = "uninit-fptr-read"
+	RuleUseAfterFree   = "use-after-free"
+	RulePossibleUAF    = "possible-use-after-free"
+	RuleDoubleFree     = "double-free"
+	RulePossibleDouble = "possible-double-free"
+	RuleUninitFptrRead = "uninit-fptr-read"
 )
 
 // freedFact pairs the may/must freed region sets. nil is the solver's
