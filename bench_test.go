@@ -563,6 +563,7 @@ func BenchmarkRuntimeMalloc(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			if _, err := v.Run(int64(b.N)); err != nil {
 				b.Fatal(err)
@@ -658,6 +659,7 @@ func BenchmarkRuntimeMemcpy(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			if _, err := v.Run(int64(b.N)); err != nil {
 				b.Fatal(err)
@@ -679,6 +681,7 @@ func BenchmarkLayoutGenerate(b *testing.B) {
 			cfg := layout.DefaultConfig()
 			cfg.Mode = mode
 			rng := newTestRand(7)
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := layout.Generate(fields, cfg, rng); err != nil {
 					b.Fatal(err)

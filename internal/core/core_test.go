@@ -198,3 +198,37 @@ func TestViolationErrorShape(t *testing.T) {
 		}
 	}
 }
+
+// TestInternDuplicateAllocatesNothing: the hardened allocation path
+// generates into one scratch layout and interns it. The interner copies
+// a layout only the first time it sees it, so for a class with a single
+// possible layout every later generate-and-intern allocates nothing,
+// and the canonical layout is never the caller's buffer.
+func TestInternDuplicateAllocatesNothing(t *testing.T) {
+	fields := []layout.FieldInfo{{Size: 8, Align: 8}}
+	cfg := layout.Config{Mode: layout.ModeFull}
+	rng := rand.New(rand.NewSource(1))
+	s := NewMetaStore()
+	var scratch layout.Layout
+	var canon *layout.Layout
+	genIntern := func() {
+		if err := layout.GenerateInto(&scratch, fields, cfg, rng); err != nil {
+			t.Fatal(err)
+		}
+		canon = s.Intern(3, &scratch)
+	}
+	genIntern()
+	first := canon
+	if first == &scratch {
+		t.Fatal("interner kept the caller's buffer")
+	}
+	if allocs := testing.AllocsPerRun(100, genIntern); allocs != 0 {
+		t.Fatalf("duplicate generate+intern allocated %.1f times per call, want 0", allocs)
+	}
+	if canon != first {
+		t.Fatal("duplicate layout interned to a new canonical instance")
+	}
+	if st := s.Stats(); st.LayoutsUnique != 1 || st.LayoutsShared != 101 {
+		t.Fatalf("interner counted unique=%d shared=%d, want 1/101", st.LayoutsUnique, st.LayoutsShared)
+	}
+}

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"polar/internal/classinfo"
@@ -320,5 +322,55 @@ func TestClassHashStability(t *testing.T) {
 	}
 	if classinfo.HashOf(a) == classinfo.HashOf(c) {
 		t.Error("different class names must hash differently")
+	}
+}
+
+// TestNegativeMemcpyLengthTransparent is the regression test for a
+// memcpy whose length is negative: both engines clamp it to 0, and the
+// hardened olr_memcpy must too, in both layout modes — the same
+// result as the baseline, with no panic.
+func TestNegativeMemcpyLengthTransparent(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "negmemcpy.ir"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ir.Parse(string(src))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	base, err := vm.New(ir.Clone(m))
+	if err != nil {
+		t.Fatalf("vm: %v", err)
+	}
+	want, err := base.Run()
+	if err != nil {
+		t.Fatalf("baseline run: %v", err)
+	}
+	if want != 7 {
+		t.Fatalf("baseline result = %d, want 7", want)
+	}
+	for _, mode := range []core.LayoutMode{core.LayoutModeMetadata, core.LayoutModeStateless} {
+		res, err := instrument.Apply(ir.Clone(m), nil)
+		if err != nil {
+			t.Fatalf("instrument: %v", err)
+		}
+		v, err := vm.New(res.Module)
+		if err != nil {
+			t.Fatalf("vm: %v", err)
+		}
+		cfg := core.DefaultConfig(1)
+		cfg.LayoutMode = mode
+		rt := core.New(res.Table, cfg)
+		rt.Attach(v)
+		got, err := v.Run()
+		if err != nil {
+			t.Fatalf("%v: hardened run: %v", mode, err)
+		}
+		if got != want {
+			t.Fatalf("%v: hardened result = %d, want %d", mode, got, want)
+		}
+		if st := rt.Stats(); st.Memcpys != 1 {
+			t.Fatalf("%v: olr_memcpy ran %d times, want 1 (was the copy instrumented?)", mode, st.Memcpys)
+		}
 	}
 }

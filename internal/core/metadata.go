@@ -98,24 +98,29 @@ func (in *LayoutInterner) AttachChainHist(h *telemetry.Histogram) {
 }
 
 // Intern returns the canonical layout equal to l for the class,
-// registering it if new. The returned layout must be used in place of l
-// so identical layouts share one metadata record.
+// registering a copy of l if it is new. The returned layout must be
+// used in place of l so identical layouts share one metadata record.
+// Intern never keeps l itself, so callers may generate into one reused
+// buffer (even under a shared interner), and a layout already seen
+// costs no allocation.
 func (in *LayoutInterner) Intern(classHash uint64, l *layout.Layout) *layout.Layout {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	key := classHash ^ l.Hash()
+	chain := in.dedup[key]
 	if h := in.chainHist.Load(); h != nil {
-		h.Observe(float64(len(in.dedup[key])))
+		h.Observe(float64(len(chain)))
 	}
-	for _, prev := range in.dedup[key] {
+	for _, prev := range chain {
 		if prev.Equal(l) {
 			in.shared++
 			return prev
 		}
 	}
-	in.dedup[key] = append(in.dedup[key], l)
+	c := l.Clone()
+	in.dedup[key] = append(chain, c)
 	in.unique++
-	return l
+	return c
 }
 
 // MetaStore is the POLaR object-tracking table plus the layout

@@ -238,11 +238,14 @@ func (m *metaResolver) Resolve(v *vm.VM, base uint64, field int, classHash uint6
 	return off, exectrace.ResMetadata, nil
 }
 
-// Alloc generates a fresh per-allocation layout, allocates exactly its
-// footprint, and registers (and seals) the metadata record.
+// Alloc generates a fresh per-allocation layout into the runtime's
+// scratch layout, interns it (the interner copies only a layout it has
+// not seen), allocates exactly its footprint, and registers (and seals)
+// the metadata record.
 func (m *metaResolver) Alloc(v *vm.VM, cls *classinfo.Class) (uint64, *layout.Layout, error) {
 	r := m.rt
-	l, err := r.generateLayout(cls)
+	in := r.inputsOf(cls)
+	l, err := r.generateLayout(cls, in, in.cfg)
 	if err != nil {
 		return 0, nil, fmt.Errorf("polar: layout for %s: %w", cls.Name(), err)
 	}

@@ -208,6 +208,14 @@ type Runtime struct {
 	// profGens caches the per-class layout-generation counter cells
 	// (keyed by class hash), mirroring profSites.
 	profGens map[uint64]*profile.GenCounts
+
+	// inputs caches each class's layout-generation inputs (keyed by
+	// class hash), built on the class's first layout.
+	inputs map[uint64]*classInputs
+	// scratch receives every layout the metadata strategy generates; it
+	// is interned (copied on first sight) or discarded before the next
+	// generation, so a layout the interner has seen costs no allocation.
+	scratch layout.Layout
 }
 
 // New creates a runtime for the classes in table.
@@ -229,6 +237,7 @@ func New(table *classinfo.Table, cfg Config) *Runtime {
 		violations: make(map[ViolationKind]uint64),
 		curField:   -1,
 		layoutGen:  1,
+		inputs:     make(map[uint64]*classInputs),
 	}
 	// The stateless key halves are drawn after the canary secret, so the
 	// metadata strategy's layout-generation stream is byte-identical to
@@ -555,20 +564,37 @@ func (r *Runtime) olrMalloc(v *vm.VM, classHash uint64) (int64, error) {
 	return int64(base), nil
 }
 
-// layoutConfigFor resolves the layout configuration for one class,
-// honoring the per-class override map (§IV.B.1's feedback loop) in
-// every strategy — norandom/pinned classes stay pinned in stateless
-// mode too.
-func (r *Runtime) layoutConfigFor(cls *classinfo.Class) layout.Config {
-	cfg := r.cfg.Layout
-	if over, ok := r.cfg.PerClass[cls.Hash]; ok {
-		cfg = over
-	}
-	return cfg
+// classInputs is one class's layout-generation input: its members as
+// generator fields, its function-pointer count (the entropy report
+// needs it), its layout configuration and its stateless slab bound.
+type classInputs struct {
+	fields  []layout.FieldInfo
+	nFptrs  int
+	cfg     layout.Config
+	maxSize int
 }
 
-func (r *Runtime) generateLayout(cls *classinfo.Class) (*layout.Layout, error) {
-	return r.generateLayoutWith(cls, r.layoutConfigFor(cls))
+// inputsOf returns cls's generation inputs, built once per runtime. The
+// configuration honors the per-class override map (§IV.B.1's feedback
+// loop) in every strategy — norandom/pinned classes stay pinned in
+// stateless mode too.
+func (r *Runtime) inputsOf(cls *classinfo.Class) *classInputs {
+	if in, ok := r.inputs[cls.Hash]; ok {
+		return in
+	}
+	in := &classInputs{fields: make([]layout.FieldInfo, len(cls.Members)), cfg: r.cfg.Layout}
+	if over, ok := r.cfg.PerClass[cls.Hash]; ok {
+		in.cfg = over
+	}
+	for i, m := range cls.Members {
+		in.fields[i] = layout.FieldInfo{Size: m.Size, Align: m.Align, IsFptr: m.Kind == classinfo.KindFuncPointer}
+		if in.fields[i].IsFptr {
+			in.nFptrs++
+		}
+	}
+	in.maxSize = layout.MaxSize(in.fields, in.cfg)
+	r.inputs[cls.Hash] = in
+	return in
 }
 
 // armTraps writes fresh canaries into every trap slot.
@@ -672,9 +698,13 @@ func (r *Runtime) emitGetptr(classHash uint64, field int, base uint64, off int, 
 
 // olrMemcpy implements the instrumented object copy (§IV.A.2); the
 // member-wise remap between source and destination layouts is
-// strategy-specific.
+// strategy-specific. A negative length copies nothing, as the engines'
+// plain memcpy does, so hardening stays transparent.
 func (r *Runtime) olrMemcpy(v *vm.VM, dst, src uint64, n int, classHash uint64) error {
 	r.memcpys++
+	if n < 0 {
+		n = 0
+	}
 	return r.resolver.Memcpy(v, dst, src, n, classHash)
 }
 
@@ -682,23 +712,21 @@ func (r *Runtime) olrMemcpy(v *vm.VM, dst, src uint64, n int, classHash uint64) 
 // limit. Under RerandomizeOnCopy it generates a fresh layout, degrading
 // the configuration (fewer dummies, no traps, identity) until it fits;
 // otherwise it clones the source layout (the cheaper mode of §IV.A.2).
-// Returns nil if even the identity layout exceeds limit.
+// Returns nil if even the identity layout exceeds limit. A generated
+// layout is the runtime's scratch layout (see generateLayout).
 func (r *Runtime) layoutFitting(cls *classinfo.Class, srcLayout *layout.Layout, limit int) (*layout.Layout, error) {
+	in := r.inputsOf(cls)
 	if !r.cfg.RerandomizeOnCopy {
 		if srcLayout.TotalSize <= limit {
 			return srcLayout, nil
 		}
 	} else {
-		base := r.cfg.Layout
-		if over, ok := r.cfg.PerClass[cls.Hash]; ok {
-			base = over
-		}
-		noDummies := base
+		noDummies := in.cfg
 		noDummies.MinDummies, noDummies.MaxDummies = 0, 0
 		noTraps := noDummies
 		noTraps.BoobyTraps = false
-		for _, cfg := range []layout.Config{base, noDummies, noTraps} {
-			l, err := r.generateLayoutWith(cls, cfg)
+		for _, cfg := range []layout.Config{in.cfg, noDummies, noTraps} {
+			l, err := r.generateLayout(cls, in, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -707,7 +735,7 @@ func (r *Runtime) layoutFitting(cls *classinfo.Class, srcLayout *layout.Layout, 
 			}
 		}
 	}
-	l, err := r.generateLayoutWith(cls, layout.Config{Mode: layout.ModeIdentity})
+	l, err := r.generateLayout(cls, in, layout.Config{Mode: layout.ModeIdentity})
 	if err != nil {
 		return nil, err
 	}
@@ -715,20 +743,6 @@ func (r *Runtime) layoutFitting(cls *classinfo.Class, srcLayout *layout.Layout, 
 		return l, nil
 	}
 	return nil, nil
-}
-
-// fieldsOf converts a class's members into layout generation inputs,
-// also counting function pointers (the entropy report needs them).
-func fieldsOf(cls *classinfo.Class) ([]layout.FieldInfo, int) {
-	fields := make([]layout.FieldInfo, len(cls.Members))
-	nFptrs := 0
-	for i, m := range cls.Members {
-		fields[i] = layout.FieldInfo{Size: m.Size, Align: m.Align, IsFptr: m.Kind == classinfo.KindFuncPointer}
-		if fields[i].IsFptr {
-			nFptrs++
-		}
-	}
-	return fields, nFptrs
 }
 
 // noteLayoutGen attributes one layout generation to its class: the
@@ -753,13 +767,15 @@ func (r *Runtime) noteLayoutGen(cls *classinfo.Class, cfg layout.Config, nFptrs 
 	}
 }
 
-func (r *Runtime) generateLayoutWith(cls *classinfo.Class, cfg layout.Config) (*layout.Layout, error) {
-	fields, nFptrs := fieldsOf(cls)
-	l, err := layout.Generate(fields, cfg, r.rng)
-	if err != nil {
+// generateLayout generates a fresh layout for cls under cfg into the
+// runtime's scratch layout and returns it. The result is valid until
+// the next generation: callers intern it or let it go.
+func (r *Runtime) generateLayout(cls *classinfo.Class, in *classInputs, cfg layout.Config) (*layout.Layout, error) {
+	l := &r.scratch
+	if err := layout.GenerateInto(l, in.fields, cfg, r.rng); err != nil {
 		return nil, err
 	}
-	r.noteLayoutGen(cls, cfg, nFptrs, l)
+	r.noteLayoutGen(cls, cfg, in.nFptrs, l)
 	return l, nil
 }
 

@@ -65,16 +65,17 @@ type statelessResolver struct {
 	memo     []derivedEntry
 	memoMask uint64
 
-	// maxSizes caches the per-class slab bound (layout.MaxSize).
-	maxSizes map[uint64]int
+	// keyed is the one PRF and rand.Rand every derivation re-keys;
+	// outgoing receives the outgoing epoch's layout during a rekey.
+	keyed    layout.Keyed
+	outgoing layout.Layout
 }
 
 func newStatelessResolver(r *Runtime) *statelessResolver {
 	s := &statelessResolver{
-		rt:       r,
-		k0:       r.rng.Uint64(),
-		k1:       r.rng.Uint64(),
-		maxSizes: make(map[uint64]int),
+		rt: r,
+		k0: r.rng.Uint64(),
+		k1: r.rng.Uint64(),
 	}
 	if r.cfg.RekeyEvery > 0 {
 		s.rekeyEvery = uint64(r.cfg.RekeyEvery)
@@ -96,28 +97,21 @@ func (s *statelessResolver) Mode() LayoutMode { return LayoutModeStateless }
 // allocation of cls gets, large enough for the layout any (key, epoch,
 // base) derives.
 func (s *statelessResolver) maxSize(cls *classinfo.Class) int {
-	if v, ok := s.maxSizes[cls.Hash]; ok {
-		return v
-	}
-	fields, _ := fieldsOf(cls)
-	v := layout.MaxSize(fields, s.rt.layoutConfigFor(cls))
-	s.maxSizes[cls.Hash] = v
-	return v
+	return s.rt.inputsOf(cls).maxSize
 }
 
-// deriveRaw recomputes the layout of (cls, base) under the given epoch
-// with no telemetry side effects — the rekey path uses it to recover
-// the outgoing epoch's layout.
-func (s *statelessResolver) deriveRaw(cls *classinfo.Class, base, epoch uint64) (*layout.Layout, error) {
-	cfg := s.rt.layoutConfigFor(cls)
-	fields, _ := fieldsOf(cls)
-	return layout.GenerateKeyed(fields, cfg, s.k0, s.k1^(epoch*epochMix), base^cls.Hash)
+// derive recomputes the layout of (cls, base) under the given epoch
+// into dst, with no telemetry side effects — the rekey path uses it to
+// recover the outgoing epoch's layout.
+func (s *statelessResolver) derive(dst *layout.Layout, cls *classinfo.Class, in *classInputs, base, epoch uint64) error {
+	return s.keyed.GenerateInto(dst, in.fields, in.cfg, s.k0, s.k1^(epoch*epochMix), base^cls.Hash)
 }
 
 // layoutFor returns the current-epoch layout of (cls, base), memoized.
-// A memo miss re-derives and re-emits the layout-generation telemetry —
-// deterministically, since eviction order is a pure function of the
-// access sequence.
+// A memo miss re-derives into a layout of its own (callers may hold
+// two at once, e.g. a copy's source and destination) and re-emits the
+// layout-generation telemetry — deterministically, since eviction
+// order is a pure function of the access sequence.
 func (s *statelessResolver) layoutFor(cls *classinfo.Class, base uint64) (*layout.Layout, error) {
 	var e *derivedEntry
 	if s.memo != nil {
@@ -126,13 +120,13 @@ func (s *statelessResolver) layoutFor(cls *classinfo.Class, base uint64) (*layou
 			return e.l, nil
 		}
 	}
-	l, err := s.deriveRaw(cls, base, s.epoch)
-	if err != nil {
+	r := s.rt
+	in := r.inputsOf(cls)
+	l := new(layout.Layout)
+	if err := s.derive(l, cls, in, base, s.epoch); err != nil {
 		return nil, err
 	}
-	r := s.rt
-	_, nFptrs := fieldsOf(cls)
-	r.noteLayoutGen(cls, r.layoutConfigFor(cls), nFptrs, l)
+	r.noteLayoutGen(cls, in.cfg, in.nFptrs, l)
 	if e != nil {
 		*e = derivedEntry{base: base, class: cls.Hash, epoch: s.epoch, l: l}
 	}
@@ -392,8 +386,8 @@ func (s *statelessResolver) Rerandomize(v *vm.VM) (bool, error) {
 		if !ok || cls.Struct != st {
 			continue // raw allocation: not ours to move
 		}
-		ol, err := s.deriveRaw(cls, base, oldEpoch)
-		if err != nil {
+		ol := &s.outgoing
+		if err := s.derive(ol, cls, r.inputsOf(cls), base, oldEpoch); err != nil {
 			return false, err
 		}
 		nl, err := s.layoutFor(cls, base)

@@ -107,14 +107,35 @@ func (s *keyedSource) Seed(int64) {}
 // stream. Callers derive msg from the object's base address (and k0/k1
 // from the run seed and re-randomization epoch), which is what makes
 // the resolution stateless: any party holding the key recomputes the
-// same layout from the address alone.
+// same layout from the address alone. Identity (pinned) classes are
+// key-independent by definition.
 func GenerateKeyed(fields []FieldInfo, cfg Config, k0, k1, msg uint64) (*Layout, error) {
-	if cfg.Mode == ModeIdentity {
-		// Identity (pinned) classes are key-independent by definition.
-		return identityLayout(fields), nil
+	l := new(Layout)
+	if err := new(Keyed).GenerateInto(l, fields, cfg, k0, k1, msg); err != nil {
+		return nil, err
 	}
-	rng := rand.New(&keyedSource{k0: k0, k1: k1, msg: msg})
-	return Generate(fields, cfg, rng)
+	return l, nil
+}
+
+// Keyed derives keyed layouts through one PRF and one rand.Rand that it
+// re-keys for every derivation, so deriving into a warmed layout
+// allocates nothing. The zero value is ready to use; a Keyed is not
+// safe for concurrent use.
+type Keyed struct {
+	src keyedSource
+	rng *rand.Rand
+}
+
+// GenerateInto is GenerateKeyed writing into dst, with GenerateInto's
+// reuse of dst's storage.
+func (k *Keyed) GenerateInto(dst *Layout, fields []FieldInfo, cfg Config, k0, k1, msg uint64) error {
+	if k.rng == nil {
+		k.rng = rand.New(&k.src)
+	}
+	// rand.Rand keeps no state of its own on the draws generation makes,
+	// so re-keying the source restarts the stream a fresh Rand would see.
+	k.src = keyedSource{k0: k0, k1: k1, msg: msg}
+	return GenerateInto(dst, fields, cfg, k.rng)
 }
 
 // MaxSize returns an upper bound on TotalSize over every layout any

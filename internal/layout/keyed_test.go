@@ -135,3 +135,33 @@ func TestMaxSizeBoundsEveryDerivation(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyedReuseMatchesGenerateKeyed: one re-keyed Keyed deriving into
+// one reused layout selects exactly what a fresh GenerateKeyed does,
+// and allocates nothing once warm.
+func TestKeyedReuseMatchesGenerateKeyed(t *testing.T) {
+	fields := keyedTestFields()
+	cfg := DefaultConfig()
+	var k Keyed
+	var l Layout
+	for msg := uint64(0); msg < 64; msg++ {
+		want, err := GenerateKeyed(fields, cfg, 7, 11, msg*64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.GenerateInto(&l, fields, cfg, 7, 11, msg*64); err != nil {
+			t.Fatal(err)
+		}
+		if !want.Equal(&l) {
+			t.Fatalf("msg %d: reused derivation %s, fresh %s", msg, l.Key(), want.Key())
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := k.GenerateInto(&l, fields, cfg, 7, 11, 0x40); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm keyed derivation allocated %.1f times per call, want 0", allocs)
+	}
+}

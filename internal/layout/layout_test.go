@@ -353,3 +353,78 @@ func TestFptrPositionDistribution(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateIntoWarmAllocatesNothing: generating into a layout whose
+// storage already fits the largest draw reuses it — the hardened
+// allocation path generates every layout this way.
+func TestGenerateIntoWarmAllocatesNothing(t *testing.T) {
+	fields := fieldsFixture()
+	rng := rand.New(rand.NewSource(1))
+	var l Layout
+	widest := Config{Mode: ModeFull, MinDummies: 2, MaxDummies: 2, BoobyTraps: true}
+	if err := GenerateInto(&l, fields, widest, rng); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := GenerateInto(&l, fields, cfg, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("GenerateInto into a warmed layout allocated %.1f times per call, want 0", allocs)
+	}
+	checkWellFormed(t, fields, &l)
+}
+
+// TestGenerateIntoMatchesGenerate: the same stream state yields the
+// same layout whether it is generated fresh or into reused storage,
+// including storage left over from a larger class.
+func TestGenerateIntoMatchesGenerate(t *testing.T) {
+	rngA := rand.New(rand.NewSource(5))
+	rngB := rand.New(rand.NewSource(5))
+	shapes := rand.New(rand.NewSource(6))
+	var reused Layout
+	for i := 0; i < 500; i++ {
+		fields := randomFields(shapes)
+		cfg := []Config{DefaultConfig(), {Mode: ModeCacheLine}, {Mode: ModeIdentity}}[i%3]
+		want, err := Generate(fields, cfg, rngA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := GenerateInto(&reused, fields, cfg, rngB); err != nil {
+			t.Fatal(err)
+		}
+		if !want.Equal(&reused) || want.Hash() != reused.Hash() || want.Dummies != reused.Dummies {
+			t.Fatalf("draw %d: GenerateInto %s, Generate %s", i, reused.Key(), want.Key())
+		}
+		for f := range fields {
+			if want.Offsets[f] != reused.Offsets[f] {
+				t.Fatalf("draw %d: field %d at %d, want %d", i, f, reused.Offsets[f], want.Offsets[f])
+			}
+		}
+	}
+}
+
+// TestCloneSharesNothing: a clone is Equal to its source and survives
+// the source being regenerated in place.
+func TestCloneSharesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var l Layout
+	if err := GenerateInto(&l, fieldsFixture(), DefaultConfig(), rng); err != nil {
+		t.Fatal(err)
+	}
+	c := l.Clone()
+	key := c.Key()
+	if !c.Equal(&l) || c.Hash() != l.Hash() {
+		t.Fatal("clone differs from its source")
+	}
+	for i := 0; i < 20; i++ {
+		if err := GenerateInto(&l, fieldsFixture(), DefaultConfig(), rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Key() != key {
+		t.Fatalf("clone changed with its source: %s, was %s", c.Key(), key)
+	}
+}

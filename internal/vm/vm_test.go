@@ -423,3 +423,55 @@ func TestExecutionTracer(t *testing.T) {
 		t.Fatalf("capped trace lines = %d, want 1", n)
 	}
 }
+
+// TestMemoryCopy: Copy is memmove (overlap in either direction keeps
+// the source image), stages through a reused buffer (no allocation
+// after the first call), and rejects a negative length, as ReadBytes
+// does.
+func TestMemoryCopy(t *testing.T) {
+	mem := newMemory()
+	base := uint64(HeapBase + pageSize - 5) // straddles a page boundary
+	fill := func() {
+		for i := 0; i < 16; i++ {
+			if err := mem.WriteU(base+uint64(i), 1, uint64(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		dst, src uint64
+		want     []byte
+	}{
+		{base + 2, base, []byte{1, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
+		{base, base + 2, []byte{3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 11, 12}},
+	} {
+		fill()
+		if err := mem.Copy(tc.dst, tc.src, 10); err != nil {
+			t.Fatal(err)
+		}
+		got, err := mem.ReadBytes(base, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(tc.want) {
+			t.Fatalf("Copy(%#x <- %#x) left %v, want %v", tc.dst, tc.src, got, tc.want)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := mem.Copy(base+32, base, 24); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Copy allocated %.1f times per call after the first, want 0", allocs)
+	}
+	if err := mem.Copy(base, base+8, -1); err == nil {
+		t.Error("Copy accepted a negative length")
+	}
+	if _, err := mem.ReadBytes(base, -1); err == nil {
+		t.Error("ReadBytes accepted a negative length")
+	}
+	if err := mem.Copy(base, NullGuard-8, 4); !errors.Is(err, ErrNullDeref) {
+		t.Errorf("Copy from the null guard: err = %v, want ErrNullDeref", err)
+	}
+}
