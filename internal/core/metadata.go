@@ -25,10 +25,15 @@ type ObjectMeta struct {
 
 // MetaStats counts metadata-table events.
 type MetaStats struct {
-	Registered    uint64
-	Retired       uint64
+	Registered uint64
+	Retired    uint64
+	// LayoutsUnique and LayoutsShared split this store's own Intern
+	// calls into layouts the interner had not seen (a new record) and
+	// layouts it already held (served by the dedup table). Stores
+	// sharing one interner count separately, so their sums are the
+	// interner's totals however the calls interleave.
 	LayoutsUnique uint64
-	LayoutsShared uint64 // registrations served by the dedup table
+	LayoutsShared uint64
 	// Shards breaks the object table down per shard so load imbalance
 	// across the 16 shards is visible (the aggregate counters above
 	// cannot show one hot shard serializing everything).
@@ -71,9 +76,7 @@ type LayoutInterner struct {
 	mu sync.Mutex
 	// dedup buckets layouts by (class hash ^ layout hash); collisions
 	// within a bucket are resolved with Layout.Equal.
-	dedup  map[uint64][]*layout.Layout
-	unique uint64
-	shared uint64
+	dedup map[uint64][]*layout.Layout
 
 	// chainHist, when non-nil, observes the dedup-bucket chain length
 	// walked by each Intern. It is attached (once) via AttachChainHist
@@ -98,12 +101,12 @@ func (in *LayoutInterner) AttachChainHist(h *telemetry.Histogram) {
 }
 
 // Intern returns the canonical layout equal to l for the class,
-// registering a copy of l if it is new. The returned layout must be
-// used in place of l so identical layouts share one metadata record.
-// Intern never keeps l itself, so callers may generate into one reused
-// buffer (even under a shared interner), and a layout already seen
-// costs no allocation.
-func (in *LayoutInterner) Intern(classHash uint64, l *layout.Layout) *layout.Layout {
+// registering a copy of l if it is new (fresh reports which). The
+// returned layout must be used in place of l so identical layouts share
+// one metadata record. Intern never keeps l itself, so callers may
+// generate into one reused buffer (even under a shared interner), and a
+// layout already seen costs no allocation.
+func (in *LayoutInterner) Intern(classHash uint64, l *layout.Layout) (canon *layout.Layout, fresh bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	key := classHash ^ l.Hash()
@@ -113,14 +116,12 @@ func (in *LayoutInterner) Intern(classHash uint64, l *layout.Layout) *layout.Lay
 	}
 	for _, prev := range chain {
 		if prev.Equal(l) {
-			in.shared++
-			return prev
+			return prev, false
 		}
 	}
 	c := l.Clone()
 	in.dedup[key] = append(chain, c)
-	in.unique++
-	return c
+	return c, true
 }
 
 // MetaStore is the POLaR object-tracking table plus the layout
@@ -134,6 +135,8 @@ func (in *LayoutInterner) Intern(classHash uint64, l *layout.Layout) *layout.Lay
 type MetaStore struct {
 	shards   [numMetaShards]metaShard
 	interner *LayoutInterner
+	// unique/shared count this store's Intern calls (see MetaStats).
+	unique, shared atomic.Uint64
 }
 
 // NewMetaStore returns an empty store with a private interner.
@@ -166,9 +169,16 @@ func (s *MetaStore) shard(base uint64) *metaShard {
 	return &s.shards[h&(numMetaShards-1)]
 }
 
-// Intern forwards to the store's layout interner.
+// Intern forwards to the store's layout interner, counting the call as
+// unique or shared for this store.
 func (s *MetaStore) Intern(classHash uint64, l *layout.Layout) *layout.Layout {
-	return s.interner.Intern(classHash, l)
+	c, fresh := s.interner.Intern(classHash, l)
+	if fresh {
+		s.unique.Add(1)
+	} else {
+		s.shared.Add(1)
+	}
+	return c
 }
 
 // Register installs metadata for a freshly allocated object, replacing
@@ -243,10 +253,8 @@ func (s *MetaStore) Stats() MetaStats {
 		st.Registered += ss.Registered
 		st.Retired += ss.Retired
 	}
-	s.interner.mu.Lock()
-	st.LayoutsUnique = s.interner.unique
-	st.LayoutsShared = s.interner.shared
-	s.interner.mu.Unlock()
+	st.LayoutsUnique = s.unique.Load()
+	st.LayoutsShared = s.shared.Load()
 	return st
 }
 

@@ -66,7 +66,9 @@ func TestMetaStoreConcurrentShards(t *testing.T) {
 
 // TestSharedInternerAcrossStores checks the cross-instance dedup pool:
 // two stores built over one LayoutInterner share layout pointers, and
-// registrations after the first are counted as shared.
+// each store counts its own Intern calls — the first as unique, the
+// second as shared — so the stores' counts sum to the interner's one
+// distinct layout served twice.
 func TestSharedInternerAcrossStores(t *testing.T) {
 	in := NewLayoutInterner()
 	s1 := NewSharedMetaStore(in)
@@ -79,8 +81,21 @@ func TestSharedInternerAcrossStores(t *testing.T) {
 	if got1 != got2 {
 		t.Fatal("equal layouts interned through a shared pool returned distinct pointers")
 	}
-	st := s2.Stats()
-	if st.LayoutsUnique != 1 || st.LayoutsShared != 1 {
-		t.Fatalf("interner stats unique=%d shared=%d, want 1/1", st.LayoutsUnique, st.LayoutsShared)
+	st1, st2 := s1.Stats(), s2.Stats()
+	if st1.LayoutsUnique != 1 || st1.LayoutsShared != 0 {
+		t.Fatalf("first store unique=%d shared=%d, want 1/0", st1.LayoutsUnique, st1.LayoutsShared)
+	}
+	if st2.LayoutsUnique != 0 || st2.LayoutsShared != 1 {
+		t.Fatalf("second store unique=%d shared=%d, want 0/1", st2.LayoutsUnique, st2.LayoutsShared)
+	}
+	distinct := 0
+	for _, chain := range in.dedup {
+		distinct += len(chain)
+	}
+	if unique := st1.LayoutsUnique + st2.LayoutsUnique; unique != uint64(distinct) || distinct != 1 {
+		t.Fatalf("stores' unique sum %d, interner holds %d layouts, want 1", unique, distinct)
+	}
+	if shared := st1.LayoutsShared + st2.LayoutsShared; shared != 1 {
+		t.Fatalf("stores' shared sum %d, want 1 (two interns of one layout)", shared)
 	}
 }

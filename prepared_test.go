@@ -2,10 +2,13 @@ package polar
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 
+	"polar/internal/evalrun"
 	"polar/internal/telemetry"
 )
 
@@ -114,5 +117,67 @@ func TestPreparedMatchesRunHardened(t *testing.T) {
 	b := fmt.Sprintf("%d %q %s %s", two.Value, two.Output, two.VM, two.Runtime)
 	if a != b {
 		t.Fatalf("Prepare+Run diverged from RunHardened:\n%s\n%s", a, b)
+	}
+}
+
+// TestPreparedMergedMetricsWidthIndependent runs one Prepared program
+// eight times, serially and four wide, the way polarun -runs does: a
+// private registry per run, merged in run order. The merged snapshots
+// must be identical at both widths, and the layout-dedup counters must
+// add up to one count per Intern call — every metadata-mode
+// olr_malloc plus every copy given a layout, i.e. every registration —
+// even though the runs share one interner.
+func TestPreparedMergedMetricsWidthIndependent(t *testing.T) {
+	src, err := os.ReadFile("examples/quickstart/quickstart.ir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := Harden(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 8
+	merged := func(width int) telemetry.Snapshot {
+		t.Helper()
+		prep, err := PrepareHardened(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tels := make([]*Telemetry, runs)
+		if err := evalrun.ForEach(runs, width, func(i int) error {
+			tels[i] = NewTelemetry()
+			_, err := prep.Run(WithSeed(evalrun.TaskSeed(7, fmt.Sprintf("run/%d", i))), WithTelemetry(tels[i]))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < runs; i++ {
+			if err := tels[0].Registry.Merge(tels[i].Registry.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tels[0].Registry.Snapshot()
+	}
+	serial, wide := merged(1), merged(4)
+	a, err := json.Marshal(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("merged metrics differ between widths 1 and 4:\n%s\n%s", a, b)
+	}
+	c := serial.Counters
+	interns := c["core.meta.layouts_unique"] + c["core.meta.layouts_shared"]
+	if c["core.allocs"] == 0 || interns != c["core.meta.registered"] || interns < c["core.allocs"] {
+		t.Fatalf("layouts unique+shared = %d, want one per registration (%d; allocs %d)",
+			interns, c["core.meta.registered"], c["core.allocs"])
 	}
 }
