@@ -3,6 +3,7 @@ package exectrace
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"polar/internal/telemetry"
@@ -281,5 +282,31 @@ func TestStatsAndCrossCheck(t *testing.T) {
 	reg.Counter("event.alloc").Add(1)
 	if msgs := CrossCheck(s, reg.Snapshot()); len(msgs) != 1 {
 		t.Fatalf("cross-check should flag alloc mismatch: %v", msgs)
+	}
+}
+
+// TestStatsCountsStateless: stateless-mode derivations are their own
+// resolution path in the rollup, and the cross-check counts them as
+// bus hits — the stateless resolver emits fieldptr-hit for each.
+func TestStatsCountsStateless(t *testing.T) {
+	tr := mkTrace(
+		Record{Kind: KindAlloc, Site: "@main.entry", Class: 5, Base: 0x1000, Size: 32, Layout: 9, Detail: "Victim"},
+		Record{Kind: KindGetptr, Site: "@main.entry", Class: 5, Field: 1, Base: 0x1000, Off: 8, Res: ResStateless},
+		Record{Kind: KindGetptr, Site: "@main.entry", Class: 5, Field: 2, Base: 0x1000, Off: 0, Res: ResStateless},
+		Record{Kind: KindGetptr, Site: "@main.entry", Class: 5, Field: 0, Base: 0x3000, Off: 0, Res: ResStatic},
+	)
+	s := Compute(tr)
+	if s.Getptrs != 3 || s.Stateless != 2 || s.Static != 1 || s.CacheHits != 0 || s.Metadata != 0 {
+		t.Fatalf("rollups wrong: %+v", s)
+	}
+	if !strings.Contains(s.Format(), "getptr: 3 (cache-hit 0, metadata 0, stateless 2, static 1)") {
+		t.Fatalf("report does not split the stateless path:\n%s", s.Format())
+	}
+	reg := telemetry.NewRegistry()
+	reg.Counter("event.alloc").Add(1)
+	reg.Counter("event.fieldptr-hit").Add(2)
+	reg.Counter("event.fieldptr-miss").Add(1)
+	if msgs := CrossCheck(s, reg.Snapshot()); len(msgs) != 0 {
+		t.Fatalf("cross-check should pass: %v", msgs)
 	}
 }

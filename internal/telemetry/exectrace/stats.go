@@ -22,6 +22,7 @@ type TraceStats struct {
 	Getptrs       int
 	CacheHits     int // getptr res=cache-hit
 	Metadata      int // getptr res=metadata
+	Stateless     int // getptr res=stateless
 	Static        int // getptr res=static
 	Blocks, Calls int
 	Violations    int
@@ -96,6 +97,8 @@ func Compute(t *Trace) *TraceStats {
 				s.CacheHits++
 			case ResMetadata:
 				s.Metadata++
+			case ResStateless:
+				s.Stateless++
 			case ResStatic:
 				s.Static++
 			}
@@ -127,7 +130,7 @@ func (s *TraceStats) Format() string {
 	for _, k := range sortedKeys(s.ByKind) {
 		fmt.Fprintf(&sb, "  %-12s %d\n", k, s.ByKind[k])
 	}
-	fmt.Fprintf(&sb, "getptr: %d (cache-hit %d, metadata %d, static %d)\n", s.Getptrs, s.CacheHits, s.Metadata, s.Static)
+	fmt.Fprintf(&sb, "getptr: %d (cache-hit %d, metadata %d, stateless %d, static %d)\n", s.Getptrs, s.CacheHits, s.Metadata, s.Stateless, s.Static)
 	if len(s.ByClass) > 0 {
 		sb.WriteString("by class:\n")
 		keys := make([]string, 0, len(s.ByClass))
@@ -180,11 +183,17 @@ func sortedKeys(m map[string]int) []string {
 // must match the "event.*" counters the bus-level counting sink saw.
 // It returns one message per mismatch (empty = consistent).
 //
-// The check is exact for completed runs. A run aborted mid-operation
-// (abort-policy violation) can legitimately count one more bus event
-// than trace records, because the bus event fires before the aborting
-// error return skips the trace write — callers cross-checking aborted
-// runs should expect an off-by-one on the violated operation.
+// A getptr the bus counts as a hit resolved through the offset cache
+// (metadata mode) or by derivation (stateless mode); every other
+// resolution is a miss. The check is exact for completed runs in either
+// mode, with two caveats. A run aborted mid-operation (abort-policy
+// violation) can legitimately count one more bus event than trace
+// records, because the bus event fires before the aborting error return
+// skips the trace write — callers cross-checking aborted runs should
+// expect an off-by-one on the violated operation. And a stateless-mode
+// type confusion under the warn policy resolves by derivation but
+// counts as a bus miss, so each one moves one getptr from the hit to
+// the miss side.
 func CrossCheck(s *TraceStats, snap telemetry.Snapshot) []string {
 	var out []string
 	check := func(what string, traced int, counter string) {
@@ -196,8 +205,8 @@ func CrossCheck(s *TraceStats, snap telemetry.Snapshot) []string {
 	}
 	check("allocs", s.Allocs, "event.alloc")
 	check("frees", s.Frees, "event.free")
-	check("getptr cache hits", s.CacheHits, "event.fieldptr-hit")
-	check("getptr misses", s.Metadata+s.Static, "event.fieldptr-miss")
+	check("getptr hits (cache-hit + stateless)", s.CacheHits+s.Stateless, "event.fieldptr-hit")
+	check("getptr misses (metadata + static)", s.Metadata+s.Static, "event.fieldptr-miss")
 	check("violations", s.Violations, "event.violation")
 	check("layout generations", s.ByKind["layout-gen"], "event.layout-gen")
 	check("memcpy re-randomizations", s.ByKind["rerand"], "event.memcpy-rerand")
