@@ -6,27 +6,22 @@
 //
 //	polarbench [-reps n] [-trials n] [-fuzz n] [-only table1,fig6,...]
 //	           [-seed n] [-parallel n] [-format text|csv] [-metrics]
-//	           [-prom dir] [-trace-json file] [-layout-mode all|metadata|stateless]
-//	           [-rekey-epoch n] [-pgo file] [-pgo-topk k]
+//	           [-prom dir] [-trace-json file] [-pgo file] [-pgo-topk k]
 //
 // -pgo compiles every workload under a hot-site profile recorded by
 // `polarun -pgo-record` (the fuser ranks superinstruction candidates by
 // real dynamic weight); -pgo-topk bounds fusion to the K hottest runs
 // (0 = all, negative = classic pairs only). Lowered code is a pure
 // function of (module, profile, topK), so profiled builds stay
-// byte-identical across reruns — the traces experiment gates that.
+// byte-identical across reruns.
 //
 // Experiments: table1, table2, table3, table4, fig6, fig7, security,
-// static, traces, seeding, ablation. Default runs all of them. seeding
-// is the static IC-seeding differential (DESIGN.md §14): every workload
+// static, seeding, ablation. Default runs all of them. seeding is the
+// static IC-seeding differential (DESIGN.md §14): every workload
 // compiles with and without the analysis-computed site classification,
 // both arms run under one seed with execution traces attached, and the
 // gate requires byte-identical traces plus a strict inline-cache miss
-// reduction on at least three workloads. traces is the
-// trace-level engine-differential suite: every workload runs hardened
-// under the bytecode and legacy engines with a deterministic execution
-// trace attached (DESIGN.md §11), the traces must be byte-identical,
-// and -exectrace DIR keeps them for polartrace. The text format is what
+// reduction on at least three workloads. The text format is what
 // EXPERIMENTS.md records; csv is plotting-ready. -metrics appends a
 // deterministic JSON metrics snapshot after each experiment's output
 // (machine-readable companion to the tables). -prom additionally
@@ -55,7 +50,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"polar/internal/core"
 	"polar/internal/evalrun"
 	"polar/internal/telemetry"
 	"polar/internal/telemetry/profile"
@@ -73,22 +67,13 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print a JSON metrics snapshot after each experiment")
 	promDir := flag.String("prom", "", "write each experiment's OpenMetrics exposition to <dir>/<experiment>.prom")
 	traceJSON := flag.String("trace-json", "", "write a Chrome trace-event timeline of the suite to this file")
-	engine := flag.String("engine", "bytecode", "execution engine for every experiment: bytecode or legacy")
-	exectraceDir := flag.String("exectrace", "", "traces experiment: also write each workload's per-engine execution trace to <dir>/<app>.<engine>.xt")
-	layoutMode := flag.String("layout-mode", "all", "traces experiment: layout-resolution modes to gate — all, metadata or stateless")
-	rekeyEpoch := flag.Int("rekey-epoch", 0, "stateless mode: advance the derivation epoch every n frees (0 disables)")
 	pgoPath := flag.String("pgo", "", "compile every workload under this hot-site profile (JSON from polarun -pgo-record)")
 	pgoTopK := flag.Int("pgo-topk", 0, "fuse only the K hottest candidate runs (0 = all, negative = classic pairs only)")
 	flag.Parse()
-	eng, err := vm.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "polarbench:", err)
-		os.Exit(2)
-	}
-	vm.SetDefaultEngine(eng)
 	if *pgoPath != "" || *pgoTopK != 0 {
 		var prof *profile.PGO
 		if *pgoPath != "" {
+			var err error
 			if prof, err = profile.ReadPGOFile(*pgoPath); err != nil {
 				fmt.Fprintln(os.Stderr, "polarbench:", err)
 				os.Exit(2)
@@ -96,17 +81,6 @@ func main() {
 		}
 		vm.SetDefaultPGO(vm.CompileOpts{Profile: prof, FusionTopK: *pgoTopK})
 	}
-	var traceModes []core.LayoutMode
-	if *layoutMode != "all" && *layoutMode != "" {
-		m, err := core.ParseLayoutMode(*layoutMode)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "polarbench:", err)
-			os.Exit(2)
-		}
-		traceModes = []core.LayoutMode{m}
-	}
-	evalrun.SetRekeyEpoch(*rekeyEpoch)
-
 	want := map[string]bool{}
 	if *only != "" {
 		for _, k := range strings.Split(*only, ",") {
@@ -137,13 +111,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *exectraceDir != "" {
-		if err := os.MkdirAll(*exectraceDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "polarbench:", err)
-			os.Exit(1)
-		}
-	}
-	err = run(sel, csv, emitConfig{json: *metrics, promDir: *promDir}, *reps, *trials, *fuzzIters, *seed, *exectraceDir, traceModes)
+	err := run(sel, csv, emitConfig{json: *metrics, promDir: *promDir}, *reps, *trials, *fuzzIters, *seed)
 	cleanup()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "polarbench:", err)
@@ -207,7 +175,7 @@ func emitMetrics(cfg emitConfig, name string, fill func(*telemetry.Registry)) er
 	return nil
 }
 
-func run(sel func(string) bool, csv bool, metrics emitConfig, reps, trials, fuzzIters int, seed int64, exectraceDir string, traceModes []core.LayoutMode) error {
+func run(sel func(string) bool, csv bool, metrics emitConfig, reps, trials, fuzzIters int, seed int64) error {
 	if sel("table1") {
 		sp := evalrun.Span("table1", "experiment")
 		rows, err := evalrun.TableI(fuzzIters, seed)
@@ -335,28 +303,6 @@ func run(sel func(string) bool, csv bool, metrics emitConfig, reps, trials, fuzz
 			return err
 		}
 	}
-	if sel("traces") {
-		sp := evalrun.Span("traces", "experiment")
-		rows, err := evalrun.Traces(exectraceDir, seed, traceModes...)
-		sp.End()
-		if err != nil {
-			return err
-		}
-		if csv {
-			fmt.Print(evalrun.CSVTraces(rows))
-		} else {
-			fmt.Println(evalrun.RenderTraces(rows))
-		}
-		if err := emitMetrics(metrics, "traces", func(reg *telemetry.Registry) { evalrun.PublishTraces(rows, reg) }); err != nil {
-			return err
-		}
-		// The trace-level engine-differential contract is a hard gate:
-		// byte-divergent traces mean the engines disagree about runtime
-		// events, which no timing table should paper over.
-		if evalrun.TracesDiverged(rows) {
-			return fmt.Errorf("traces: engines diverged (see table above)")
-		}
-	}
 	if sel("seeding") {
 		sp := evalrun.Span("seeding", "experiment")
 		rows, err := evalrun.Seeding(seed)
@@ -372,9 +318,9 @@ func run(sel func(string) bool, csv bool, metrics emitConfig, reps, trials, fuzz
 		if err := emitMetrics(metrics, "seeding", func(reg *telemetry.Registry) { evalrun.PublishSeeding(rows, reg) }); err != nil {
 			return err
 		}
-		// Hard gates, like the traces experiment: static seeding must be
-		// observably invisible (byte-identical traces) and must actually
-		// cut inline-cache misses on a share of the workloads.
+		// Hard gates: static seeding must be observably invisible
+		// (byte-identical traces) and must actually cut inline-cache
+		// misses on a share of the workloads.
 		if v := evalrun.SeedingViolations(rows, 3); len(v) > 0 {
 			return fmt.Errorf("seeding: %s", strings.Join(v, "; "))
 		}

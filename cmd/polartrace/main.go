@@ -18,11 +18,11 @@
 // for the same module and seed, the first differing record between two
 // traces is the first differing runtime event. It prints the shared
 // context, both divergent records, and exits 1 — or exits 0 silently
-// when the traces are identical. Typical use is pinning down where the
-// bytecode and legacy engines (or two builds) part ways:
+// when the traces are identical. Typical use is pinning down where two
+// seeds (or two builds) part ways:
 //
 //	polarun -harden -seed 7 -exectrace a.xt prog.ir
-//	polarun -harden -seed 7 -engine legacy -exectrace b.xt prog.ir
+//	polarun -harden -seed 8 -exectrace b.xt prog.ir
 //	polartrace diff a.xt b.xt
 package main
 

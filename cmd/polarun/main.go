@@ -2,18 +2,15 @@
 //
 // Usage:
 //
-//	polarun [-hardened|-harden] [-engine bytecode|legacy] [-input file]
-//	        [-seed n] [-stats] [-runs n] [-parallel n] [-metrics]
-//	        [-trace-json file] [-profile file] [-pgo file] [-http addr]
+//	polarun [-hardened|-harden] [-input file] [-seed n] [-stats]
+//	        [-runs n] [-parallel n] [-metrics] [-trace-json file]
+//	        [-profile file] [-pgo file] [-http addr]
 //	        program.ir [args...]
 //
-// -engine selects the execution engine: the default bytecode engine
-// (compile-time lowering with fused superinstructions, DESIGN.md §8)
-// or the tree-walking reference engine ("legacy"; also "tree"). The
-// two are differentially tested to produce identical results, stats
-// and violations; legacy is the one to pin when bisecting a suspected
-// engine bug. VMs with taint hooks or -trace attached fall back to the
-// tree-walker automatically.
+// Programs run on the bytecode engine (compile-time lowering with fused
+// superinstructions, DESIGN.md §8). With -trace the run executes the
+// unfused lowering, so the instruction log shows every source
+// instruction.
 //
 // Plain modules run on the bare VM; pass -hardened for modules produced
 // by polarc (the POLaR runtime is attached and the class table
@@ -41,8 +38,8 @@
 //	-exectrace    deterministic binary execution trace (schema
 //	              polar-exectrace/v1): block entries, calls, every olr_*
 //	              operation with its resolved offset. Byte-identical for
-//	              the same module+seed on either engine; inspect and
-//	              diff with polartrace. -exectrace-limit caps records.
+//	              the same module+seed; inspect and diff with
+//	              polartrace. -exectrace-limit caps records.
 //	              With -runs the trace rides run 0, like -flight.
 //	-profile      hot-site profile: interpreted cycles, member
 //	              resolutions and metadata probes per IR site. The text
@@ -136,7 +133,6 @@ type runConfig struct {
 	httpAddr         string
 	httpHold         bool
 	reservoirCap     int
-	engine           string
 	prom             string
 	flightCap        int
 	flightDump       string
@@ -205,7 +201,6 @@ func main() {
 	flag.StringVar(&c.httpAddr, "http", "", "serve the live introspection endpoint on this address (e.g. :6070)")
 	flag.BoolVar(&c.httpHold, "http-hold", false, "with -http: keep serving after the run until interrupted")
 	flag.IntVar(&c.reservoirCap, "reservoir", 256, "event-sample capacity behind /debug/polar/reservoir (with -http)")
-	flag.StringVar(&c.engine, "engine", "bytecode", "execution engine: bytecode (lowered, fast) or legacy (tree-walking reference)")
 	flag.StringVar(&c.prom, "prom", "", "write an OpenMetrics text exposition to this file after the run (\"-\" = stdout)")
 	flag.IntVar(&c.flightCap, "flight", 0, "attach the security flight recorder with a ring of N events (0 = off)")
 	flag.StringVar(&c.flightDump, "flight-dump", "", "write the forensic report JSON to this file (\"-\" = stdout; implies -flight)")
@@ -231,15 +226,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "polarun:", err)
 		os.Exit(2)
 	}
-	eng, err := polar.ParseEngine(c.engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "polarun:", err)
-		os.Exit(2)
-	}
-	polar.SetDefaultEngine(eng)
 	if c.pgoPath != "" || c.pgoTopK != 0 {
 		var prof *polar.PGOProfile
 		if c.pgoPath != "" {
+			var err error
 			if prof, err = polar.ReadPGOFile(c.pgoPath); err != nil {
 				fmt.Fprintln(os.Stderr, "polarun:", err)
 				os.Exit(2)

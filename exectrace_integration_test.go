@@ -3,6 +3,7 @@ package polar
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"testing"
 
 	"polar/internal/evalrun"
@@ -11,10 +12,10 @@ import (
 	"polar/internal/telemetry/exectrace"
 )
 
-// traceCaseStudy hardens m, runs it once under engine e with an
-// execution trace attached (warn policy, so attack scenarios complete),
-// and returns the encoded trace.
-func traceCaseStudy(t *testing.T, m *ir.Module, e Engine, seed int64, args []int64) []byte {
+// traceCaseStudy hardens m, runs it once with an execution trace
+// attached (warn policy, so attack scenarios complete), and returns the
+// encoded trace.
+func traceCaseStudy(t *testing.T, m *ir.Module, seed int64, args []int64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	xw := NewExecTrace(&buf)
@@ -22,7 +23,7 @@ func traceCaseStudy(t *testing.T, m *ir.Module, e Engine, seed int64, args []int
 	if err != nil {
 		t.Fatalf("harden: %v", err)
 	}
-	if _, err := RunHardened(h, WithEngine(e), WithSeed(seed), WithWarnPolicy(),
+	if _, err := RunHardened(h, WithSeed(seed), WithWarnPolicy(),
 		WithExecTrace(xw), WithArgs(args...)); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -30,64 +31,6 @@ func traceCaseStudy(t *testing.T, m *ir.Module, e Engine, seed int64, args []int
 		t.Fatalf("close trace: %v", err)
 	}
 	return buf.Bytes()
-}
-
-// TestEngineDifferentialTraces extends the engine-differential suite to
-// the execution trace itself: every security case study must produce a
-// byte-identical trace on the bytecode and legacy engines — not merely
-// the same outputs and stats, but the same runtime events in the same
-// order with the same resolved offsets.
-func TestEngineDifferentialTraces(t *testing.T) {
-	for _, cs := range exploit.CaseStudies() {
-		cs := cs
-		t.Run(cs.Name, func(t *testing.T) {
-			bc := traceCaseStudy(t, cs.Build(), EngineBytecode, 99, cs.AttackArgs)
-			lg := traceCaseStudy(t, cs.Build(), EngineLegacy, 99, cs.AttackArgs)
-			if bytes.Equal(bc, lg) {
-				return
-			}
-			ta, errA := exectrace.Read(bytes.NewReader(bc))
-			tb, errB := exectrace.Read(bytes.NewReader(lg))
-			if errA != nil || errB != nil {
-				t.Fatalf("traces differ and do not decode: %v / %v", errA, errB)
-			}
-			if d := exectrace.Diff(ta, tb); d != nil {
-				t.Fatalf("engine traces diverge:\n%s", d.Format("bytecode", "legacy"))
-			}
-			t.Fatal("engine traces byte-differ but records match (encoding drift)")
-		})
-	}
-}
-
-// TestEngineDifferentialWorkloadTraces runs the full workload catalog
-// through the trace-level engine differential (the polarbench "traces"
-// experiment) and demands byte identity everywhere.
-func TestEngineDifferentialWorkloadTraces(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full workload catalog; covered by the CI trace job")
-	}
-	// A rekey schedule makes the stateless arm also exercise the
-	// epoch-advance and live-object remap paths under the differential.
-	evalrun.SetRekeyEpoch(64)
-	defer evalrun.SetRekeyEpoch(0)
-	rows, err := evalrun.Traces("", 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byMode := map[string]int{}
-	for _, r := range rows {
-		byMode[r.Mode]++
-		if !r.Identical {
-			t.Errorf("%s/%s: engine traces diverged: %s", r.Mode, r.App, r.Divergence)
-		}
-		if r.Records == 0 {
-			t.Errorf("%s/%s: empty trace", r.Mode, r.App)
-		}
-	}
-	if byMode["metadata"] == 0 || byMode["stateless"] == 0 ||
-		byMode["metadata"] != byMode["stateless"] {
-		t.Fatalf("mode coverage = %v, want the full catalog per layout mode", byMode)
-	}
 }
 
 // TestExecTraceParallelWidthIdentical gives each of eight tasks its own
@@ -144,8 +87,8 @@ func TestExecTraceParallelWidthIdentical(t *testing.T) {
 // for this module).
 func TestExecTraceLocalizesSeedPerturbation(t *testing.T) {
 	cs := exploit.CaseStudies()[0]
-	a := traceCaseStudy(t, cs.Build(), EngineBytecode, 42, cs.AttackArgs)
-	b := traceCaseStudy(t, cs.Build(), EngineBytecode, 43, cs.AttackArgs)
+	a := traceCaseStudy(t, cs.Build(), 42, cs.AttackArgs)
+	b := traceCaseStudy(t, cs.Build(), 43, cs.AttackArgs)
 	ta, err := exectrace.Read(bytes.NewReader(a))
 	if err != nil {
 		t.Fatal(err)
@@ -171,5 +114,61 @@ func TestExecTraceLocalizesSeedPerturbation(t *testing.T) {
 	switch d.A.Kind {
 	case exectrace.KindBlock, exectrace.KindCall:
 		t.Errorf("first divergence is control flow (%s), want a seed-dependent event", d.A.Kind)
+	}
+}
+
+// TestExecTraceCrossCheckBothModes runs the quickstart hardened with an
+// execution trace and a metrics registry attached — metadata mode, and
+// stateless mode with and without a rekey every 4 frees — and requires
+// the trace rollups to agree with the registry's event counters
+// exactly, as `polartrace stats -metrics` checks them.
+func TestExecTraceCrossCheckBothModes(t *testing.T) {
+	src, err := os.ReadFile("examples/quickstart/quickstart.ir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		mode  LayoutMode
+		rekey int
+	}{
+		{"metadata", LayoutModeMetadata, 0},
+		{"stateless", LayoutModeStateless, 0},
+		{"stateless-rekey-4", LayoutModeStateless, 4},
+	}
+	for _, tc := range cases {
+		m, err := Parse(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := Harden(m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		xw := NewExecTrace(&buf)
+		tel := NewTelemetry()
+		if _, err := RunHardened(h, WithSeed(7), WithLayoutMode(tc.mode), WithRekeyEvery(tc.rekey),
+			WithTelemetry(tel), WithExecTrace(xw)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := xw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := exectrace.Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := exectrace.Compute(tr)
+		if msgs := exectrace.CrossCheck(s, tel.Registry.Snapshot()); len(msgs) != 0 {
+			t.Errorf("%s: trace disagrees with the registry: %v", tc.name, msgs)
+		}
+		resolved := s.CacheHits + s.Metadata
+		if tc.mode == LayoutModeStateless {
+			resolved = s.Stateless
+		}
+		if s.Getptrs == 0 || resolved == 0 {
+			t.Errorf("%s: no getptr resolved on the mode's own path: %+v", tc.name, s)
+		}
 	}
 }

@@ -495,12 +495,12 @@ func (r *Runtime) profSiteFor(site string) *profile.SiteCounts {
 	return sc
 }
 
-// icFieldHit is the engines' inline-cache hit callback: a monomorphic
+// icFieldHit is the VM's inline-cache hit callback: a monomorphic
 // olr_getptr site revalidated its memoized offset against the current
 // layout generation and skipped the resolver. The runtime's observable
 // stream must be indistinguishable from the strategy's own fast path —
-// cross-engine trace identity depends on both engines calling this at
-// the same points — so it replays exactly what that arm would have
+// trace identity across engines depends on every dispatch loop calling
+// this at the same points — so it replays exactly what that arm would have
 // done: the metadata strategy's offset-cache hit (probe length 1,
 // cache.hits) or the stateless memo hit (probe length 0, no cache
 // counters — the stateless ablation row asserts they stay zero).

@@ -33,7 +33,7 @@ type derivedEntry struct {
 // its base address under (seed, epoch) at access time — SPAM's design
 // point (arXiv 2007.13808): no MetaStore record, no offset-cache probe,
 // zero metadata bytes per live object. Objects are identified through
-// the VM's type-tracking map (which both engines maintain identically),
+// the VM's type-tracking map (which every dispatch loop maintains identically),
 // and chunks are sized by layout.MaxSize so every epoch's layout fits
 // the same slab, which is what makes epoch-rekey remapping safe.
 //

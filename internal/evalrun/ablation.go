@@ -6,7 +6,6 @@ import (
 
 	"polar/internal/core"
 	"polar/internal/layout"
-	"polar/internal/vm"
 	"polar/internal/workload"
 )
 
@@ -26,8 +25,7 @@ type AblationRow struct {
 	// over the peak live-object population (bytes/object; 0 stateless).
 	MetaBytesPerLive float64
 	// FusedDispatches counts bcFused superinstruction dispatches in the
-	// representative run (0 on the legacy-engine arm: the tree-walker
-	// never dispatches fused runs).
+	// representative run.
 	FusedDispatches uint64
 	// ICHitPct is the per-site inline layout-cache hit rate of that run
 	// (hits / (hits+misses); meaningful in both layout modes — the
@@ -74,19 +72,8 @@ func ablationConfigs(seed int64) []struct {
 		// columns are MetaProbes (identically 0 — no cache needed) and
 		// MetaBytesPerLive (identically 0), traded against UAF detection.
 		{"stateless", mk(func(c *core.Config) { c.LayoutMode = core.LayoutModeStateless })},
-		// Execution-engine ablation: the default runtime config on the
-		// tree-walking reference engine. Overhead percentages are
-		// relative (hardened/baseline on the same engine), so comparing
-		// this row against "default" shows whether the instrumentation
-		// overhead story depends on interpreter speed.
-		{legacyEngineConfig, mk(func(c *core.Config) {})},
 	}
 }
-
-// legacyEngineConfig names the ablation variant that pins the
-// tree-walking engine (every other variant runs on the process-default
-// engine, normally bytecode).
-const legacyEngineConfig = "legacy-engine"
 
 // Ablation measures the overhead of each configuration variant on the
 // member-access-bound (mcf), allocation-bound (sjeng) and copy-bound
@@ -116,11 +103,7 @@ func Ablation(reps int, seed int64) ([]AblationRow, error) {
 		}
 		sp := Span(c.cfgName+"/"+c.app, "ablation")
 		defer sp.End()
-		var vmOpts []vm.Option
-		if c.cfgName == legacyEngineConfig {
-			vmOpts = append(vmOpts, vm.WithEngine(vm.EngineLegacy))
-		}
-		base, polar, rt, perf, err := measureWorkload(w, reps, TaskSeed(seed, "ablation/"+c.cfgName+"/"+c.app), c.cfg, vmOpts...)
+		base, polar, rt, perf, err := measureWorkload(w, reps, TaskSeed(seed, "ablation/"+c.cfgName+"/"+c.app), c.cfg)
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", c.cfgName, c.app, err)
 		}
@@ -142,7 +125,7 @@ func Ablation(reps int, seed int64) ([]AblationRow, error) {
 		// The seeded arm of the IC column: a fresh analyze→seed→compile of
 		// the same app run once under the same configuration and the
 		// representative rep's seed (measureWorkload's last hardened rep).
-		seededHit, err := seededHitPct(c.app, c.cfg, TaskSeed(seed, "ablation/"+c.cfgName+"/"+c.app)+int64(reps), vmOpts...)
+		seededHit, err := seededHitPct(c.app, c.cfg, TaskSeed(seed, "ablation/"+c.cfgName+"/"+c.app)+int64(reps))
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", c.cfgName, c.app, err)
 		}

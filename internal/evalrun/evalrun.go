@@ -49,9 +49,8 @@ func Span(name, cat string) *telemetry.Span {
 
 // runOnce stamps a fresh instance from a compiled program, executes it
 // once, and returns the wall time of the Run call and the final
-// checksum. Extra vm options (an engine pin, say) apply to the instance;
-// without them the instance uses the process-default engine, which the
-// polarbench -engine flag controls.
+// checksum. Extra vm options (a telemetry layer and trace writer, say)
+// apply to the instance.
 func runOnce(p *vm.Program, input []byte, args []int64, rt func(*vm.VM), vmOpts ...vm.Option) (time.Duration, int64, error) {
 	v, err := p.NewInstance(append([]vm.Option{vm.WithInput(input)}, vmOpts...)...)
 	if err != nil {
@@ -83,7 +82,7 @@ func runOnce(p *vm.Program, input []byte, args []int64, rt func(*vm.VM), vmOpts 
 // run itself, not validation and layout. All reps of one workload run
 // on the caller's goroutine — a parallel experiment pins each
 // workload's timings to one worker.
-func measureWorkload(w *workload.Workload, reps int, seed int64, cfg core.Config, vmOpts ...vm.Option) (base, polar time.Duration, rt *core.Runtime, perf vm.Perf, err error) {
+func measureWorkload(w *workload.Workload, reps int, seed int64, cfg core.Config) (base, polar time.Duration, rt *core.Runtime, perf vm.Perf, err error) {
 	baseProg, err := vm.Compile(ir.Clone(w.Module))
 	if err != nil {
 		return 0, 0, nil, perf, fmt.Errorf("%s: %w", w.Name, err)
@@ -110,7 +109,7 @@ func measureWorkload(w *workload.Workload, reps int, seed int64, cfg core.Config
 	base, polar = time.Duration(1<<62), time.Duration(1<<62)
 	runSeed := seed
 	for i := 0; i < reps; i++ {
-		d, sum, err := runOnce(baseProg, w.Input, w.Args, nil, vmOpts...)
+		d, sum, err := runOnce(baseProg, w.Input, w.Args, nil)
 		if err != nil {
 			return 0, 0, nil, perf, fmt.Errorf("%s: baseline: %w", w.Name, err)
 		}
@@ -132,7 +131,7 @@ func measureWorkload(w *workload.Workload, reps int, seed int64, cfg core.Config
 			rt = core.New(ins.Table, c)
 			rt.Attach(v)
 			hv = v
-		}, vmOpts...)
+		})
 		if err != nil {
 			return 0, 0, nil, perf, fmt.Errorf("%s: hardened: %w", w.Name, err)
 		}

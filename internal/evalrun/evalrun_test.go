@@ -183,11 +183,11 @@ func TestAblationStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 8*3 {
-		t.Fatalf("rows = %d, want 24", len(rows))
+	if len(rows) != 7*3 {
+		t.Fatalf("rows = %d, want 21", len(rows))
 	}
 	out := RenderAblation(rows)
-	for _, cfg := range []string{"no-cache", "legacy-engine", "stateless"} {
+	for _, cfg := range []string{"no-cache", "stateless"} {
 		if !strings.Contains(out, cfg) {
 			t.Errorf("render missing config name %q", cfg)
 		}

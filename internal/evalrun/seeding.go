@@ -218,7 +218,7 @@ func PublishSeeding(rows []SeedingRow, reg *telemetry.Registry) {
 // seededHitPct measures one seeded hardened run's IC hit rate for the
 // ablation grid's last column: the same analyze→seed→compile pipeline,
 // one run under cfg (with cfg.Seed set to seed).
-func seededHitPct(app string, cfg core.Config, seed int64, vmOpts ...vm.Option) (float64, error) {
+func seededHitPct(app string, cfg core.Config, seed int64) (float64, error) {
 	w, err := workload.ByName(app)
 	if err != nil {
 		return 0, err
@@ -239,7 +239,7 @@ func seededHitPct(app string, cfg core.Config, seed int64, vmOpts ...vm.Option) 
 	if _, _, err := runOnce(p, w.Input, w.Args, func(v *vm.VM) {
 		core.New(ins.Table, cfg).Attach(v)
 		hv = v
-	}, vmOpts...); err != nil {
+	}); err != nil {
 		return 0, fmt.Errorf("%s: seeded run: %w", app, err)
 	}
 	return 100 * hv.Perf.HitRate(), nil

@@ -70,12 +70,18 @@ func Run(m *ir.Module, seeds [][]byte, cfg Config) (*Result, error) {
 	res := &Result{}
 	seen := make([]byte, 1<<16)
 
+	// One compiled Program per campaign; every execution is a fresh
+	// instance of it.
+	prog, err := vm.Compile(m)
+	if err != nil {
+		return nil, fmt.Errorf("fuzz: seed execution: %w", err)
+	}
 	execute := func(input []byte) (newCov bool, crashed bool, err error) {
 		opts := []vm.Option{vm.WithInput(input), vm.WithCoverage()}
 		if cfg.Fuel > 0 {
 			opts = append(opts, vm.WithFuel(cfg.Fuel))
 		}
-		v, err := vm.New(m, opts...)
+		v, err := prog.NewInstance(opts...)
 		if err != nil {
 			return false, false, err
 		}

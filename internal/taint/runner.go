@@ -23,32 +23,42 @@ type RunOptions struct {
 // AnalyzeOne executes the module once with the given input under the
 // taint engine and returns the per-run report.
 func AnalyzeOne(m *ir.Module, input []byte, opts RunOptions) (*Report, error) {
+	p, err := vm.Compile(ir.Clone(m))
+	if err != nil {
+		return nil, err
+	}
 	rep := NewReport()
-	if err := analyzeInto(m, input, opts, rep); err != nil {
+	if err := analyzeInto(p, input, opts, rep); err != nil {
 		return nil, err
 	}
 	return rep, nil
 }
 
 // Analyze executes the module once per corpus input and returns the
-// merged report — the TaintClass object list for the program.
+// merged report — the TaintClass object list for the program. The
+// module is compiled once; every input runs on its own hooked instance
+// of that Program.
 func Analyze(m *ir.Module, corpus [][]byte, opts RunOptions) (*Report, error) {
+	p, err := vm.Compile(ir.Clone(m))
+	if err != nil {
+		return nil, err
+	}
 	rep := NewReport()
 	for i, input := range corpus {
-		if err := analyzeInto(m, input, opts, rep); err != nil {
+		if err := analyzeInto(p, input, opts, rep); err != nil {
 			return nil, fmt.Errorf("taint: corpus entry %d: %w", i, err)
 		}
 	}
 	return rep, nil
 }
 
-func analyzeInto(m *ir.Module, input []byte, opts RunOptions, rep *Report) error {
+func analyzeInto(p *vm.Program, input []byte, opts RunOptions, rep *Report) error {
 	eng := NewEngine(rep)
 	vmOpts := []vm.Option{vm.WithInput(input), vm.WithHooks(eng)}
 	if opts.Fuel > 0 {
 		vmOpts = append(vmOpts, vm.WithFuel(opts.Fuel))
 	}
-	v, err := vm.New(ir.Clone(m), vmOpts...)
+	v, err := p.NewInstance(vmOpts...)
 	if err != nil {
 		return err
 	}

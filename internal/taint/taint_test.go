@@ -178,13 +178,10 @@ func TestFreshAllocationStartsClean(t *testing.T) {
 	b.Store(ir.I64, w, slot)
 	b.Ret(ir.Const(0))
 
-	rep := NewReport()
-	eng := NewEngine(rep)
-	// Manual wiring to inspect the engine state on the second object.
-	if err := analyzeInto(m, []byte{77}, RunOptions{}, rep); err != nil {
+	rep, err := AnalyzeOne(m, []byte{77}, RunOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	_ = eng
 	// The report records the FIRST store (tainted); that is correct.
 	// What must NOT happen is growth of tainted fields via the stale
 	// load — field "v" is the only one either way, so check the second

@@ -8,8 +8,8 @@
 // produces a byte-identical trace, which is what makes `polartrace
 // diff` a divergence localizer — the first differing record IS the
 // first differing runtime event, whether the two traces came from the
-// bytecode vs. legacy engine, from two -parallel widths, or from a
-// future stateless-layout arm vs. the metadata table.
+// bytecode engine vs. the test-only reference interpreter, from two
+// -parallel widths, or from two builds of the same module.
 //
 // # Wire format
 //

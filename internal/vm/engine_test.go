@@ -2,7 +2,6 @@ package vm
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -83,31 +82,46 @@ func richModule(t *testing.T) *ir.Module {
 	return m
 }
 
+// engine names one way to run an instance: the bytecode engine
+// (VM.Run) or the tree-walking reference (RunReference).
+type engine struct {
+	name string
+	run  func(v *VM, args ...int64) (int64, error)
+}
+
+func (e engine) String() string { return e.name }
+
+var (
+	bytecode  = engine{"bytecode", (*VM).Run}
+	reference = engine{"reference", RunReference}
+	engines   = []engine{bytecode, reference}
+)
+
 // runEngine executes the module on one engine and returns everything
 // observable.
-func runEngine(t *testing.T, m *ir.Module, e Engine, opts []Option, args ...int64) (*VM, int64, error) {
+func runEngine(t *testing.T, m *ir.Module, e engine, opts []Option, args ...int64) (*VM, int64, error) {
 	t.Helper()
-	v, err := New(ir.Clone(m), append([]Option{WithEngine(e)}, opts...)...)
+	v, err := New(ir.Clone(m), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, runErr := v.Run(args...)
+	res, runErr := e.run(v, args...)
 	return v, res, runErr
 }
 
 func TestEnginesDifferentialRichProgram(t *testing.T) {
 	m := richModule(t)
 	opts := []Option{WithInput([]byte{9, 8, 7}), WithCoverage()}
-	vb, rb, eb := runEngine(t, m, EngineBytecode, opts, 5)
-	vl, rl, el := runEngine(t, m, EngineLegacy, opts, 5)
+	vb, rb, eb := runEngine(t, m, bytecode, opts, 5)
+	vl, rl, el := runEngine(t, m, reference, opts, 5)
 	if (eb == nil) != (el == nil) || (eb != nil && eb.Error() != el.Error()) {
-		t.Fatalf("errors differ: bytecode=%v legacy=%v", eb, el)
+		t.Fatalf("errors differ: bytecode=%v reference=%v", eb, el)
 	}
 	if rb != rl {
-		t.Fatalf("results differ: bytecode=%d legacy=%d", rb, rl)
+		t.Fatalf("results differ: bytecode=%d reference=%d", rb, rl)
 	}
 	if vb.Stats != vl.Stats {
-		t.Fatalf("stats differ:\nbytecode %+v\nlegacy   %+v", vb.Stats, vl.Stats)
+		t.Fatalf("stats differ:\nbytecode %+v\nreference %+v", vb.Stats, vl.Stats)
 	}
 	if string(vb.Output()) != string(vl.Output()) {
 		t.Fatalf("outputs differ: %q vs %q", vb.Output(), vl.Output())
@@ -125,11 +139,11 @@ func TestEnginesDifferentialRichProgram(t *testing.T) {
 func TestEnginesDifferentialFuelSweep(t *testing.T) {
 	m := richModule(t)
 	// Find the total instruction count once, then sweep past it.
-	v, err := New(ir.Clone(m), WithEngine(EngineLegacy))
+	v, err := New(ir.Clone(m))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Run(5); err != nil {
+	if _, err := RunReference(v, 5); err != nil {
 		t.Fatal(err)
 	}
 	total := v.Stats.Instructions
@@ -138,16 +152,16 @@ func TestEnginesDifferentialFuelSweep(t *testing.T) {
 	}
 	for fuel := uint64(0); fuel <= total+2; fuel++ {
 		opts := []Option{WithFuel(fuel), WithInput([]byte{9, 8, 7})}
-		vb, rb, eb := runEngine(t, m, EngineBytecode, opts, 5)
-		vl, rl, el := runEngine(t, m, EngineLegacy, opts, 5)
+		vb, rb, eb := runEngine(t, m, bytecode, opts, 5)
+		vl, rl, el := runEngine(t, m, reference, opts, 5)
 		if (eb == nil) != (el == nil) || (eb != nil && eb.Error() != el.Error()) {
-			t.Fatalf("fuel=%d: errors differ:\nbytecode: %v\nlegacy:   %v", fuel, eb, el)
+			t.Fatalf("fuel=%d: errors differ:\nbytecode: %v\nreference: %v", fuel, eb, el)
 		}
 		if rb != rl {
 			t.Fatalf("fuel=%d: results differ: %d vs %d", fuel, rb, rl)
 		}
 		if vb.Stats != vl.Stats {
-			t.Fatalf("fuel=%d: stats differ:\nbytecode %+v\nlegacy   %+v", fuel, vb.Stats, vl.Stats)
+			t.Fatalf("fuel=%d: stats differ:\nbytecode %+v\nreference %+v", fuel, vb.Stats, vl.Stats)
 		}
 		if fuel < total && eb == nil {
 			t.Fatalf("fuel=%d < total=%d but run succeeded", fuel, total)
@@ -155,9 +169,9 @@ func TestEnginesDifferentialFuelSweep(t *testing.T) {
 	}
 }
 
-// TestEnginesDifferentialFaults checks fault parity: same wrapped error
-// text and same instruction counts when the program dies mid-block.
-func TestEnginesDifferentialFaults(t *testing.T) {
+// faultModules returns one small program per fault class, each dying
+// mid-block (inside a fused pair where the lowering fuses one).
+func faultModules() map[string]*ir.Module {
 	build := func(f func(b *ir.Builder, st *ir.StructType)) *ir.Module {
 		m := ir.NewModule("faulty")
 		st := m.MustStruct(ir.NewStruct("S", ir.Field{Name: "x", Type: ir.I64}))
@@ -165,7 +179,7 @@ func TestEnginesDifferentialFaults(t *testing.T) {
 		f(b, st)
 		return m
 	}
-	cases := map[string]*ir.Module{
+	return map[string]*ir.Module{
 		"null-deref": build(func(b *ir.Builder, st *ir.StructType) {
 			b.Ret(b.Load(ir.I64, ir.Const(16)))
 		}),
@@ -196,17 +210,22 @@ func TestEnginesDifferentialFaults(t *testing.T) {
 			b.Ret(ir.Const(0))
 		}),
 	}
-	for name, m := range cases {
-		vb, _, eb := runEngine(t, m, EngineBytecode, nil)
-		vl, _, el := runEngine(t, m, EngineLegacy, nil)
+}
+
+// TestEnginesDifferentialFaults checks fault parity: same wrapped error
+// text and same instruction counts when the program dies mid-block.
+func TestEnginesDifferentialFaults(t *testing.T) {
+	for name, m := range faultModules() {
+		vb, _, eb := runEngine(t, m, bytecode, nil)
+		vl, _, el := runEngine(t, m, reference, nil)
 		if eb == nil || el == nil {
-			t.Fatalf("%s: expected both engines to fail, got bytecode=%v legacy=%v", name, eb, el)
+			t.Fatalf("%s: expected both engines to fail, got bytecode=%v reference=%v", name, eb, el)
 		}
 		if eb.Error() != el.Error() {
-			t.Fatalf("%s: error text differs:\nbytecode: %v\nlegacy:   %v", name, eb, el)
+			t.Fatalf("%s: error text differs:\nbytecode: %v\nreference: %v", name, eb, el)
 		}
 		if vb.Stats != vl.Stats {
-			t.Fatalf("%s: stats differ:\nbytecode %+v\nlegacy   %+v", name, vb.Stats, vl.Stats)
+			t.Fatalf("%s: stats differ:\nbytecode %+v\nreference %+v", name, vb.Stats, vl.Stats)
 		}
 	}
 }
@@ -226,8 +245,8 @@ func TestFusedIntermediateRegisterVisible(t *testing.T) {
 	b.Store(ir.I64, fp, fp)
 	second := b.Load(ir.I64, fp)
 	b.Ret(b.Bin(ir.BinAdd, first, b.Bin(ir.BinSub, second, fp)))
-	for _, e := range []Engine{EngineBytecode, EngineLegacy} {
-		got, err := mustVM(t, ir.Clone(m), WithEngine(e)).Run()
+	for _, e := range engines {
+		got, err := e.run(mustVM(t, ir.Clone(m)))
 		if err != nil {
 			t.Fatalf("%v: %v", e, err)
 		}
@@ -237,41 +256,55 @@ func TestFusedIntermediateRegisterVisible(t *testing.T) {
 	}
 }
 
-// TestBytecodeFallsBackForObservers: hooks and instruction tracing are
-// tree-walker facilities; a bytecode-configured VM must transparently
-// run legacy when they are attached (and still produce the events).
-func TestBytecodeFallsBackForObservers(t *testing.T) {
-	m := ir.NewModule("fallback")
+// TestObserversRunOnBytecode: hooks and the instruction log run the
+// bytecode engine's unfused lowering (and still produce their events);
+// an instance without them, or with only an execution trace, keeps the
+// fused code and never builds the unfused form.
+func TestObserversRunOnBytecode(t *testing.T) {
+	m := ir.NewModule("observed")
 	b := ir.NewFunc(m, "main", ir.I64)
 	b.Ret(b.Bin(ir.BinAdd, ir.Const(1), ir.Const(2)))
+	p, err := Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	plain, err := p.NewInstance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.obsFuncs != nil || p.observed != nil {
+		t.Fatal("an unobserved instance built the unfused lowering")
+	}
 
 	var tr strings.Builder
-	v := mustVM(t, ir.Clone(m), WithEngine(EngineBytecode), WithTrace(&tr, 0))
-	if v.useBytecode() {
-		t.Fatal("instruction tracing must fall back to the tree-walker")
+	v, err := p.NewInstance(WithTrace(&tr, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.obsFuncs == nil {
+		t.Fatal("instruction tracing must run the unfused lowering")
 	}
 	if _, err := v.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(tr.String(), "add 1, 2") {
-		t.Fatalf("trace empty under fallback: %q", tr.String())
+		t.Fatalf("trace empty on an observed run: %q", tr.String())
 	}
 
 	h := &countingHooks{}
-	v2 := mustVM(t, ir.Clone(m), WithEngine(EngineBytecode), WithHooks(h))
-	if v2.useBytecode() {
-		t.Fatal("hooks must fall back to the tree-walker")
+	v2, err := p.NewInstance(WithHooks(h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v2.obsFuncs == nil || &v2.obsFuncs[0] != &v.obsFuncs[0] {
+		t.Fatal("hooked instance must share the Program's one unfused lowering")
 	}
 	if _, err := v2.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if h.enters == 0 || h.bins == 0 {
-		t.Fatalf("hooks not fired under fallback: %+v", h)
-	}
-
-	v3 := mustVM(t, ir.Clone(m), WithEngine(EngineBytecode))
-	if !v3.useBytecode() {
-		t.Fatal("plain bytecode VM should not fall back")
+		t.Fatalf("hooks not fired on an observed run: %+v", h)
 	}
 }
 
@@ -301,22 +334,22 @@ func (h *countingHooks) Builtin(name string, args []ir.Value, argVals []int64, r
 // between engines.
 func TestProfilerAttributionConservation(t *testing.T) {
 	m := richModule(t)
-	profiles := make(map[Engine][]profile.SiteSample)
-	for _, e := range []Engine{EngineBytecode, EngineLegacy} {
+	profiles := make(map[string][]profile.SiteSample)
+	for _, e := range engines {
 		p := profile.NewSiteProfiler()
-		v := mustVM(t, ir.Clone(m), WithEngine(e), WithProfiler(p), WithInput([]byte{9}))
-		if _, err := v.Run(6); err != nil {
+		v := mustVM(t, ir.Clone(m), WithProfiler(p), WithInput([]byte{9}))
+		if _, err := e.run(v, 6); err != nil {
 			t.Fatalf("%v: %v", e, err)
 		}
 		cycles, _, _ := p.Totals()
 		if cycles != v.Stats.Instructions {
 			t.Fatalf("%v: profiled cycles %d != executed instructions %d", e, cycles, v.Stats.Instructions)
 		}
-		profiles[e] = p.Snapshot()
+		profiles[e.name] = p.Snapshot()
 	}
-	if !reflect.DeepEqual(profiles[EngineBytecode], profiles[EngineLegacy]) {
-		t.Fatalf("per-site profiles differ:\nbytecode: %+v\nlegacy:   %+v",
-			profiles[EngineBytecode], profiles[EngineLegacy])
+	if !reflect.DeepEqual(profiles["bytecode"], profiles["reference"]) {
+		t.Fatalf("per-site profiles differ:\nbytecode:  %+v\nreference: %+v",
+			profiles["bytecode"], profiles["reference"])
 	}
 }
 
@@ -332,10 +365,10 @@ func TestProfilerEarlyExitNoOvercharge(t *testing.T) {
 		pad = b.Bin(ir.BinAdd, pad, ir.Const(1))
 	}
 	b.Ret(pad)
-	for _, e := range []Engine{EngineBytecode, EngineLegacy} {
+	for _, e := range engines {
 		p := profile.NewSiteProfiler()
-		v := mustVM(t, ir.Clone(m), WithEngine(e), WithProfiler(p))
-		if _, err := v.Run(); err == nil {
+		v := mustVM(t, ir.Clone(m), WithProfiler(p))
+		if _, err := e.run(v); err == nil {
 			t.Fatalf("%v: expected fault", e)
 		}
 		cycles, _, _ := p.Totals()
@@ -349,70 +382,25 @@ func TestProfilerEarlyExitNoOvercharge(t *testing.T) {
 }
 
 // TestRegisterBuiltinRebindsBothEngines: re-registering a builtin after
-// a run must take effect in the bytecode slot table and in the legacy
-// engine's call-site binding cache.
+// a run must take effect in the bytecode slot table and in the
+// reference engine's name lookup.
 func TestRegisterBuiltinRebindsBothEngines(t *testing.T) {
 	m := ir.NewModule("rebind")
 	b := ir.NewFunc(m, "main", ir.I64)
 	b.Ret(b.Call("rt_custom"))
-	for _, e := range []Engine{EngineBytecode, EngineLegacy} {
-		v := mustVM(t, ir.Clone(m), WithEngine(e))
-		if _, err := v.Run(); !errors.Is(err, ErrUnknownFunc) {
+	for _, e := range engines {
+		v := mustVM(t, ir.Clone(m))
+		if _, err := e.run(v); !errors.Is(err, ErrUnknownFunc) {
 			t.Fatalf("%v: want ErrUnknownFunc before registration, got %v", e, err)
 		}
 		v.RegisterBuiltin("rt_custom", func(c *Call) (int64, error) { return 41, nil })
-		if got, err := v.Run(); err != nil || got != 41 {
+		if got, err := e.run(v); err != nil || got != 41 {
 			t.Fatalf("%v: after registration: %d, %v", e, got, err)
 		}
 		v.RegisterBuiltin("rt_custom", func(c *Call) (int64, error) { return 42, nil })
-		if got, err := v.Run(); err != nil || got != 42 {
+		if got, err := e.run(v); err != nil || got != 42 {
 			t.Fatalf("%v: after re-registration: %d, %v", e, got, err)
 		}
-	}
-}
-
-func TestParseEngine(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Engine
-		err  bool
-	}{
-		{"bytecode", EngineBytecode, false},
-		{"", EngineBytecode, false},
-		{"legacy", EngineLegacy, false},
-		{"tree", EngineLegacy, false},
-		{"treewalk", EngineLegacy, false},
-		{"warp", EngineBytecode, true},
-	}
-	for _, tc := range cases {
-		got, err := ParseEngine(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("ParseEngine(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if EngineBytecode.String() != "bytecode" || EngineLegacy.String() != "legacy" {
-		t.Error("Engine.String mismatch")
-	}
-}
-
-func TestDefaultEngineApplied(t *testing.T) {
-	old := DefaultEngine()
-	defer SetDefaultEngine(old)
-	m := ir.NewModule("def")
-	b := ir.NewFunc(m, "main", ir.I64)
-	b.Ret(ir.Const(0))
-
-	SetDefaultEngine(EngineLegacy)
-	if v := mustVM(t, ir.Clone(m)); v.Engine() != EngineLegacy {
-		t.Fatal("instance ignored process default")
-	}
-	// Explicit option beats the default.
-	if v := mustVM(t, ir.Clone(m), WithEngine(EngineBytecode)); v.Engine() != EngineBytecode {
-		t.Fatal("WithEngine did not override process default")
-	}
-	SetDefaultEngine(EngineBytecode)
-	if v := mustVM(t, ir.Clone(m)); v.Engine() != EngineBytecode {
-		t.Fatal("instance ignored restored default")
 	}
 }
 
@@ -495,9 +483,9 @@ func TestFuelSweepSuccessStatsStable(t *testing.T) {
 	m := richModule(t)
 	var want Stats
 	for i, fuel := range []uint64{0, 1, 7, 1 << 30} {
-		v := mustVM(t, ir.Clone(m), WithEngine(EngineBytecode), WithInput([]byte{9}))
+		v := mustVM(t, ir.Clone(m), WithInput([]byte{9}))
 		if fuel != 0 {
-			v = mustVM(t, ir.Clone(m), WithEngine(EngineBytecode), WithInput([]byte{9}), WithFuel(1<<30+fuel))
+			v = mustVM(t, ir.Clone(m), WithInput([]byte{9}), WithFuel(1<<30+fuel))
 		}
 		if _, err := v.Run(4); err != nil {
 			t.Fatal(err)
@@ -508,10 +496,4 @@ func TestFuelSweepSuccessStatsStable(t *testing.T) {
 			t.Fatalf("fuel variant %d changed stats: %+v != %+v", fuel, v.Stats, want)
 		}
 	}
-}
-
-func ExampleParseEngine() {
-	e, _ := ParseEngine("legacy")
-	fmt.Println(e)
-	// Output: legacy
 }

@@ -12,10 +12,11 @@ import (
 
 // This file is the bytecode engine's dispatch loop. It executes the
 // lowered form produced in lower.go and is semantically bit-identical to
-// the tree-walker in vm.go: same Stats at every fuel value, same error
-// strings at the same sites, same telemetry events, same coverage edges,
-// same violation records out of the POLaR runtime. The differential
-// suite in engine_differential_test.go holds it to that contract.
+// the reference tree-walker (reference_test.go): same Stats at every
+// fuel value, same error strings at the same sites, same telemetry
+// events, same coverage edges, same violation records out of the POLaR
+// runtime. The differential suites in this package hold it to that
+// contract. Observed runs use the dispatch loop in exec_observed.go.
 //
 // The speed comes from work moved to compile time (operand kinds, global
 // addresses, func handles, field offsets, load widths, callee binding)

@@ -8,34 +8,30 @@ import (
 )
 
 // TestExecTraceStaysOnBytecode pins the structural-zero contract: an
-// execution-trace writer is NOT a tree-walker facility, so attaching
-// one must not flip the instance off the bytecode engine (unlike hooks
-// and the instruction trace), and an instance without one carries no
-// trace state at all.
+// execution-trace writer is NOT an observer, so attaching one must keep
+// the instance on the fused lowering (unlike hooks and the instruction
+// log), and an instance without one carries no trace state at all.
 func TestExecTraceStaysOnBytecode(t *testing.T) {
 	p, err := Compile(richModule(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := p.NewInstance(WithEngine(EngineBytecode))
+	plain, err := p.NewInstance()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.ExecTrace() != nil {
 		t.Fatal("instance without WithExecTrace carries a trace writer")
 	}
-	if !plain.useBytecode() {
-		t.Fatal("plain bytecode instance not on bytecode (test setup broken)")
-	}
 
 	var buf bytes.Buffer
 	xw := exectrace.NewWriter(&buf)
-	traced, err := p.NewInstance(WithEngine(EngineBytecode), WithExecTrace(xw))
+	traced, err := p.NewInstance(WithExecTrace(xw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !traced.useBytecode() {
-		t.Fatal("WithExecTrace knocked the instance off the bytecode engine")
+	if traced.obsFuncs != nil || p.observed != nil {
+		t.Fatal("WithExecTrace moved the instance onto the unfused lowering")
 	}
 	if _, err := traced.Run(6); err != nil {
 		t.Fatal(err)
@@ -43,26 +39,30 @@ func TestExecTraceStaysOnBytecode(t *testing.T) {
 	if xw.Records() == 0 {
 		t.Fatal("traced bytecode run recorded nothing")
 	}
+	if traced.Perf.FusedDispatches == 0 {
+		t.Fatal("traced run dispatched no fused runs")
+	}
 }
 
-// TestExecTraceEngineIdentity runs the opcode-mix module on both
-// engines with fresh writers and demands byte-identical traces — the
-// block/call hook placement must agree exactly between the bytecode
-// dispatch loop and the tree-walker.
+// TestExecTraceEngineIdentity runs the opcode-mix module on the
+// bytecode engine (plain and observed) and on the reference with fresh
+// writers and demands byte-identical traces — the block/call record
+// placement must agree exactly between both dispatch loops and the
+// tree-walker.
 func TestExecTraceEngineIdentity(t *testing.T) {
 	p, err := Compile(richModule(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := func(e Engine) []byte {
+	trace := func(e engine, opts ...Option) []byte {
 		t.Helper()
 		var buf bytes.Buffer
 		xw := exectrace.NewWriter(&buf)
-		v, err := p.NewInstance(WithEngine(e), WithExecTrace(xw))
+		v, err := p.NewInstance(append(opts, WithExecTrace(xw))...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := v.Run(6); err != nil {
+		if _, err := e.run(v, 6); err != nil {
 			t.Fatal(err)
 		}
 		if err := xw.Close(); err != nil {
@@ -70,16 +70,22 @@ func TestExecTraceEngineIdentity(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	bc, lg := trace(EngineBytecode), trace(EngineLegacy)
-	if !bytes.Equal(bc, lg) {
-		ta, errA := exectrace.Read(bytes.NewReader(bc))
-		tb, errB := exectrace.Read(bytes.NewReader(lg))
+	ref := trace(reference)
+	for name, got := range map[string][]byte{
+		"bytecode": trace(bytecode),
+		"observed": trace(bytecode, WithHooks(&countingHooks{})),
+	} {
+		if bytes.Equal(got, ref) {
+			continue
+		}
+		ta, errA := exectrace.Read(bytes.NewReader(got))
+		tb, errB := exectrace.Read(bytes.NewReader(ref))
 		if errA != nil || errB != nil {
-			t.Fatalf("traces differ and do not decode: %v / %v", errA, errB)
+			t.Fatalf("%s: traces differ and do not decode: %v / %v", name, errA, errB)
 		}
 		if d := exectrace.Diff(ta, tb); d != nil {
-			t.Fatalf("engine traces diverge:\n%s", d.Format("bytecode", "legacy"))
+			t.Fatalf("%s: engine traces diverge:\n%s", name, d.Format(name, "reference"))
 		}
-		t.Fatal("engine traces byte-differ but records match (encoding drift)")
+		t.Fatalf("%s: engine traces byte-differ but records match (encoding drift)", name)
 	}
 }

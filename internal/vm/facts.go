@@ -12,8 +12,8 @@ import (
 //
 //   - a site proven CHURNED (its innermost loop also frees, so the
 //     layout generation invalidates its entry before every reuse) gets
-//     no IC slot at all (ic = -1): both engines go straight to the
-//     resolver, exactly as they do for non-instrumented calls;
+//     no IC slot at all (ic = -1): the call goes straight to the
+//     resolver, exactly as a non-instrumented call does;
 //   - monomorphic sites proven to address the same single runs-once
 //     object (equal ShareKey) are UNIFIED onto one slot: the first
 //     access memoizes the randomized offset for every sibling site —
@@ -46,15 +46,14 @@ type StaticFacts struct {
 	Sites map[string]SiteSeed
 }
 
-// planICSites precomputes the IC slot of every olr_getptr call site
-// from the static facts, walking the module in lowering order so slot
-// numbering stays a pure function of (module, facts). Without facts
-// the plan is nil and lowerOne numbers sites sequentially, as before.
+// planICSites numbers the inline-cache slot of every olr_getptr call
+// site, walking the module in lowering order so numbering stays a pure
+// function of (module, facts). Without facts every site gets a fresh
+// slot in program order; with facts a suppressed site gets none (no
+// entry in icSlotOf) and share-keyed sites collapse onto one. Both
+// lowerings read the same plan, so an observed run's sites index the
+// same per-instance slots as an unobserved one's.
 func (p *Program) planICSites(facts *StaticFacts) {
-	if facts == nil {
-		return
-	}
-	p.icPlan = make(map[*ir.Instr]int32)
 	shared := make(map[string]int32)
 	next := int32(0)
 	for _, f := range p.mod.Funcs {
@@ -64,21 +63,22 @@ func (p *Program) planICSites(facts *StaticFacts) {
 				if in.Op != ir.OpCall || in.Callee != olrGetptrName || len(in.Args) != 3 {
 					continue
 				}
-				pos := fmt.Sprintf("@%s.%s#%d", f.Name, blk.Name, ii)
-				seed, ok := facts.Sites[pos]
+				var seed SiteSeed
+				if facts != nil {
+					seed = facts.Sites[fmt.Sprintf("@%s.%s#%d", f.Name, blk.Name, ii)]
+				}
 				switch {
-				case ok && seed.Suppress:
-					p.icPlan[in] = -1
-				case ok && seed.ShareKey != "":
+				case seed.Suppress:
+				case seed.ShareKey != "":
 					slot, have := shared[seed.ShareKey]
 					if !have {
 						slot = next
 						next++
 						shared[seed.ShareKey] = slot
 					}
-					p.icPlan[in] = slot
+					p.icSlotOf[in] = slot
 				default:
-					p.icPlan[in] = next
+					p.icSlotOf[in] = next
 					next++
 				}
 			}

@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"fmt"
 	"math"
 
 	"polar/internal/ir"
@@ -27,23 +26,40 @@ import (
 //     the virtual registers into a small dense operand file, shrinking
 //     the per-call frame the interpreter must zero and keeping hot
 //     registers on the same cache lines.
+//
+// Observed runs (Hooks or the instruction log attached) execute a
+// second, unfused lowering: phase 2 is skipped, so every lowered
+// instruction is exactly one source instruction and its irIn is what
+// the observers see. Registers are still allocated; the observers
+// speak source register numbers, read off irIn.
 
 // lowerModule lowers every function of the compiled module under the
 // fusion plan derived from opts.
-func (p *Program) lowerModule(opts CompileOpts) error {
-	plan := buildFusionPlan(p.mod, opts)
+func (p *Program) lowerModule(opts CompileOpts) {
 	p.planICSites(opts.Facts)
-	p.bcFuncs = make([]*bcFunc, len(p.mod.Funcs))
+	p.bcFuncs = p.lowerAll(buildFusionPlan(p.mod, opts), true)
+}
+
+// observedFuncs returns the unfused lowering observed runs execute,
+// building it on first use: a Program that never runs observed never
+// pays for it. Safe for concurrent use.
+func (p *Program) observedFuncs() []*bcFunc {
+	p.observedOnce.Do(func() { p.observed = p.lowerAll(fusionPlan{}, false) })
+	return p.observed
+}
+
+// lowerAll lowers every function under plan; fuse=false also turns off
+// the classic pair peephole. The IC slot plan and every builtin slot
+// already exist, so a second lowering only reads Program state.
+func (p *Program) lowerAll(plan fusionPlan, fuse bool) []*bcFunc {
+	out := make([]*bcFunc, len(p.mod.Funcs))
 	for i, f := range p.mod.Funcs {
-		bf, err := p.lowerFunc(f, plan.runsFor(i))
-		if err != nil {
-			return fmt.Errorf("vm: lowering @%s: %w", f.Name, err)
-		}
+		bf := p.lowerFunc(f, plan.runsFor(i), fuse)
 		allocRegisters(bf)
 		poolMicroConstants(bf)
-		p.bcFuncs[i] = bf
+		out[i] = bf
 	}
-	return nil
+	return out
 }
 
 // builtinSlotFor returns the callee-table slot for a non-module callee
@@ -60,8 +76,8 @@ func (p *Program) builtinSlotFor(name string) int {
 
 // lowerValue pre-resolves one operand. Globals and function references
 // become immediates here — the per-execution string-map lookups the
-// tree-walker performs in resolve() happen exactly once, at compile
-// time.
+// reference tree-walker performs in resolve() happen exactly once, at
+// compile time.
 func (p *Program) lowerValue(v ir.Value) bcArg {
 	switch v.Kind {
 	case ir.ValConst:
@@ -198,22 +214,10 @@ func (p *Program) lowerOne(in *ir.Instr) bcInstr {
 		} else {
 			out.op = bcCallBuiltin
 			out.off = int32(p.builtinSlotFor(in.Callee))
-			if in.Callee == olrGetptrName && len(in.Args) == 3 {
-				// Per-call-site inline layout cache slot. The Program
-				// only numbers the sites; the entries live per instance
-				// and the legacy engine finds its slot via icSlotOf.
-				// Under static facts the precomputed plan decides the
-				// slot instead — possibly shared, possibly none.
-				if p.icPlan != nil {
-					if slot, ok := p.icPlan[in]; ok && slot >= 0 {
-						out.ic = slot
-						p.icSlotOf[in] = out.ic
-					}
-				} else {
-					out.ic = int32(p.numICSites)
-					p.icSlotOf[in] = out.ic
-					p.numICSites++
-				}
+			// Per-call-site inline layout cache slot, from the plan
+			// planICSites made (the entries live per instance).
+			if slot, ok := p.icSlotOf[in]; ok {
+				out.ic = slot
 			}
 		}
 	case ir.OpRet:
@@ -227,7 +231,7 @@ func (p *Program) lowerOne(in *ir.Instr) bcInstr {
 		// Validation rejects unknown opcodes before lowering runs;
 		// keep a faulting instruction so a foreign module that
 		// somehow bypassed it reports the same error as the
-		// tree-walker.
+		// reference tree-walker.
 		out.op = bcInvalid
 	}
 	return out
@@ -403,8 +407,9 @@ func (p *Program) classicPair(in, next *ir.Instr) (bcInstr, bool) {
 }
 
 // lowerFunc flattens one function under the per-block fusion runs
-// selected for it (nil = classic peephole only).
-func (p *Program) lowerFunc(f *ir.Func, runs [][][2]int) (*bcFunc, error) {
+// selected for it (nil = classic peephole only; fuse=false = no
+// superinstructions at all).
+func (p *Program) lowerFunc(f *ir.Func, runs [][][2]int, fuse bool) *bcFunc {
 	bf := &bcFunc{fn: f, numRegs: f.NumRegs, blocks: make([]bcBlock, len(f.Blocks))}
 	for bi, blk := range f.Blocks {
 		start := int32(len(bf.code))
@@ -444,7 +449,7 @@ func (p *Program) lowerFunc(f *ir.Func, runs [][][2]int) (*bcFunc, error) {
 			}
 			// Outside selected runs: the original peephole over the
 			// three classic pairs, never crossing into a selected run.
-			if ii+1 < len(blk.Instrs) && !(ri < len(sel) && sel[ri][0] == ii+1) {
+			if fuse && ii+1 < len(blk.Instrs) && !(ri < len(sel) && sel[ri][0] == ii+1) {
 				if out, ok := p.classicPair(&blk.Instrs[ii], &blk.Instrs[ii+1]); ok {
 					emit(out)
 					ii += 2
@@ -464,5 +469,5 @@ func (p *Program) lowerFunc(f *ir.Func, runs [][][2]int) (*bcFunc, error) {
 		w += bf.code[pc].weight()
 	}
 	bf.wTo[len(bf.code)] = w
-	return bf, nil
+	return bf
 }

@@ -44,8 +44,8 @@ type CompileOpts struct {
 
 // defaultOpts holds the process-wide compile options Compile() uses,
 // settable by flags (-pgo/-pgo-topk) before workloads compile. The
-// pointer is atomic for the same reason SetDefaultEngine's word is:
-// evalrun compiles programs from worker goroutines.
+// pointer is atomic because evalrun compiles programs from worker
+// goroutines.
 var defaultOpts atomic.Pointer[CompileOpts]
 
 // SetDefaultPGO installs the process-default compile options used by

@@ -14,7 +14,7 @@ import (
 func recordRichProfile(t *testing.T) *profile.PGO {
 	t.Helper()
 	p := profile.NewSiteProfiler()
-	v := mustVM(t, richModule(t), WithEngine(EngineBytecode), WithProfiler(p), WithInput([]byte{9}))
+	v := mustVM(t, richModule(t), WithProfiler(p), WithInput([]byte{9}))
 	if _, err := v.Run(6); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestEnginesDifferentialUnderCompileOpts(t *testing.T) {
 				t.Fatal(err)
 			}
 			runBC := func(extra ...Option) (*VM, int64, error) {
-				v, err := prog.NewInstance(append([]Option{WithEngine(EngineBytecode), WithInput([]byte{9, 8, 7})}, extra...)...)
+				v, err := prog.NewInstance(append([]Option{WithInput([]byte{9, 8, 7})}, extra...)...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -121,7 +121,7 @@ func TestEnginesDifferentialUnderCompileOpts(t *testing.T) {
 				return v, r, runErr
 			}
 			runLegacy := func(extra ...Option) (*VM, int64, error) {
-				return runEngine(t, m, EngineLegacy, append([]Option{WithInput([]byte{9, 8, 7})}, extra...), 5)
+				return runEngine(t, m, reference, append([]Option{WithInput([]byte{9, 8, 7})}, extra...), 5)
 			}
 
 			// Full run: result, stats, output and profiler attribution.
@@ -129,7 +129,7 @@ func TestEnginesDifferentialUnderCompileOpts(t *testing.T) {
 			vb, rb, eb := runBC(WithProfiler(pb))
 			vl, rl, el := runLegacy(WithProfiler(pl))
 			if eb != nil || el != nil {
-				t.Fatalf("errors: bytecode=%v legacy=%v", eb, el)
+				t.Fatalf("errors: bytecode=%v reference=%v", eb, el)
 			}
 			if rb != rl || vb.Stats != vl.Stats || string(vb.Output()) != string(vl.Output()) {
 				t.Fatalf("engines diverge: result %d/%d stats\n%+v\n%+v", rb, rl, vb.Stats, vl.Stats)
@@ -154,7 +154,7 @@ func TestEnginesDifferentialUnderCompileOpts(t *testing.T) {
 				fb, frb, feb := runBC(WithFuel(fuel))
 				fl, frl, fel := runLegacy(WithFuel(fuel))
 				if (feb == nil) != (fel == nil) || (feb != nil && feb.Error() != fel.Error()) {
-					t.Fatalf("fuel=%d: errors differ:\nbytecode: %v\nlegacy:   %v", fuel, feb, fel)
+					t.Fatalf("fuel=%d: errors differ:\nbytecode:  %v\nreference: %v", fuel, feb, fel)
 				}
 				if frb != frl || fb.Stats != fl.Stats {
 					t.Fatalf("fuel=%d: engines diverge: %d/%d\n%+v\n%+v", fuel, frb, frl, fb.Stats, fl.Stats)

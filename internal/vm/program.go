@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"sync"
 
 	"polar/internal/heap"
 	"polar/internal/ir"
@@ -47,15 +48,18 @@ type Program struct {
 	funcIdx     map[string]int
 	builtinSlot map[string]int
 
-	// numICSites counts the inline layout-cache slots the lowering
-	// allocated; icSlotOf maps each olr_getptr source instruction to
-	// its slot so the tree-walker shares the per-instance cache
-	// (VM.icSlots) with the bytecode engine. icPlan, when non-nil, is
-	// the fact-driven slot assignment planICSites precomputed (facts.go)
-	// — sites may then share a slot or carry none at all.
+	// numICSites counts the inline layout-cache slots planICSites
+	// allocated (facts.go); icSlotOf maps each olr_getptr source
+	// instruction that carries a slot to it. Under static facts sites
+	// may share a slot or carry none at all.
 	numICSites int
 	icSlotOf   map[*ir.Instr]int32
-	icPlan     map[*ir.Instr]int32
+
+	// observed is the unfused lowering (index-aligned with bcFuncs) that
+	// runs with Hooks or the instruction log attached execute; built at
+	// most once, on first use (observedFuncs).
+	observedOnce sync.Once
+	observed     []*bcFunc
 }
 
 type globalInit struct {
@@ -107,9 +111,7 @@ func CompileWith(m *ir.Module, opts CompileOpts) (*Program, error) {
 	}
 	// Lower every function to flat bytecode (needs the complete funcIdx
 	// for direct callee binding).
-	if err := p.lowerModule(opts); err != nil {
-		return nil, err
-	}
+	p.lowerModule(opts)
 	return p, nil
 }
 
@@ -274,8 +276,8 @@ func (p *Program) NewInstance(opts ...Option) (*VM, error) {
 	for _, o := range opts {
 		o(v)
 	}
-	if !v.engineSet {
-		v.engine = DefaultEngine()
+	if v.hooks != nil || v.instrLog != nil {
+		v.obsFuncs = p.observedFuncs()
 	}
 	// The slot table must exist before any RegisterBuiltin call (the
 	// defaults below, core.Runtime.Attach later) so every registration

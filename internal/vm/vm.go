@@ -122,10 +122,10 @@ func (c *Call) Arg(i int) int64 {
 // Memoize installs the current olr_getptr resolution into the call
 // site's inline layout cache: the next access at this site with the
 // same (base, field, class) under the same layout generation skips the
-// builtin entirely (both engines). The resolver must only call this on
-// clean resolutions — a live, correctly-typed object whose offset will
-// stay valid until the generation counter next advances. A no-op when
-// the site carries no cache slot or no cache is installed.
+// builtin entirely. The resolver must only call this on clean
+// resolutions — a live, correctly-typed object whose offset will stay
+// valid until the generation counter next advances. A no-op when the
+// site carries no cache slot or no cache is installed.
 func (c *Call) Memoize(off int64) {
 	if c == nil || c.ic <= 0 || c.VM == nil || c.VM.icGen == nil || len(c.Args) < 3 {
 		return
@@ -155,8 +155,9 @@ type VM struct {
 	Stats Stats
 	// Perf holds engine-strategy counters (inline-cache traffic, fused
 	// dispatches). They live outside Stats on purpose: Stats is held to
-	// struct equality across engines by the differential suite, while
-	// Perf legitimately differs (the tree-walker never fuses).
+	// struct equality against the reference engine by the differential
+	// suite, while Perf legitimately differs (the reference never fuses,
+	// and an observed run never fuses either).
 	Perf Perf
 
 	// prog is the shared immutable Program this instance executes.
@@ -165,11 +166,10 @@ type VM struct {
 	hooks    Hooks
 	builtins map[string]Builtin
 
-	// engine selects the execution strategy (see engine.go); engineSet
-	// records an explicit WithEngine so NewInstance knows whether to
-	// apply the process default.
-	engine    Engine
-	engineSet bool
+	// obsFuncs is the Program's unfused lowering when this instance is
+	// observed (Hooks or the instruction log attached) and nil
+	// otherwise; observed runs execute it through callObserved.
+	obsFuncs []*bcFunc
 
 	// builtinSlots is the bytecode engine's callee table: index = the
 	// Program's compile-time slot for a builtin name, value = the
@@ -177,19 +177,13 @@ type VM struct {
 	// faults like an unknown function).
 	builtinSlots []Builtin
 
-	// callBinds caches the legacy engine's callee resolution per call
-	// instruction (module function or builtin), replacing two string-map
-	// lookups per call with one pointer-map hit. RegisterBuiltin drops
-	// the cache so re-registration keeps working.
-	callBinds map[*ir.Instr]boundCallee
-
 	// Per-call-site inline layout caches (nil/zero unless the compiled
 	// module has olr_getptr sites and a layout runtime installed the
 	// protocol): icSlots holds one entry per numbered site, icGen points
 	// at the runtime's layout-generation counter (entries from an older
 	// generation never hit; the counter starts at 1 so zeroed entries
 	// are invalid), and icHit replays the runtime's fast-path
-	// observables on a hit so both engines' event/trace streams stay
+	// observables on a hit so the event and trace streams stay
 	// identical to a resolver fast-path resolution.
 	icSlots []icEntry
 	icGen   *uint64
@@ -237,9 +231,9 @@ type VM struct {
 	// WithExecTrace). xtBlocks/xtFuncs cache precomputed block-record
 	// frame words / interned function ids per instance; the maps are
 	// per-instance but the Writer assigns ids in first-use order, which
-	// both engines reach identically — that is what makes cross-engine
-	// traces byte-comparable. Both engines hook it directly; attaching
-	// a trace does NOT force the legacy engine (see useBytecode).
+	// every dispatch loop reaches identically — that is what makes
+	// traces byte-comparable across engines. The trace is not an
+	// observer: attaching one keeps the fused lowering.
 	xt       *exectrace.Writer
 	xtBlocks map[*ir.Func][]uint32
 	xtFuncs  map[*ir.Func]uint32
@@ -251,8 +245,9 @@ type VM struct {
 // inlined 4-byte append per block entry instead of a map probe and an
 // encoder, which is what keeps tracing inside its <5% budget. First
 // entry into a function interns its name and every block site in one
-// program-order batch; both engines enter functions identically, so
-// the interning order (part of the determinism contract) is too.
+// program-order batch; every dispatch loop enters functions
+// identically, so the interning order (part of the determinism
+// contract) is too.
 func (v *VM) xtEnter(fn *ir.Func) []uint32 {
 	id, ok := v.xtFuncs[fn]
 	if !ok {
@@ -271,11 +266,6 @@ func (v *VM) xtEnter(fn *ir.Func) []uint32 {
 	return frames
 }
 
-// traceInstr emits one trace line (called only when tracing is on).
-func (v *VM) traceInstr(fn *ir.Func, blk *ir.Block, in *ir.Instr) {
-	v.instrLog.Emit(fn.Name, blk.Name, ir.FormatInstr(fn, in))
-}
-
 // Option configures a VM.
 type Option func(*VM)
 
@@ -289,7 +279,10 @@ func WithFuel(n uint64) Option {
 	return func(v *VM) { v.fuel = n }
 }
 
-// WithHooks attaches a tracer (taint engine).
+// WithHooks attaches a tracer (taint engine). The instance then runs
+// observed: the Program's unfused lowering, with every Hooks call made
+// from the source instruction, and no inline layout-cache hits, so
+// Hooks.Builtin sees every call.
 func WithHooks(h Hooks) Option {
 	return func(v *VM) { v.hooks = h }
 }
@@ -313,8 +306,9 @@ func WithHeapRand(seed int64) Option {
 // WithTrace streams every executed instruction to w as
 // "@fn.block\tinstr" lines, stopping after maxLines (0 = unlimited).
 // Tracing is a debugging facility; it slows execution substantially.
-// The stream is produced by a telemetry.InstrLog; the text format and
-// this option's signature are stable.
+// The instance runs observed (see WithHooks), one line per source
+// instruction. The stream is produced by a telemetry.InstrLog; the
+// text format and this option's signature are stable.
 func WithTrace(w io.Writer, maxLines int) Option {
 	return func(v *VM) { v.instrLog = telemetry.NewInstrLog(w, maxLines) }
 }
@@ -327,22 +321,22 @@ func WithTelemetry(t *telemetry.Telemetry) Option {
 }
 
 // WithProfiler attaches a hot-site profiler: each "@fn.block" site is
-// charged the instructions actually executed in that block, in both
-// engines — early exits (a mid-block ret, a fault, fuel exhaustion)
-// charge only the executed prefix, and instructions a callee runs are
-// charged to the callee's sites, not the call site. Summed over all
+// charged the instructions actually executed in that block — early
+// exits (a mid-block ret, a fault, fuel exhaustion) charge only the
+// executed prefix, and instructions a callee runs are charged to the
+// callee's sites, not the call site. Summed over all
 // sites the cycle counts equal Stats.Instructions exactly.
 // A nil p disables profiling with no overhead beyond a nil check.
 func WithProfiler(p *profile.SiteProfiler) Option {
 	return func(v *VM) { v.prof = p }
 }
 
-// WithExecTrace attaches a deterministic execution-trace writer: both
-// engines record block entries and calls directly (the trace is not an
-// instruction log — block granularity keeps the overhead inside the
-// <5% budget), and NewInstance subscribes the writer to the telemetry
-// bus (when one is attached) for allocation, fuel-checkpoint and
-// violation records. A nil w disables tracing with no overhead beyond
+// WithExecTrace attaches a deterministic execution-trace writer: the
+// dispatch loop records block entries and calls directly (the trace is
+// not an instruction log — block granularity keeps the overhead inside
+// the <5% budget), and NewInstance subscribes the writer to the
+// telemetry bus (when one is attached) for allocation, fuel-checkpoint
+// and violation records. A nil w disables tracing with no overhead beyond
 // a nil check. The writer is single-owner, like the VM itself: give
 // every concurrently running VM its own writer.
 func WithExecTrace(w *exectrace.Writer) Option {
@@ -372,15 +366,13 @@ func New(m *ir.Module, opts ...Option) (*VM, error) {
 
 // RegisterBuiltin installs (or replaces) a native function. The POLaR
 // runtime uses this to provide the olr_* ABI. Registration also binds
-// the builtin into the bytecode engine's callee table (when the
-// compiled module calls the name) and invalidates the legacy engine's
-// call-site bindings.
+// the builtin into the callee table (when the compiled module calls the
+// name).
 func (v *VM) RegisterBuiltin(name string, fn Builtin) {
 	v.builtins[name] = fn
 	if idx, ok := v.prog.builtinSlot[name]; ok {
 		v.builtinSlots[idx] = fn
 	}
-	v.callBinds = nil
 	// A re-registered olr_getptr must see every call again: zeroed
 	// entries carry generation 0, which no installed runtime's counter
 	// (starting at 1) ever matches.
@@ -404,9 +396,9 @@ type icEntry struct {
 // is the runtime's layout-generation counter (bumped whenever any
 // memoized offset may have gone stale — free, layout-changing copy,
 // rerandomize), and onHit replays the runtime's fast-path observables
-// (counters, events, trace record) for a served hit. The protocol is
-// engine-independent; with hooks attached the caches stay cold so
-// Hooks.Builtin still observes every call.
+// (counters, events, trace record) for a served hit. With hooks
+// attached the caches stay cold so Hooks.Builtin still observes every
+// call.
 func (v *VM) InstallLayoutCache(gen *uint64, onHit func(site string, base uint64, field int64, class uint64, off int64)) {
 	v.icGen = gen
 	v.icHit = onHit
@@ -471,11 +463,8 @@ func (v *VM) CallFunc(name string, args ...int64) (int64, error) {
 	return v.runEntry(name, args)
 }
 
-// runEntry dispatches one top-level execution on whichever engine is
-// active, bracketing it with fuel-checkpoint events when telemetry is
-// attached. The checkpoints are engine-independent (both engines share
-// this entry and maintain exact fuel parity), so event streams stay
-// identical across engines.
+// runEntry dispatches one top-level execution, bracketing it with
+// fuel-checkpoint events when telemetry is attached.
 func (v *VM) runEntry(name string, args []int64) (int64, error) {
 	if v.tel != nil {
 		v.tel.Emit(telemetry.Event{Kind: telemetry.EvFuelCheckpoint, Size: int(v.fuelLeft), Detail: "run-start"})
@@ -488,28 +477,26 @@ func (v *VM) runEntry(name string, args []int64) (int64, error) {
 }
 
 func (v *VM) dispatchEntry(name string, args []int64) (int64, error) {
-	if v.useBytecode() {
-		idx, ok := v.prog.funcIdx[name]
-		if !ok {
-			if name == "main" {
-				return 0, ir.ErrNoMain
-			}
-			return 0, fmt.Errorf("%w: @%s", ErrUnknownFunc, name)
-		}
-		return v.callBC(v.prog.bcFuncs[idx], args)
-	}
-	f := v.prog.Func(name)
-	if f == nil {
+	idx, ok := v.prog.funcIdx[name]
+	if !ok {
 		if name == "main" {
 			return 0, ir.ErrNoMain
 		}
 		return 0, fmt.Errorf("%w: @%s", ErrUnknownFunc, name)
 	}
-	ops := make([]ir.Value, len(args))
-	for i, a := range args {
-		ops[i] = ir.Const(a)
+	if v.obsFuncs == nil {
+		return v.callBC(v.prog.bcFuncs[idx], args)
 	}
-	return v.call(f, ops, nil, -1)
+	var ops []ir.Value
+	if v.hooks != nil {
+		// Hooks.Enter speaks source operands; a top-level entry's are
+		// the integer arguments as constants.
+		ops = make([]ir.Value, len(args))
+		for i, a := range args {
+			ops[i] = ir.Const(a)
+		}
+	}
+	return v.callObserved(v.obsFuncs[idx], args, ops, -1)
 }
 
 func (v *VM) getFrame(n int) []int64 {
@@ -533,419 +520,6 @@ func (v *VM) putFrame(fr []int64) {
 	}
 }
 
-// call runs fn to completion. callerRegs/callerDest link results back;
-// callerRegs is nil for top-level entries.
-func (v *VM) call(fn *ir.Func, args []ir.Value, callerRegs []int64, callerDest int) (int64, error) {
-	if v.depth >= maxCallDepth {
-		return 0, fmt.Errorf("%w in @%s", ErrStackOverflow, fn.Name)
-	}
-	v.depth++
-	if v.depth > v.Stats.MaxDepth {
-		v.Stats.MaxDepth = v.depth
-	}
-	v.Stats.Calls++
-	var xtFrames []uint32
-	if v.xt != nil {
-		xtFrames = v.xtEnter(fn)
-	}
-	savedStack := v.stackTop
-	regs := v.getFrame(fn.NumRegs)
-	defer func() {
-		v.putFrame(regs)
-		v.stackTop = savedStack
-		v.depth--
-	}()
-	for i := range args {
-		if i >= len(fn.Params) {
-			break
-		}
-		regs[i] = v.resolve(callerRegs, args[i])
-	}
-	if v.hooks != nil {
-		v.hooks.Enter(fn, args)
-	}
-
-	// Per-instruction profiler attribution: instead of charging a whole
-	// block on entry (which overcharges early exits and faults), track
-	// the instruction counter at block entry and flush the delta — the
-	// instructions this frame actually executed in the block — on every
-	// block transition and on every way out of the frame.
-	profiling := v.profSites != nil
-	var psc *profile.SiteCounts
-	var profBase uint64
-	if profiling {
-		profBase = v.Stats.Instructions
-		defer func() {
-			if psc != nil {
-				if d := v.Stats.Instructions - profBase; d != 0 {
-					psc.AddCycles(d)
-				}
-			}
-		}()
-	}
-
-	blk := 0
-	prevBlk := -1
-	for {
-		b := fn.Blocks[blk]
-		if xtFrames != nil {
-			if f := xtFrames[blk]; !v.xt.FastAppend4(f) {
-				v.xt.BlockFrameSlow(f)
-			}
-		}
-		if profiling {
-			if psc != nil {
-				if d := v.Stats.Instructions - profBase; d != 0 {
-					psc.AddCycles(d)
-				}
-			}
-			profBase = v.Stats.Instructions
-			c, ok := v.profSites[b]
-			if !ok {
-				c = v.prof.Site(v.prog.SiteName(b))
-				v.profSites[b] = c
-			}
-			psc = c
-		}
-		if v.coverage != nil {
-			e := edgeHash(fn, prevBlk, blk)
-			c := &v.coverage[e]
-			if *c < 255 {
-				*c++
-			}
-		}
-		for ii := range b.Instrs {
-			in := &b.Instrs[ii]
-			if v.fuelLeft == 0 {
-				return 0, fmt.Errorf("%w in @%s.%s", ErrFuelExhausted, fn.Name, b.Name)
-			}
-			v.fuelLeft--
-			v.Stats.Instructions++
-			if v.instrLog != nil {
-				v.traceInstr(fn, b, in)
-			}
-
-			switch in.Op {
-			case ir.OpAlloc:
-				count := 1
-				if len(in.Args) == 1 {
-					count = int(v.resolve(regs, in.Args[0]))
-					if count < 1 {
-						count = 1
-					}
-				}
-				size := in.Type.Size() * count
-				addr, err := v.Heap.Alloc(size)
-				if err != nil {
-					return 0, v.fault(fn, b, err)
-				}
-				v.Stats.Allocs++
-				regs[in.Dest] = int64(addr)
-				if in.Struct != nil && count == 1 {
-					v.objects[addr] = in.Struct
-				}
-				if v.hooks != nil {
-					v.hooks.Alloc(in.Dest, addr, size, in.Struct)
-				}
-				if v.tel != nil {
-					name := ""
-					if in.Struct != nil {
-						name = in.Struct.Name
-					}
-					v.tel.Emit(telemetry.Event{Kind: telemetry.EvAlloc, Addr: addr, Size: size, Detail: name})
-				}
-			case ir.OpLocal:
-				size := uint64((in.Type.Size() + 15) &^ 15)
-				if v.stackTop+size > StackLimit {
-					return 0, v.fault(fn, b, ErrStackOverflow)
-				}
-				addr := v.stackTop
-				v.stackTop += size
-				// Locals are zeroed (Go/C++ stack reuse would not be, but
-				// deterministic init keeps workloads reproducible).
-				if err := v.Mem.Set(addr, 0, in.Type.Size()); err != nil {
-					return 0, v.fault(fn, b, err)
-				}
-				regs[in.Dest] = int64(addr)
-			case ir.OpFree:
-				addr := uint64(v.resolve(regs, in.Args[0]))
-				if err := v.Heap.Free(addr); err != nil {
-					return 0, v.fault(fn, b, err)
-				}
-				v.Stats.Frees++
-				if v.icGen != nil {
-					// A raw free can recycle a base address out from under
-					// a memoized resolution; advance the generation so
-					// every inline-cached offset revalidates (same point
-					// in both engines).
-					*v.icGen++
-				}
-				// Hook first: the taint engine attributes the free via
-				// the object-type tracking this delete removes.
-				if v.hooks != nil {
-					v.hooks.Free(addr)
-				}
-				if v.tel != nil {
-					v.tel.Emit(telemetry.Event{Kind: telemetry.EvFree, Addr: addr})
-				}
-				delete(v.objects, addr)
-			case ir.OpLoad:
-				addr := uint64(v.resolve(regs, in.Args[0]))
-				val, err := v.loadTyped(addr, in.Type)
-				if err != nil {
-					return 0, v.fault(fn, b, err)
-				}
-				regs[in.Dest] = val
-				if v.hooks != nil {
-					v.hooks.Load(in.Dest, addr, in.Type.Size())
-				}
-			case ir.OpStore:
-				addr := uint64(v.resolve(regs, in.Args[1]))
-				val := v.resolve(regs, in.Args[0])
-				if err := v.storeTyped(addr, in.Type, val); err != nil {
-					return 0, v.fault(fn, b, err)
-				}
-				if v.hooks != nil {
-					v.hooks.Store(in.Args[0], addr, in.Type.Size())
-				}
-			case ir.OpMemcpy:
-				dst := uint64(v.resolve(regs, in.Args[0]))
-				src := uint64(v.resolve(regs, in.Args[1]))
-				n := int(v.resolve(regs, in.Args[2]))
-				if n < 0 {
-					n = 0
-				}
-				if err := v.Mem.Copy(dst, src, n); err != nil {
-					return 0, v.fault(fn, b, err)
-				}
-				v.Stats.Memcpys++
-				if v.hooks != nil {
-					v.hooks.Memcpy(dst, src, n)
-				}
-			case ir.OpMemset:
-				dst := uint64(v.resolve(regs, in.Args[0]))
-				val := byte(v.resolve(regs, in.Args[1]))
-				n := int(v.resolve(regs, in.Args[2]))
-				if n < 0 {
-					n = 0
-				}
-				if err := v.Mem.Set(dst, val, n); err != nil {
-					return 0, v.fault(fn, b, err)
-				}
-				if v.hooks != nil {
-					v.hooks.Memset(dst, n)
-				}
-			case ir.OpFieldPtr:
-				base := uint64(v.resolve(regs, in.Args[0]))
-				regs[in.Dest] = int64(base + uint64(in.Struct.Offset(in.Field)))
-				v.Stats.FieldAccess++
-				if v.hooks != nil {
-					v.hooks.PtrDerive(in.Dest, in.Args[0])
-				}
-			case ir.OpElemPtr:
-				base := uint64(v.resolve(regs, in.Args[0]))
-				idx := v.resolve(regs, in.Args[1])
-				regs[in.Dest] = int64(base + uint64(idx)*uint64(in.Type.Size()))
-				if v.hooks != nil {
-					v.hooks.PtrDerive(in.Dest, in.Args[0])
-				}
-			case ir.OpPtrAdd:
-				base := uint64(v.resolve(regs, in.Args[0]))
-				off := v.resolve(regs, in.Args[1])
-				regs[in.Dest] = int64(base + uint64(off))
-				if v.hooks != nil {
-					v.hooks.PtrDerive(in.Dest, in.Args[0])
-				}
-			case ir.OpBin:
-				a := v.resolve(regs, in.Args[0])
-				bb := v.resolve(regs, in.Args[1])
-				r, err := evalBin(in.Bin, a, bb)
-				if err != nil {
-					return 0, v.fault(fn, b, err)
-				}
-				regs[in.Dest] = r
-				if v.hooks != nil {
-					v.hooks.Bin(in.Dest, in.Args[0], in.Args[1])
-				}
-			case ir.OpFBin:
-				a := math.Float64frombits(uint64(v.resolve(regs, in.Args[0])))
-				bb := math.Float64frombits(uint64(v.resolve(regs, in.Args[1])))
-				regs[in.Dest] = int64(math.Float64bits(evalFBin(in.Bin, a, bb)))
-				if v.hooks != nil {
-					v.hooks.Bin(in.Dest, in.Args[0], in.Args[1])
-				}
-			case ir.OpCmp:
-				a := v.resolve(regs, in.Args[0])
-				bb := v.resolve(regs, in.Args[1])
-				regs[in.Dest] = evalCmp(in.Cmp, a, bb)
-				if v.hooks != nil {
-					v.hooks.Bin(in.Dest, in.Args[0], in.Args[1])
-				}
-			case ir.OpFCmp:
-				a := math.Float64frombits(uint64(v.resolve(regs, in.Args[0])))
-				bb := math.Float64frombits(uint64(v.resolve(regs, in.Args[1])))
-				regs[in.Dest] = evalFCmp(in.Cmp, a, bb)
-				if v.hooks != nil {
-					v.hooks.Bin(in.Dest, in.Args[0], in.Args[1])
-				}
-			case ir.OpItoF:
-				regs[in.Dest] = int64(math.Float64bits(float64(v.resolve(regs, in.Args[0]))))
-				if v.hooks != nil {
-					v.hooks.Un(in.Dest, in.Args[0])
-				}
-			case ir.OpFtoI:
-				f := math.Float64frombits(uint64(v.resolve(regs, in.Args[0])))
-				regs[in.Dest] = int64(f)
-				if v.hooks != nil {
-					v.hooks.Un(in.Dest, in.Args[0])
-				}
-			case ir.OpMov:
-				regs[in.Dest] = v.resolve(regs, in.Args[0])
-				if v.hooks != nil {
-					v.hooks.Un(in.Dest, in.Args[0])
-				}
-			case ir.OpBr:
-				prevBlk, blk = blk, in.Blocks[0]
-			case ir.OpCondBr:
-				c := v.resolve(regs, in.Args[0])
-				if v.hooks != nil {
-					v.hooks.CondBr(in.Args[0])
-				}
-				if c != 0 {
-					prevBlk, blk = blk, in.Blocks[0]
-				} else {
-					prevBlk, blk = blk, in.Blocks[1]
-				}
-			case ir.OpCall:
-				if profiling {
-					// The call instruction itself has been counted: flush
-					// it to this site before the callee charges its own
-					// sites, then rebase past whatever the callee ran.
-					if d := v.Stats.Instructions - profBase; d != 0 {
-						psc.AddCycles(d)
-					}
-				}
-				ret, err := v.dispatchCall(fn, b, regs, in)
-				if profiling {
-					profBase = v.Stats.Instructions
-				}
-				if err != nil {
-					return 0, err
-				}
-				if in.Dest >= 0 {
-					regs[in.Dest] = ret
-				}
-			case ir.OpRet:
-				var rv int64
-				var retArg *ir.Value
-				if len(in.Args) == 1 {
-					rv = v.resolve(regs, in.Args[0])
-					retArg = &in.Args[0]
-				}
-				if v.hooks != nil {
-					v.hooks.Exit(retArg, callerDest)
-				}
-				return rv, nil
-			default:
-				return 0, v.fault(fn, b, fmt.Errorf("vm: bad opcode %d", in.Op))
-			}
-			if in.Op == ir.OpBr || in.Op == ir.OpCondBr {
-				break
-			}
-		}
-		if last := b.Instrs[len(b.Instrs)-1]; last.Op != ir.OpBr && last.Op != ir.OpCondBr {
-			// Ret already returned; anything else is a validator bug.
-			return 0, v.fault(fn, b, errors.New("vm: fell off block end"))
-		}
-	}
-}
-
-// boundCallee is a resolved call target: a module function, a builtin,
-// or (both nil) a callee that resolves to nothing and faults. ic is the
-// site's inline layout-cache slot plus one (0 = none), resolved from
-// the Program's numbering once per bind.
-type boundCallee struct {
-	fn *ir.Func
-	bi Builtin
-	ic int32
-}
-
-func (v *VM) dispatchCall(fn *ir.Func, b *ir.Block, regs []int64, in *ir.Instr) (int64, error) {
-	// Callee binding is stable per call site (module functions are fixed
-	// at Compile; builtin re-registration drops the cache), so resolve
-	// the two string maps once and hit a pointer-keyed map after that.
-	bound, ok := v.callBinds[in]
-	if !ok {
-		bound.fn = v.prog.Func(in.Callee)
-		if bound.fn == nil {
-			bound.bi = v.builtins[in.Callee]
-		}
-		if slot, has := v.prog.icSlotOf[in]; has {
-			bound.ic = slot + 1
-		}
-		if v.callBinds == nil {
-			v.callBinds = make(map[*ir.Instr]boundCallee)
-		}
-		v.callBinds[in] = bound
-	}
-	if bound.fn != nil {
-		return v.call(bound.fn, in.Args, regs, in.Dest)
-	}
-	if bound.bi == nil {
-		return 0, v.fault(fn, b, fmt.Errorf("%w: @%s", ErrUnknownFunc, in.Callee))
-	}
-	// Inline layout-cache fast path, shared with the bytecode engine
-	// (same slots, same generation check, same hit callback — that is
-	// what keeps the engines' event and trace streams identical). Hooks
-	// disable it: Hooks.Builtin must observe every call.
-	if bound.ic > 0 && v.icGen != nil && v.hooks == nil {
-		base := uint64(v.resolve(regs, in.Args[0]))
-		field := v.resolve(regs, in.Args[1])
-		class := uint64(v.resolve(regs, in.Args[2]))
-		if e := &v.icSlots[bound.ic-1]; e.gen == *v.icGen && e.base == base && e.field == field && e.class == class {
-			v.Perf.InlineHits++
-			v.icHit(v.prog.SiteName(b), base, field, class, e.off)
-			return int64(base + uint64(e.off)), nil
-		}
-		v.Perf.InlineMisses++
-	}
-	// Builtins never re-enter the interpreter, so one scratch argument
-	// buffer and Call frame per VM suffice (keeps the hot olr_getptr
-	// path allocation-free).
-	argv := v.argvScratch[:0]
-	for _, a := range in.Args {
-		argv = append(argv, v.resolve(regs, a))
-	}
-	v.argvScratch = argv[:0]
-	v.callScratch = Call{VM: v, Name: in.Callee, Args: argv, RawArgs: in.Args, fn: fn, blk: b, ic: bound.ic}
-	ret, err := bound.bi(&v.callScratch)
-	if err != nil {
-		return 0, v.fault(fn, b, err)
-	}
-	if v.hooks != nil {
-		v.hooks.Builtin(in.Callee, in.Args, argv, ret, in.Dest)
-	}
-	return ret, nil
-}
-
-// resolve evaluates an operand against a register frame.
-func (v *VM) resolve(regs []int64, val ir.Value) int64 {
-	switch val.Kind {
-	case ir.ValConst:
-		return val.Int
-	case ir.ValConstF:
-		return int64(math.Float64bits(val.Float))
-	case ir.ValReg:
-		return regs[val.Reg]
-	case ir.ValGlobal:
-		return int64(v.prog.globals[val.Sym])
-	case ir.ValFunc:
-		return v.prog.funcHandles[val.Sym]
-	default:
-		return 0
-	}
-}
-
 // FuncByHandle resolves a function-pointer handle back to its function.
 // Handles are stable pseudo-addresses precomputed at Compile time; they
 // live far above the heap so they never collide with data addresses.
@@ -955,24 +529,6 @@ func (v *VM) FuncByHandle(h int64) (*ir.Func, bool) {
 		return nil, false
 	}
 	return v.Mod.Funcs[idx], true
-}
-
-func (v *VM) loadTyped(addr uint64, t ir.Type) (int64, error) {
-	n := t.Size()
-	u, err := v.Mem.ReadU(addr, n)
-	if err != nil {
-		return 0, err
-	}
-	if t.Kind() == ir.KindInt && n < 8 {
-		// Sign-extend.
-		shift := uint(64 - 8*n)
-		return int64(u<<shift) >> shift, nil
-	}
-	return int64(u), nil
-}
-
-func (v *VM) storeTyped(addr uint64, t ir.Type, val int64) error {
-	return v.Mem.WriteU(addr, t.Size(), uint64(val))
 }
 
 func (v *VM) fault(fn *ir.Func, b *ir.Block, err error) error {

@@ -91,27 +91,6 @@ type SiteProfiler = profile.SiteProfiler
 // NewSiteProfiler returns an empty hot-site profiler.
 func NewSiteProfiler() *SiteProfiler { return profile.NewSiteProfiler() }
 
-// Engine selects the VM execution strategy: the lowered bytecode engine
-// (default, fast) or the tree-walking reference interpreter. The two
-// are semantically bit-identical — same results, stats, outputs and
-// violation records — which the differential test suite enforces; the
-// legacy engine stays selectable so the evaluation can ablate engine
-// choice (polarun/polarbench -engine=legacy).
-type Engine = vm.Engine
-
-// Engine values.
-const (
-	EngineBytecode = vm.EngineBytecode
-	EngineLegacy   = vm.EngineLegacy
-)
-
-// ParseEngine parses an -engine flag value ("bytecode" or "legacy").
-func ParseEngine(s string) (Engine, error) { return vm.ParseEngine(s) }
-
-// SetDefaultEngine sets the process-wide engine used by runs that do
-// not pass WithEngine (what the CLIs' -engine flag calls).
-func SetDefaultEngine(e Engine) { vm.SetDefaultEngine(e) }
-
 // PGOProfile is a hot-site profile exported from a prior run, used at
 // compile time to rank fusion candidates by real dynamic weight (the
 // CLIs' -pgo flag reads one from disk).
@@ -343,8 +322,6 @@ type options struct {
 	flight        *flight.Recorder
 	xtrace        *exectrace.Writer
 	runtimeObs    func(LiveRuntime)
-	engine        Engine
-	engineSet     bool
 }
 
 // Option configures Run and RunHardened.
@@ -453,7 +430,7 @@ func WithFlightRecorder(r *FlightRecorder) Option { return func(o *options) { o.
 // polar-exectrace/v1): block entries, calls, every olr_* operation
 // with its resolved offset, fuel checkpoints and violations, in
 // program order with no wall-clock state — the same module under the
-// same seed produces a byte-identical trace on either engine. Create
+// same seed produces a byte-identical trace. Create
 // one per run with NewExecTrace, pass it via WithExecTrace, and Close
 // it after the run to write the footer. Inspect, aggregate and diff
 // traces with cmd/polartrace.
@@ -494,14 +471,6 @@ type LiveRuntime interface {
 	ViolationLog() ViolationLog
 }
 
-// WithEngine pins the execution engine for this run, overriding the
-// process default (SetDefaultEngine). Runs with WithTrace attached fall
-// back to the tree-walker regardless — instruction tracing is a
-// reference-engine facility.
-func WithEngine(e Engine) Option {
-	return func(o *options) { o.engine, o.engineSet = e, true }
-}
-
 // WithRuntimeObserver registers fn to receive the live runtime just
 // before a hardened run begins executing. The runtime outlives the
 // call — an introspection endpoint may keep querying it while (and
@@ -522,9 +491,9 @@ type Result struct {
 	// VM holds the interpreter counters.
 	VM vm.Stats
 	// Perf holds the bytecode engine's performance-path counters
-	// (inline layout-cache hits/misses, fused dispatches). Zero-valued
-	// on tree-walker runs except for the inline-cache counters, which
-	// both engines share.
+	// (inline layout-cache hits/misses, fused dispatches). Runs with
+	// WithTrace attached execute unfused, so they dispatch no fused
+	// runs.
 	Perf vm.Perf
 	// Violations are the structured detection records, in order
 	// (populated on hardened runs; capped — see core.ViolationRecords).
@@ -768,9 +737,6 @@ func vmOptions(o *options) []vm.Option {
 	}
 	if o.xtrace != nil {
 		vmOpts = append(vmOpts, vm.WithExecTrace(o.xtrace))
-	}
-	if o.engineSet {
-		vmOpts = append(vmOpts, vm.WithEngine(o.engine))
 	}
 	return vmOpts
 }
