@@ -6,14 +6,7 @@
 //
 //	polarbench [-reps n] [-trials n] [-fuzz n] [-only table1,fig6,...]
 //	           [-seed n] [-parallel n] [-format text|csv] [-metrics]
-//	           [-prom dir] [-trace-json file] [-pgo file] [-pgo-topk k]
-//
-// -pgo compiles every workload under a hot-site profile recorded by
-// `polarun -pgo-record` (the fuser ranks superinstruction candidates by
-// real dynamic weight); -pgo-topk bounds fusion to the K hottest runs
-// (0 = all, negative = classic pairs only). Lowered code is a pure
-// function of (module, profile, topK), so profiled builds stay
-// byte-identical across reruns.
+//	           [-prom dir] [-trace-json file]
 //
 // Experiments: table1, table2, table3, table4, fig6, fig7, security,
 // static, seeding, ablation. Default runs all of them. seeding is the
@@ -52,8 +45,6 @@ import (
 
 	"polar/internal/evalrun"
 	"polar/internal/telemetry"
-	"polar/internal/telemetry/profile"
-	"polar/internal/vm"
 )
 
 func main() {
@@ -67,20 +58,7 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print a JSON metrics snapshot after each experiment")
 	promDir := flag.String("prom", "", "write each experiment's OpenMetrics exposition to <dir>/<experiment>.prom")
 	traceJSON := flag.String("trace-json", "", "write a Chrome trace-event timeline of the suite to this file")
-	pgoPath := flag.String("pgo", "", "compile every workload under this hot-site profile (JSON from polarun -pgo-record)")
-	pgoTopK := flag.Int("pgo-topk", 0, "fuse only the K hottest candidate runs (0 = all, negative = classic pairs only)")
 	flag.Parse()
-	if *pgoPath != "" || *pgoTopK != 0 {
-		var prof *profile.PGO
-		if *pgoPath != "" {
-			var err error
-			if prof, err = profile.ReadPGOFile(*pgoPath); err != nil {
-				fmt.Fprintln(os.Stderr, "polarbench:", err)
-				os.Exit(2)
-			}
-		}
-		vm.SetDefaultPGO(vm.CompileOpts{Profile: prof, FusionTopK: *pgoTopK})
-	}
 	want := map[string]bool{}
 	if *only != "" {
 		for _, k := range strings.Split(*only, ",") {

@@ -15,12 +15,10 @@
 // -lowered appends the lowered-bytecode section: per-function dispatch
 // counts vs. source instructions, fused superinstruction runs and their
 // micro-op totals, inline layout-cache sites and the operand-file width
-// after register allocation, plus the program fingerprint the
-// PGO-determinism gate pins (DESIGN.md §13). -pgo FILE/-pgo-topk K
-// compile under a recorded hot-site profile (polarun -pgo-record), the
-// same flags polarun and polarbench take; the CI determinism gate runs
-// polarstat -lowered -pgo twice and compares fingerprints across
-// processes.
+// after register allocation, plus the program fingerprint (DESIGN.md
+// §13). Lowered code is a pure function of the module: the CI
+// determinism gate runs polarstat -lowered twice and compares
+// fingerprints across processes.
 //
 // -exec hardens the program in-process, runs it once on the bytecode
 // engine, and reports the engine performance counters
@@ -45,20 +43,7 @@ func main() {
 	lowered := flag.Bool("lowered", false, "append the lowered-bytecode section (fused runs, inline-cache sites, operand regs, fingerprint)")
 	exec := flag.Bool("exec", false, "harden and run the program once, reporting vm.inline_cache.{hits,misses} and vm.fused_dispatches")
 	seed := flag.Int64("seed", 1, "randomization seed for -exec")
-	pgoPath := flag.String("pgo", "", "compile under a recorded hot-site profile (JSON from polarun -pgo-record)")
-	pgoTopK := flag.Int("pgo-topk", 0, "fuse only the K hottest candidate runs (0 = all, <0 = classic pairs only)")
 	flag.Parse()
-	if *pgoPath != "" || *pgoTopK != 0 {
-		var prof *polar.PGOProfile
-		if *pgoPath != "" {
-			var err error
-			if prof, err = polar.ReadPGOFile(*pgoPath); err != nil {
-				fmt.Fprintln(os.Stderr, "polarstat:", err)
-				os.Exit(1)
-			}
-		}
-		polar.SetDefaultPGO(prof, *pgoTopK)
-	}
 	if err := run(*wl, *jsonOut, *lowered, *exec, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "polarstat:", err)
 		os.Exit(1)
@@ -110,8 +95,8 @@ func run(wl string, jsonOut, lowered, exec bool, seed int64) error {
 	return nil
 }
 
-// printLowered compiles the module under the process-default options
-// and renders the per-function lowering summary.
+// printLowered compiles the module and renders the per-function
+// lowering summary.
 func printLowered(m *polar.Module) error {
 	prep, err := polar.Prepare(m)
 	if err != nil {

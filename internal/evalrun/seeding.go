@@ -95,9 +95,7 @@ func Seeding(seed int64) ([]SeedingRow, error) {
 		if err != nil {
 			return fmt.Errorf("%s: compile: %w", w.Name, err)
 		}
-		opts := vm.DefaultPGO()
-		opts.Facts = res.Sites.CompileFacts()
-		seeded, err := vm.CompileWith(ins.Module, opts)
+		seeded, err := vm.CompileWith(ins.Module, vm.CompileOpts{Facts: res.Sites.CompileFacts()})
 		if err != nil {
 			return fmt.Errorf("%s: seeded compile: %w", w.Name, err)
 		}
@@ -228,9 +226,7 @@ func seededHitPct(app string, cfg core.Config, seed int64) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%s: instrument: %w", app, err)
 	}
-	opts := vm.DefaultPGO()
-	opts.Facts = res.Sites.CompileFacts()
-	p, err := vm.CompileWith(ins.Module, opts)
+	p, err := vm.CompileWith(ins.Module, vm.CompileOpts{Facts: res.Sites.CompileFacts()})
 	if err != nil {
 		return 0, fmt.Errorf("%s: seeded compile: %w", app, err)
 	}

@@ -404,11 +404,28 @@ func TestRegisterBuiltinRebindsBothEngines(t *testing.T) {
 	}
 }
 
-// TestLoweringFusesPairs sanity-checks the lowered form itself: under
-// the default fuse-all plan the rich module must contain generalized
-// bcFused runs, and with generic fusion disabled (FusionTopK < 0) the
-// classic peephole pairs must reappear — otherwise the differential
-// tests exercise nothing on one of the two fusion paths.
+// pairsModule is a module whose every maximal fusable run is exactly
+// one classic pair: fieldptr+store, fieldptr+load and cmp+condbr, each
+// fenced by instructions that never fuse.
+func pairsModule() *ir.Module {
+	m := ir.NewModule("pairs")
+	st := m.MustStruct(ir.NewStruct("P", ir.Field{Name: "a", Type: ir.I64}))
+	b := ir.NewFunc(m, "main", ir.I64, ir.Param{Name: "x", Type: ir.I64})
+	node := b.Alloc(st)
+	b.Store(ir.I64, b.ParamReg(0), b.FieldPtr(st, node, 0))
+	b.CallVoid("print_i64", ir.Const(1))
+	v := b.Load(ir.I64, b.FieldPtr(st, node, 0))
+	b.CallVoid("print_i64", v)
+	b.If("small", b.Cmp(ir.CmpLt, v, ir.Const(3)), func() { b.Ret(ir.Const(1)) }, nil)
+	b.Ret(ir.Const(0))
+	return m
+}
+
+// TestLoweringFusesPairs sanity-checks the lowered form itself: the
+// rich module must contain generalized bcFused runs, and a module whose
+// maximal runs are exactly the classic pairs must lower each to its
+// pair superinstruction — otherwise the differential tests exercise
+// nothing on one of the two fusion paths.
 func TestLoweringFusesPairs(t *testing.T) {
 	countOps := func(p *Program) map[bcOp]int {
 		found := map[bcOp]int{}
@@ -461,20 +478,25 @@ func TestLoweringFusesPairs(t *testing.T) {
 	}
 	checkWeights(p)
 
-	pc, err := CompileWith(richModule(t), CompileOpts{FusionTopK: -1})
+	pc, err := Compile(pairsModule())
 	if err != nil {
 		t.Fatal(err)
 	}
 	classic := countOps(pc)
 	if classic[bcFused] != 0 {
-		t.Errorf("FusionTopK=-1 still produced %d bcFused runs", classic[bcFused])
+		t.Errorf("pair-only module produced %d bcFused runs", classic[bcFused])
 	}
 	for _, op := range []bcOp{bcFieldLoad, bcFieldStore, bcCmpBr} {
-		if classic[op] == 0 {
-			t.Errorf("classic lowering contains no %d superinstruction (counts: %v)", op, classic)
+		if classic[op] != 1 {
+			t.Errorf("pair-only module lowered to %d %d superinstructions, want 1 (counts: %v)", classic[op], op, classic)
 		}
 	}
 	checkWeights(pc)
+	for _, e := range engines {
+		if got, err := e.run(mustVM(t, pairsModule()), 2); err != nil || got != 1 {
+			t.Errorf("%v: pair-only module returned %d, %v; want 1", e, got, err)
+		}
+	}
 }
 
 // TestFuelSweepSuccessStatsStable: once fuel suffices, Stats must be
