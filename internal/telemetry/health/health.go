@@ -53,64 +53,24 @@ func (s Status) String() string {
 	}
 }
 
-// Config carries the detector thresholds. The zero value of any field
-// selects the corresponding default, so a partially filled Config is
-// always usable; deployments facing noisier workloads raise the
-// thresholds (polarun -health-scan-violations etc.) instead of
-// patching constants.
-type Config struct {
-	// ScanMinOffsets / ScanMinViolations: a class must accumulate this
+// Detector thresholds.
+const (
+	// scanMinOffsets / scanMinViolations: a class must accumulate this
 	// many violations touching this many distinct member offsets before
 	// the offset-probe-scan alert latches. Three distinct offsets is
 	// already well past what a single recurring bug produces.
-	ScanMinOffsets    int
-	ScanMinViolations uint64
-	// DepletionMinAllocs / DepletionMinLive / DepletionMaxLayouts: a
+	scanMinOffsets    = 3
+	scanMinViolations = 3
+	// depletionMinAllocs / depletionMinLive / depletionMaxLayouts: a
 	// class with a real allocation history whose live population sits on
 	// almost no distinct layouts has lost its diversity.
-	DepletionMinAllocs  uint64
-	DepletionMinLive    uint64
-	DepletionMaxLayouts int
-	// RecomputeEvery bounds how stale the cached verdict can get between
+	depletionMinAllocs  = 16
+	depletionMinLive    = 8
+	depletionMaxLayouts = 2
+	// recomputeEvery bounds how stale the cached verdict can get between
 	// violations (violations always recompute).
-	RecomputeEvery uint64
-}
-
-// DefaultConfig returns the thresholds the monitor has always used.
-func DefaultConfig() Config {
-	return Config{
-		ScanMinOffsets:      3,
-		ScanMinViolations:   3,
-		DepletionMinAllocs:  16,
-		DepletionMinLive:    8,
-		DepletionMaxLayouts: 2,
-		RecomputeEvery:      256,
-	}
-}
-
-// sanitized fills zero fields with their defaults.
-func (c Config) sanitized() Config {
-	d := DefaultConfig()
-	if c.ScanMinOffsets <= 0 {
-		c.ScanMinOffsets = d.ScanMinOffsets
-	}
-	if c.ScanMinViolations == 0 {
-		c.ScanMinViolations = d.ScanMinViolations
-	}
-	if c.DepletionMinAllocs == 0 {
-		c.DepletionMinAllocs = d.DepletionMinAllocs
-	}
-	if c.DepletionMinLive == 0 {
-		c.DepletionMinLive = d.DepletionMinLive
-	}
-	if c.DepletionMaxLayouts <= 0 {
-		c.DepletionMaxLayouts = d.DepletionMaxLayouts
-	}
-	if c.RecomputeEvery == 0 {
-		c.RecomputeEvery = d.RecomputeEvery
-	}
-	return c
-}
+	recomputeEvery = 256
+)
 
 // classState accumulates per-class observations.
 type classState struct {
@@ -128,7 +88,6 @@ type classState struct {
 // Safe for concurrent use.
 type Monitor struct {
 	mu      sync.Mutex
-	cfg     Config
 	classes map[uint64]*classState
 	// objects maps live object bases to their (class, layout) so a
 	// re-randomization event (olr_memcpy adoption or a stateless epoch
@@ -151,26 +110,15 @@ type objIdentity struct {
 	layout uint64
 }
 
-// NewMonitor returns an idle monitor with the default thresholds. log,
-// when non-nil, receives a structured record on every health-status
-// transition.
+// NewMonitor returns an idle monitor. log, when non-nil, receives a
+// structured record on every health-status transition.
 func NewMonitor(log *slog.Logger) *Monitor {
-	return NewMonitorWith(DefaultConfig(), log)
-}
-
-// NewMonitorWith returns an idle monitor with the given thresholds
-// (zero fields fall back to their defaults).
-func NewMonitorWith(cfg Config, log *slog.Logger) *Monitor {
 	return &Monitor{
-		cfg:     cfg.sanitized(),
 		classes: make(map[uint64]*classState),
 		objects: make(map[uint64]objIdentity),
 		log:     log,
 	}
 }
-
-// Config returns the (sanitized) thresholds the monitor runs with.
-func (m *Monitor) Config() Config { return m.cfg }
 
 // AttachOnce subscribes the monitor to the bus exactly once.
 func (m *Monitor) AttachOnce(bus *telemetry.Bus) {
@@ -264,14 +212,14 @@ func (m *Monitor) Event(e telemetry.Event) {
 			if e.Field >= 0 {
 				cs.probeOffsets[e.Field] = true
 			}
-			if !cs.scanAlert && cs.violations >= m.cfg.ScanMinViolations && len(cs.probeOffsets) >= m.cfg.ScanMinOffsets {
+			if !cs.scanAlert && cs.violations >= scanMinViolations && len(cs.probeOffsets) >= scanMinOffsets {
 				cs.scanAlert = true
 			}
 		}
 		m.recomputeLocked()
 		return
 	}
-	if m.events%m.cfg.RecomputeEvery == 0 {
+	if m.events%recomputeEvery == 0 {
 		m.recomputeLocked()
 	}
 }
@@ -337,7 +285,7 @@ func (m *Monitor) recomputeLocked() {
 				classLabel(hash, cs), cs.violations, len(offs), offs))
 		}
 		live := cs.allocs - cs.frees
-		if cs.allocs >= m.cfg.DepletionMinAllocs && live >= m.cfg.DepletionMinLive && len(cs.liveLayouts) <= m.cfg.DepletionMaxLayouts {
+		if cs.allocs >= depletionMinAllocs && live >= depletionMinLive && len(cs.liveLayouts) <= depletionMaxLayouts {
 			if status < StatusDegraded {
 				status = StatusDegraded
 			}

@@ -9,15 +9,6 @@ import (
 	"polar/internal/telemetry"
 )
 
-// The default thresholds, as ints for loop bounds: the tests exercise
-// the monitor at its default configuration.
-var (
-	defaults           = DefaultConfig()
-	recomputeEvery     = int(defaults.RecomputeEvery)
-	depletionMinAllocs = int(defaults.DepletionMinAllocs)
-	depletionMinLive   = int(defaults.DepletionMinLive)
-)
-
 func alloc(m *Monitor, class, layout uint64, name string) {
 	m.Event(telemetry.Event{Kind: telemetry.EvAlloc, Class: class, Layout: layout, Detail: name})
 }
@@ -194,25 +185,5 @@ func TestAttachOnce(t *testing.T) {
 	bus.Emit(telemetry.Event{Kind: telemetry.EvAlloc, Class: 1, Layout: 2})
 	if rep := m.Report(); len(rep.Classes) != 1 || rep.Classes[0].Allocs != 1 {
 		t.Fatalf("double attach double-counted: %+v", rep.Classes)
-	}
-}
-
-func TestConfigurableThresholds(t *testing.T) {
-	// A stricter scan detector: 5 violations across 5 distinct offsets.
-	m := NewMonitorWith(Config{ScanMinViolations: 5, ScanMinOffsets: 5}, nil)
-	alloc(m, 1, 0xA, "Victim")
-	for f := 0; f < 4; f++ {
-		violate(m, 1, f)
-	}
-	if m.Status() != StatusDegraded {
-		t.Fatalf("4 probes under a 5/5 threshold = %v, want DEGRADED (violations only)", m.Status())
-	}
-	violate(m, 1, 4)
-	if m.Status() != StatusCritical {
-		t.Fatalf("5 probes under a 5/5 threshold = %v, want CRITICAL", m.Status())
-	}
-	// Zero-valued fields fall back to the defaults.
-	if got := NewMonitorWith(Config{}, nil).Config(); got != DefaultConfig() {
-		t.Fatalf("zero config sanitized to %+v, want defaults", got)
 	}
 }
