@@ -72,17 +72,21 @@ func (c *offsetCache) get(base uint64, class uint64, field int) (int32, bool) {
 }
 
 // put installs a resolution result, allocating the entry array on
-// first use.
-func (c *offsetCache) put(base uint64, class uint64, field int, offset int32) {
+// first use. It reports whether the write evicted a different live
+// entry.
+func (c *offsetCache) put(base uint64, class uint64, field int, offset int32) (evicted bool) {
 	if c.entries == nil {
 		if c.size == 0 {
-			return
+			return false
 		}
 		c.entries = make([]cacheEntry, c.size)
 	}
-	c.entries[c.slot(base, field)] = cacheEntry{
+	e := &c.entries[c.slot(base, field)]
+	evicted = e.valid && (e.base != base || e.class != class || e.field != int32(field))
+	*e = cacheEntry{
 		base: base, class: class, field: int32(field), offset: offset, valid: true,
 	}
+	return evicted
 }
 
 // invalidate drops any entries for fields [0, nFields) of base — called

@@ -230,7 +230,12 @@ func (m *metaResolver) Resolve(v *vm.VM, base uint64, field int, classHash uint6
 	// "nocache" ablation arm free of inline caching too, so its probe
 	// counts keep meaning what they measure.
 	if meta.ClassHash == classHash && !meta.Freed {
-		r.cache.put(base, classHash, field, int32(off))
+		if r.cache.put(base, classHash, field, int32(off)) {
+			// An inline-cache entry may still memoize the evicted
+			// resolution; without the bump it would serve a cache hit
+			// this table no longer holds.
+			r.layoutGen++
+		}
 		if r.cache.size > 0 {
 			r.curCall.Memoize(int64(off))
 		}

@@ -128,6 +128,12 @@ func (s *statelessResolver) layoutFor(cls *classinfo.Class, base uint64) (*layou
 	}
 	r.noteLayoutGen(cls, in.cfg, in.nFptrs, l)
 	if e != nil {
+		if e.l != nil && e.epoch == s.epoch && (e.base != base || e.class != cls.Hash) {
+			// Evicting another live object's entry: invalidate any
+			// inline-cache entry that memoizes it, as offsetCache.put's
+			// callers do.
+			r.layoutGen++
+		}
 		*e = derivedEntry{base: base, class: cls.Hash, epoch: s.epoch, l: l}
 	}
 	return l, nil
