@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"polar/internal/classinfo"
 	"polar/internal/layout"
@@ -178,6 +179,10 @@ type Runtime struct {
 	violations map[ViolationKind]uint64
 
 	// Structured violation log (capped; see maxViolationRecords).
+	// recMu guards both fields: the run appends on the violation path
+	// while a live observer (WithRuntimeObserver, the introspection
+	// endpoint) may read them from another goroutine.
+	recMu          sync.Mutex
 	records        []ViolationRecord
 	droppedRecords uint64
 	// curCall is the olr_* builtin call currently being dispatched; it
@@ -310,7 +315,7 @@ func (r *Runtime) Stats() Stats {
 		MetaProbes:        r.metaProbes,
 		PeakLive:          r.peakLive,
 		Violations:        make(map[ViolationKind]uint64, len(r.violations)),
-		ViolationsDropped: r.droppedRecords,
+		ViolationsDropped: r.DroppedViolations(),
 		Meta:              r.store.Stats(),
 	}
 	for k, v := range r.violations {
@@ -335,21 +340,27 @@ func (r *Runtime) ViolationCount(kind ViolationKind) uint64 { return r.violation
 // detection order (capped at maxViolationRecords; DroppedViolations
 // reports overflow).
 func (r *Runtime) ViolationRecords() []ViolationRecord {
-	out := make([]ViolationRecord, len(r.records))
-	copy(out, r.records)
-	return out
+	return r.ViolationLog().Records
 }
 
 // DroppedViolations returns how many violation records were discarded
 // after the log filled.
-func (r *Runtime) DroppedViolations() uint64 { return r.droppedRecords }
+func (r *Runtime) DroppedViolations() uint64 {
+	r.recMu.Lock()
+	defer r.recMu.Unlock()
+	return r.droppedRecords
+}
 
 // ViolationLog returns the structured violation log together with its
 // truncation state, so consumers cannot mistake a capped log for the
-// complete detection history.
+// complete detection history. Safe to call while the run executes.
 func (r *Runtime) ViolationLog() RecordSet {
+	r.recMu.Lock()
+	defer r.recMu.Unlock()
+	out := make([]ViolationRecord, len(r.records))
+	copy(out, r.records)
 	return RecordSet{
-		Records:   r.ViolationRecords(),
+		Records:   out,
 		Truncated: r.droppedRecords > 0,
 		Dropped:   r.droppedRecords,
 	}
@@ -412,6 +423,7 @@ func (r *Runtime) violateWith(kind ViolationKind, addr, classHash, layoutID uint
 	}
 	site := r.curCall.Site()
 	field := r.curField
+	r.recMu.Lock()
 	if len(r.records) < maxViolationRecords {
 		r.records = append(r.records, ViolationRecord{
 			Kind: kind, KindName: kind.String(), Addr: addr, Class: class,
@@ -420,6 +432,7 @@ func (r *Runtime) violateWith(kind ViolationKind, addr, classHash, layoutID uint
 	} else {
 		r.droppedRecords++
 	}
+	r.recMu.Unlock()
 	if r.tel != nil {
 		r.tel.Emit(telemetry.Event{
 			Kind: telemetry.EvViolation, Addr: addr, Class: classHash,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"sync"
 	"testing"
 
 	"polar/internal/telemetry"
@@ -102,5 +103,54 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		if !phases[want] {
 			t.Fatalf("trace missing %q span; have %v", want, phases)
 		}
+	}
+}
+
+// TestViolationLogConcurrentReads polls the live runtime's violation
+// log from another goroutine while a warn-policy run of the offset-probe
+// case study appends to it — what polarun -http's
+// /debug/polar/violations does through WithRuntimeObserver. Under -race
+// an unsynchronized log is reported.
+func TestViolationLogConcurrentReads(t *testing.T) {
+	src, err := os.ReadFile("examples/casestudies/offsetprobe.ir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := Harden(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	observe := func(rt LiveRuntime) {
+		polling := make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rt.ViolationLog()
+			close(polling)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					rt.ViolationLog()
+				}
+			}
+		}()
+		<-polling
+	}
+	res, err := RunHardened(h, WithSeed(42), WithWarnPolicy(), WithArgs(1094795520, 4276545), WithRuntimeObserver(observe))
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Violations) == 0 {
+		t.Fatal("the offset probe raised no violations")
 	}
 }
