@@ -1,0 +1,229 @@
+package polar
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"os/exec"
+	"strconv"
+	"testing"
+)
+
+// The performance gate. perfbench (perfbench/NOTES.md) measures the
+// paper's headline number, Figure 6's hardened-over-baseline overhead,
+// in both layout modes, and breaks it down per layer. TestPerfbenchGate
+// runs the benchmark's own command on every workload, records each
+// run's result line in BENCH_perf.json and fails unless every run is
+// correct and every overhead ratio is inside its bound below. It
+// compares ratios only, never nanoseconds, so the bounds hold on any
+// machine that runs baseline and hardened code at the same relative
+// speed.
+
+const (
+	perfSeed          = 1
+	perfSeconds       = 10 // per --trace 0 run
+	perfTracedSeconds = 5  // the --trace 1 run; about 35 s of wall time
+)
+
+// perfRuns are the gate's perfbench invocations, in the order they run:
+// the end-to-end run of each workload, then one per-layer run of churn
+// for the resolution-path unit costs.
+var perfRuns = []struct {
+	workload string
+	trace    int
+}{{"churn", 0}, {"access", 0}, {"pipeline", 0}, {"churn", 1}}
+
+// perfBound caps one end-to-end ratio of one workload. median is the
+// value the bound was set from: the median of ten `--seconds 10
+// --trace 0` runs at seed 1 (22 on pipeline) on a shared two-CPU Intel
+// Xeon machine, where the worst single runs read churn overhead_max
+// 1.55 and pipeline overhead_max 1.63.
+type perfBound struct {
+	workload, metric string
+	bound, median    float64
+}
+
+var perfBounds = []perfBound{
+	{"churn", "overhead_geomean", 1.30, 1.12},
+	{"churn", "overhead_max", 1.60, 1.38},
+	{"churn", "stateless_overhead_geomean", 1.30, 1.12},
+	{"access", "overhead_geomean", 1.15, 1.03},
+	{"access", "overhead_max", 1.25, 1.07},
+	{"access", "stateless_overhead_geomean", 1.15, 1.03},
+	{"pipeline", "overhead_geomean", 1.35, 1.13},
+	{"pipeline", "overhead_max", 1.85, 1.39},
+	{"pipeline", "stateless_overhead_geomean", 1.35, 1.12},
+}
+
+// perfRecord is one run in BENCH_perf.json: its arguments and the JSON
+// line perfbench printed last.
+type perfRecord struct {
+	Workload string     `json:"workload"`
+	Seed     int64      `json:"seed"`
+	Seconds  int        `json:"seconds"`
+	Trace    int        `json:"trace"`
+	Result   perfResult `json:"result"`
+}
+
+type perfResult struct {
+	Correct   bool                  `json:"correct"`
+	Attempted int                   `json:"attempted"`
+	Failed    int                   `json:"failed"`
+	Metrics   map[string]perfMetric `json:"metrics"`
+}
+
+type perfMetric struct {
+	Value float64 `json:"value"`
+	Unit  string  `json:"unit"`
+}
+
+// perfGateFailures checks a set of runs against the gate and returns
+// one line per failure (none when the gate holds):
+//   - every run reports correct;
+//   - every --trace 0 run reports success_frac 1 and keeps each ratio
+//     of its workload inside perfBounds;
+//   - every --trace 1 run resolves a layout statelessly no slower than
+//     it probes the metadata table (core.getptr_stateless_ns over
+//     core.getptr_probe_ns at most 1): keyed re-derivation replaces
+//     the metadata lookup.
+func perfGateFailures(runs []perfRecord) []string {
+	var fails []string
+	failf := func(format string, args ...any) { fails = append(fails, fmt.Sprintf(format, args...)) }
+	for _, r := range runs {
+		name := fmt.Sprintf("%s --trace %d", r.Workload, r.Trace)
+		if !r.Result.Correct {
+			failf("%s: not correct (%d of %d operations failed)", name, r.Result.Failed, r.Result.Attempted)
+		}
+		metric := func(key string) (float64, bool) {
+			m, ok := r.Result.Metrics[key]
+			if !ok {
+				failf("%s: no %s", name, key)
+			}
+			return m.Value, ok
+		}
+		if r.Trace == 1 {
+			sl, okS := metric("core.getptr_stateless_ns")
+			pr, okP := metric("core.getptr_probe_ns")
+			if okS && okP && !(sl <= pr) {
+				failf("%s: a stateless resolution costs %.3g× a metadata probe, want at most 1", name, sl/pr)
+			}
+			continue
+		}
+		if v, ok := metric("success_frac"); ok && v != 1 {
+			failf("%s: success_frac %g, want 1", name, v)
+		}
+		for _, b := range perfBounds {
+			if b.workload != r.Workload {
+				continue
+			}
+			if v, ok := metric(b.metric); ok && !(v <= b.bound) {
+				failf("%s: %s %.4g exceeds its bound %.2f (set from median %.2f)", name, b.metric, v, b.bound, b.median)
+			}
+		}
+	}
+	return fails
+}
+
+// runPerfbench runs `python3 perfbench/run.py` and decodes the JSON
+// line it prints last.
+func runPerfbench(t *testing.T, workload string, seconds, trace int) perfResult {
+	t.Helper()
+	cmd := exec.Command("python3", "perfbench/run.py", "--workload", workload,
+		"--seed", strconv.Itoa(perfSeed), "--seconds", strconv.Itoa(seconds), "--trace", strconv.Itoa(trace))
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("%s: %v", cmd, err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
+	var res perfResult
+	if err := json.Unmarshal(lines[len(lines)-1], &res); err != nil {
+		t.Fatalf("%s: result line: %v", cmd, err)
+	}
+	return res
+}
+
+// TestPerfbenchGate is the performance gate, gated behind
+// POLAR_BENCH_PERF because it times about two minutes of wall-clock
+// work: run it on an otherwise idle machine. It writes BENCH_perf.json
+// before it checks, so a failing run still leaves its numbers behind.
+func TestPerfbenchGate(t *testing.T) {
+	if os.Getenv("POLAR_BENCH_PERF") == "" {
+		t.Skip("set POLAR_BENCH_PERF=1 to run the perfbench gate")
+	}
+	var runs []perfRecord
+	for _, pr := range perfRuns {
+		seconds := perfSeconds
+		if pr.trace == 1 {
+			seconds = perfTracedSeconds
+		}
+		res := runPerfbench(t, pr.workload, seconds, pr.trace)
+		runs = append(runs, perfRecord{Workload: pr.workload, Seed: perfSeed, Seconds: seconds, Trace: pr.trace, Result: res})
+		for _, k := range []string{"overhead_geomean", "overhead_max", "stateless_overhead_geomean", "core.getptr_hit_ns", "core.getptr_probe_ns", "core.getptr_stateless_ns"} {
+			if m, ok := res.Metrics[k]; ok {
+				t.Logf("%s --trace %d: %s %.4g %s", pr.workload, pr.trace, k, m.Value, m.Unit)
+			}
+		}
+	}
+	report := struct {
+		Command string       `json:"command"`
+		Runs    []perfRecord `json:"runs"`
+	}{"POLAR_BENCH_PERF=1 go test -run TestPerfbenchGate -v .", runs}
+	out, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile("BENCH_perf.json", append(out, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range perfGateFailures(runs) {
+		t.Error(f)
+	}
+}
+
+// TestPerfbenchGateFailures feeds the gate's check a passing set of
+// runs and three bad variants of it; the check must pass the first and
+// fail each of the others.
+func TestPerfbenchGateFailures(t *testing.T) {
+	good := func() []perfRecord {
+		var runs []perfRecord
+		for _, pr := range perfRuns {
+			res := perfResult{Correct: true, Attempted: 10, Metrics: map[string]perfMetric{}}
+			if pr.trace == 1 {
+				res.Metrics["core.getptr_stateless_ns"] = perfMetric{20.1, "ns"}
+				res.Metrics["core.getptr_probe_ns"] = perfMetric{45.9, "ns"}
+			} else {
+				res.Metrics["success_frac"] = perfMetric{1, "frac"}
+				for _, b := range perfBounds {
+					if b.workload == pr.workload {
+						res.Metrics[b.metric] = perfMetric{b.median, "ratio"}
+					}
+				}
+			}
+			runs = append(runs, perfRecord{Workload: pr.workload, Seed: perfSeed, Trace: pr.trace, Result: res})
+		}
+		return runs
+	}
+	if f := perfGateFailures(good()); len(f) != 0 {
+		t.Fatalf("the medians fail the gate: %v", f)
+	}
+	bad := map[string]func(runs []perfRecord){
+		"overhead_max out of bound": func(runs []perfRecord) {
+			runs[0].Result.Metrics["overhead_max"] = perfMetric{1.61, "ratio"}
+		},
+		"stateless slower than a probe": func(runs []perfRecord) {
+			runs[3].Result.Metrics["core.getptr_stateless_ns"] = perfMetric{46, "ns"}
+		},
+		"success_frac below 1": func(runs []perfRecord) {
+			runs[2].Result.Metrics["success_frac"] = perfMetric{0.99, "frac"}
+		},
+	}
+	for name, spoil := range bad {
+		runs := good()
+		spoil(runs)
+		if f := perfGateFailures(runs); len(f) != 1 {
+			t.Errorf("%s: gate reported %v, want one failure", name, f)
+		}
+	}
+}

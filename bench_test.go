@@ -8,7 +8,6 @@ package polar
 // paths under the standard Go benchmarking harness:
 //
 //	BenchmarkTableI     TaintClass analysis per app
-//	BenchmarkFigure6    SPEC mini-apps, baseline vs POLaR sub-benches
 //	BenchmarkTableII    JS suites aggregate (via Figure 7 kernels)
 //	BenchmarkTableIII   hardened runs with counter collection
 //	BenchmarkTableIV    CVE-input taint discovery
@@ -77,24 +76,6 @@ func (p prepared) runHardened(b *testing.B, seed int64) *core.Runtime {
 		b.Fatal(err)
 	}
 	return rt
-}
-
-// BenchmarkFigure6 times every SPEC mini-app in both configurations;
-// the default/polar ratio per app is the Fig. 6 bar.
-func BenchmarkFigure6(b *testing.B) {
-	for _, w := range workload.SPECFig6() {
-		p := prepare(b, w)
-		b.Run(w.Name+"/default", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p.runBaseline(b)
-			}
-		})
-		b.Run(w.Name+"/polar", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p.runHardened(b, int64(i)+1)
-			}
-		})
-	}
 }
 
 // BenchmarkTableI times the TaintClass analysis (canonical input, no

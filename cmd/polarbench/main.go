@@ -4,14 +4,16 @@
 //
 // Usage:
 //
-//	polarbench [-reps n] [-trials n] [-fuzz n] [-only table1,fig6,...]
+//	polarbench [-reps n] [-trials n] [-fuzz n] [-only table1,fig7,...]
 //	           [-seed n] [-parallel n] [-format text|csv] [-metrics]
 //	           [-prom dir] [-trace-json file]
 //
-// Experiments: table1, table2, table3, table4, fig6, fig7, security,
-// static, seeding, ablation. Default runs all of them. seeding is the
-// static IC-seeding differential (DESIGN.md §14): every workload
-// compiles with and without the analysis-computed site classification,
+// Experiments: table1, table2, table3, table4, fig7, security, static,
+// seeding, ablation. Default runs all of them; -only rejects any other
+// name with exit status 2. Figure 6's per-app overhead is measured by
+// perfbench (perfbench/NOTES.md), not here. seeding is the static
+// IC-seeding differential (DESIGN.md §14): every workload compiles
+// with and without the analysis-computed site classification,
 // both arms run under one seed with execution traces attached, and the
 // gate requires byte-identical traces plus a strict inline-cache miss
 // reduction on at least three workloads. The text format is what
@@ -41,6 +43,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"polar/internal/evalrun"
@@ -59,11 +62,10 @@ func main() {
 	promDir := flag.String("prom", "", "write each experiment's OpenMetrics exposition to <dir>/<experiment>.prom")
 	traceJSON := flag.String("trace-json", "", "write a Chrome trace-event timeline of the suite to this file")
 	flag.Parse()
-	want := map[string]bool{}
-	if *only != "" {
-		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(k)] = true
-		}
+	want, err := parseOnly(*only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "polarbench:", err)
+		os.Exit(2)
 	}
 	sel := func(k string) bool { return len(want) == 0 || want[k] }
 	evalrun.SetParallelism(*parallel)
@@ -89,12 +91,34 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	err := run(sel, csv, emitConfig{json: *metrics, promDir: *promDir}, *reps, *trials, *fuzzIters, *seed)
+	err = run(sel, csv, emitConfig{json: *metrics, promDir: *promDir}, *reps, *trials, *fuzzIters, *seed)
 	cleanup()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "polarbench:", err)
 		os.Exit(1)
 	}
+}
+
+// experiments lists every name -only accepts, in the order run
+// executes them.
+var experiments = []string{"table1", "table2", "table3", "table4", "fig7", "security", "static", "seeding", "ablation"}
+
+// parseOnly turns the -only value into the set of selected experiments
+// (empty: run all). An unknown name is an error, so a mistyped gate
+// fails instead of passing without running anything.
+func parseOnly(only string) (map[string]bool, error) {
+	want := map[string]bool{}
+	if only == "" {
+		return want, nil
+	}
+	for _, k := range strings.Split(only, ",") {
+		k = strings.TrimSpace(k)
+		if !slices.Contains(experiments, k) {
+			return nil, fmt.Errorf("unknown experiment %q in -only (valid: %s)", k, strings.Join(experiments, ", "))
+		}
+		want[k] = true
+	}
+	return want, nil
 }
 
 // startTrace attaches a suite-wide tracer writing to path. The cleanup
@@ -167,22 +191,6 @@ func run(sel func(string) bool, csv bool, metrics emitConfig, reps, trials, fuzz
 			fmt.Println(evalrun.RenderTableI(rows))
 		}
 		if err := emitMetrics(metrics, "table1", func(reg *telemetry.Registry) { evalrun.PublishTableI(rows, reg) }); err != nil {
-			return err
-		}
-	}
-	if sel("fig6") {
-		sp := evalrun.Span("fig6", "experiment")
-		rows, err := evalrun.Figure6(reps, seed)
-		sp.End()
-		if err != nil {
-			return err
-		}
-		if csv {
-			fmt.Print(evalrun.CSVFigure6(rows))
-		} else {
-			fmt.Println(evalrun.RenderFigure6(rows))
-		}
-		if err := emitMetrics(metrics, "fig6", func(reg *telemetry.Registry) { evalrun.PublishFigure6(rows, reg) }); err != nil {
 			return err
 		}
 	}

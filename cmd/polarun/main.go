@@ -466,7 +466,7 @@ func run(c runConfig) error {
 		}
 		return opts
 	}
-	if err := evalrun.ForEach(runs, c.parallel, func(i int) error {
+	runErr := evalrun.ForEach(runs, c.parallel, func(i int) error {
 		var sp *polar.TraceSpan
 		if tel != nil && tel.Tracer != nil {
 			sp = tel.Tracer.Begin(fmt.Sprintf("run/%d", i), "pipeline")
@@ -481,11 +481,47 @@ func run(c runConfig) error {
 		}
 		results[i] = r
 		return nil
-	}); err != nil {
-		return err
+	})
+	if runErr == nil {
+		runErr = printResults(c, results, tels, tel)
 	}
+	// Fold the loss counters owned by attached components into the
+	// registry so the -metrics/-prom snapshots surface trace and ring
+	// drops (nil receivers are no-ops).
+	rec.Publish(telRegistry(tel))
+	xw.Publish(telRegistry(tel))
+	// The reports are written when a violation aborted the run too: the
+	// flight dump, metrics and health verdict matter most then.
+	if err := writeReports(c, tel, prof, rec, hmon); err != nil {
+		if runErr != nil {
+			fmt.Fprintln(os.Stderr, "polarun:", err)
+		} else {
+			runErr = err
+		}
+	}
+	if c.httpAddr != "" && c.httpHold {
+		fmt.Fprintln(os.Stderr, "polarun: run finished; holding introspection endpoint open (interrupt to exit)")
+		ch := make(chan os.Signal, 1)
+		signal.Notify(ch, os.Interrupt)
+		<-ch
+	}
+	if runErr != nil {
+		return runErr
+	}
+	// Checked last so -http-hold keeps the introspection endpoint up for
+	// incident inspection before the process reports the failure.
+	if hmon != nil && hmon.Status() == health.StatusCritical {
+		return fmt.Errorf("health monitor CRITICAL: %v", hmon.Report().Reasons)
+	}
+	return nil
+}
+
+// printResults merges the later runs' metrics into run 0's registry,
+// checks that every run printed what run 0 printed, and writes run 0's
+// output, result and -stats lines.
+func printResults(c runConfig, results []*polar.Result, tels []*polar.Telemetry, tel *polar.Telemetry) error {
 	res := results[0]
-	for i := 1; i < runs; i++ {
+	for i := 1; i < len(results); i++ {
 		if tels[i] != nil {
 			if err := tel.Registry.Merge(tels[i].Registry.Snapshot()); err != nil {
 				return fmt.Errorf("merging run %d metrics: %w", i, err)
@@ -495,8 +531,8 @@ func run(c runConfig) error {
 			return fmt.Errorf("run %d diverged from run 0: layout randomization must be semantics-preserving", i)
 		}
 	}
-	if runs > 1 {
-		fmt.Fprintf(os.Stderr, "polarun: %d runs, all outputs identical\n", runs)
+	if len(results) > 1 {
+		fmt.Fprintf(os.Stderr, "polarun: %d runs, all outputs identical\n", len(results))
 	}
 	os.Stdout.Write(res.Output)
 	fmt.Printf("result: %d\n", res.Value)
@@ -510,6 +546,13 @@ func run(c runConfig) error {
 			}
 		}
 	}
+	return nil
+}
+
+// writeReports writes the hot-site and allocation profiles, the
+// -metrics and -prom snapshots, the -flight-dump report and the -health
+// verdict, each only when asked for.
+func writeReports(c runConfig, tel *polar.Telemetry, prof *polar.SiteProfiler, rec *polar.FlightRecorder, hmon *health.Monitor) error {
 	if c.profilePath != "" {
 		fmt.Fprint(os.Stderr, prof.Report(c.profileTop))
 		f, err := os.Create(c.profilePath)
@@ -537,11 +580,6 @@ func run(c runConfig) error {
 			return err
 		}
 	}
-	// Fold the loss counters owned by attached components into the
-	// registry so the -metrics/-prom snapshots surface trace and ring
-	// drops (nil receivers are no-ops).
-	rec.Publish(telRegistry(tel))
-	xw.Publish(telRegistry(tel))
 	if c.metrics {
 		data, err := tel.Registry.Snapshot().EncodeJSON()
 		if err != nil {
@@ -577,17 +615,6 @@ func run(c runConfig) error {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "polarun: health %s\n%s\n", rep.Status, data)
-	}
-	if c.httpAddr != "" && c.httpHold {
-		fmt.Fprintln(os.Stderr, "polarun: run finished; holding introspection endpoint open (interrupt to exit)")
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt)
-		<-ch
-	}
-	// Checked last so -http-hold keeps the introspection endpoint up for
-	// incident inspection before the process reports the failure.
-	if hmon != nil && hmon.Status() == health.StatusCritical {
-		return fmt.Errorf("health monitor CRITICAL: %v", hmon.Report().Reasons)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"polar/internal/telemetry"
@@ -146,15 +145,4 @@ func (s MetaStats) Publish(reg *telemetry.Registry) {
 		mean := float64(s.Registered) / float64(len(s.Shards))
 		reg.Gauge("core.meta.shard_imbalance").Set(float64(maxReg) / mean)
 	}
-}
-
-// SortedViolationNames returns the kind names present in the map,
-// sorted — a stable iteration order for reports.
-func (s Stats) SortedViolationNames() []string {
-	names := make([]string, 0, len(s.Violations))
-	for k := range s.Violations {
-		names = append(names, k.String())
-	}
-	sort.Strings(names)
-	return names
 }

@@ -38,17 +38,6 @@ func CSVTableI(rows []TaintRow) string {
 	return writeCSV([]string{"app", "tainted", "paper", "fuzz_execs", "fuzz_edges", "samples"}, out)
 }
 
-// CSVFigure6 exports the SPEC overhead figure.
-func CSVFigure6(rows []OverheadRow) string {
-	out := make([][]string, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, []string{
-			r.App, f2(r.BaselineMS), f2(r.PolarMS), f2(r.OverheadPct), f2(r.PaperPct),
-		})
-	}
-	return writeCSV([]string{"app", "baseline_ms", "polar_ms", "overhead_pct", "paper_pct"}, out)
-}
-
 // CSVFigure7 exports the per-kernel JS series.
 func CSVFigure7(rows []JSRow) string {
 	out := make([][]string, 0, len(rows))

@@ -18,19 +18,6 @@ func parseCSV(t *testing.T, s string) [][]string {
 	return rows
 }
 
-func TestCSVFigure6(t *testing.T) {
-	rows := []OverheadRow{
-		{App: "458.sjeng", BaselineMS: 60, PolarMS: 80, OverheadPct: 33.3, PaperPct: 30},
-	}
-	out := parseCSV(t, CSVFigure6(rows))
-	if len(out) != 2 || out[0][0] != "app" || out[1][0] != "458.sjeng" {
-		t.Fatalf("csv = %v", out)
-	}
-	if out[1][3] != "33.300" {
-		t.Errorf("overhead cell = %q", out[1][3])
-	}
-}
-
 func TestCSVTableII(t *testing.T) {
 	rows := []SuiteRow{{Suite: "Octane", Default: 100, Polar: 99, Diff: -1, RatioPct: 1, ScoreBased: true, PaperPct: -1.1}}
 	out := parseCSV(t, CSVTableII(rows))

@@ -6,7 +6,6 @@
 // Experiment index (see DESIGN.md §3):
 //
 //	TableI    – tainted-object lists per application
-//	Figure6   – SPEC2006 overhead percentages
 //	TableII   – ChakraCore-suite aggregate overheads
 //	TableIII  – per-app alloc/free/memcpy/member-access/cache-hit counts
 //	TableIV   – per-CVE exploit-object discovery (mini-libpng)

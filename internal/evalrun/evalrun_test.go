@@ -87,27 +87,6 @@ func TestTableIVAllCVEsDiscovered(t *testing.T) {
 	}
 }
 
-func TestFigure6SmokeAndChecksumGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing experiment")
-	}
-	rows, err := Figure6(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 11 {
-		t.Fatalf("rows = %d, want 11 (libquantum excluded)", len(rows))
-	}
-	for _, r := range rows {
-		if r.BaselineMS <= 0 || r.PolarMS <= 0 {
-			t.Errorf("%s: non-positive timing %+v", r.App, r)
-		}
-	}
-	if out := RenderFigure6(rows); !strings.Contains(out, "458.sjeng") {
-		t.Error("render missing sjeng")
-	}
-}
-
 func TestTableIIAggregation(t *testing.T) {
 	rows := []JSRow{
 		{Suite: "Sunspider", Name: "a", Default: 10, Polar: 11},

@@ -9,61 +9,6 @@ import (
 	"polar/internal/workload"
 )
 
-// OverheadRow is one bar of Fig. 6.
-type OverheadRow struct {
-	App         string
-	BaselineMS  float64
-	PolarMS     float64
-	OverheadPct float64
-	// PaperPct is the approximate value read off the paper's Fig. 6
-	// (~5% typical, ~30% for sjeng).
-	PaperPct float64
-}
-
-// Figure6 measures the SPEC2006 overheads (Fig. 6). reps is the number
-// of repetitions per configuration (min taken). Apps run across the
-// worker pool; all reps of one app stay on one worker.
-func Figure6(reps int, seed int64) ([]OverheadRow, error) {
-	ws := workload.SPECFig6()
-	rows := make([]OverheadRow, len(ws))
-	err := forEach(len(ws), func(i int) error {
-		w := ws[i]
-		sp := Span(w.Name, "fig6")
-		defer sp.End()
-		tseed := TaskSeed(seed, "fig6/"+w.Name)
-		base, polar, _, _, err := measureWorkload(w, reps, tseed, core.DefaultConfig(tseed))
-		if err != nil {
-			return err
-		}
-		rows[i] = OverheadRow{
-			App:         w.Name,
-			BaselineMS:  float64(base.Microseconds()) / 1000,
-			PolarMS:     float64(polar.Microseconds()) / 1000,
-			OverheadPct: overheadPct(base, polar),
-			PaperPct:    w.PaperOverheadPct,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// RenderFigure6 renders the rows as a text bar chart.
-func RenderFigure6(rows []OverheadRow) string {
-	var b strings.Builder
-	b.WriteString("Figure 6: POLaR performance overhead, SPEC2006 mini-apps\n")
-	b.WriteString(fmt.Sprintf("%-16s %10s %10s %9s %9s  %s\n",
-		"app", "base(ms)", "polar(ms)", "ovhd%", "paper%", "bar"))
-	for _, r := range rows {
-		bar := strings.Repeat("#", clampInt(int(r.OverheadPct/1.5), 0, 40))
-		b.WriteString(fmt.Sprintf("%-16s %10.2f %10.2f %8.1f%% %8.1f%%  %s\n",
-			r.App, r.BaselineMS, r.PolarMS, r.OverheadPct, r.PaperPct, bar))
-	}
-	return b.String()
-}
-
 // JSRow is one bar of Fig. 7: a benchmark measured Default vs POLaR.
 // Time-based rows report milliseconds (smaller is better); score-based
 // rows report a work/time rate (higher is better).
@@ -219,14 +164,4 @@ func RenderTableII(rows []SuiteRow) string {
 			r.Suite, r.Default, r.Polar, r.Diff, r.RatioPct, r.PaperPct, kind))
 	}
 	return b.String()
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -44,15 +44,6 @@ func PublishTableI(rows []TaintRow, reg *telemetry.Registry) {
 	}
 }
 
-// PublishFigure6 renders the SPEC overhead rows.
-func PublishFigure6(rows []OverheadRow, reg *telemetry.Registry) {
-	for _, r := range rows {
-		reg.Gauge(metricName("fig6", r.App, "baseline_ms")).Set(r.BaselineMS)
-		reg.Gauge(metricName("fig6", r.App, "polar_ms")).Set(r.PolarMS)
-		reg.Gauge(metricName("fig6", r.App, "overhead_pct")).Set(r.OverheadPct)
-	}
-}
-
 // PublishFigure7 renders the per-benchmark JS rows.
 func PublishFigure7(rows []JSRow, reg *telemetry.Registry) {
 	for _, r := range rows {

@@ -23,9 +23,6 @@ func SetParallelism(n int) {
 	parallelism = n
 }
 
-// Parallelism returns the current fan-out width.
-func Parallelism() int { return parallelism }
-
 // TaskSeed derives the seed one named task runs under: a hash of the
 // root seed and the task's stable identifier. Every task's randomness
 // is therefore a pure function of (rootSeed, taskID) — independent of
@@ -96,7 +93,7 @@ func ForEach(n, workers int, fn func(i int) error) error {
 	return nil
 }
 
-// forEach runs fn(0..n-1) at the package-level Parallelism width (the
+// forEach runs fn(0..n-1) at the package-level parallelism width (the
 // experiment harness's fan-out knob; see SetParallelism).
 func forEach(n int, fn func(i int) error) error {
 	return ForEach(n, parallelism, fn)

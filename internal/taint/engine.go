@@ -16,7 +16,6 @@ package taint
 
 import (
 	"polar/internal/ir"
-	"polar/internal/telemetry"
 	"polar/internal/vm"
 )
 
@@ -114,11 +113,6 @@ type Engine struct {
 
 	// sourceLabel is applied to input_* reads.
 	sourceLabel Label
-
-	// tel, when non-nil, receives an EvTaintUnion event each time
-	// tainted bytes are attributed to a tracked object (label landing in
-	// a class — the unit of Table I/IV accounting).
-	tel *telemetry.Telemetry
 }
 
 // NewEngine returns a fresh engine reporting into rep (a new Report is
@@ -138,9 +132,6 @@ func (e *Engine) Report() *Report { return e.report }
 
 // SetSourceLabel overrides the label used for input sources.
 func (e *Engine) SetSourceLabel(l Label) { e.sourceLabel = l }
-
-// SetTelemetry attaches the observability layer (nil detaches).
-func (e *Engine) SetTelemetry(t *telemetry.Telemetry) { e.tel = t }
 
 func (e *Engine) top() *frame {
 	if len(e.stack) == 0 {
@@ -310,12 +301,6 @@ func (e *Engine) attribute(addr uint64, n int, l Label) {
 	}
 	off := int(addr - base)
 	e.report.markContent(st, off, n, l)
-	if e.tel != nil {
-		e.tel.Emit(telemetry.Event{
-			Kind: telemetry.EvTaintUnion, Addr: addr, Size: n,
-			Label: l, Field: off, Detail: st.Name,
-		})
-	}
 }
 
 // Verify interface compliance.

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"io"
 	"sync"
 )
 
@@ -27,8 +25,9 @@ const (
 	EvLayoutGen
 	// EvViolation: the runtime detected an attack symptom.
 	EvViolation
-	// EvTaintUnion: tainted bytes landed in a tracked object (a taint
-	// label union into object state).
+	// EvTaintUnion: tainted bytes landed in a tracked object. Nothing
+	// emits it; it keeps its place because flight dumps number event
+	// kinds by position.
 	EvTaintUnion
 	// EvCorpusAdd: the fuzzer kept an input that found new coverage.
 	EvCorpusAdd
@@ -260,25 +259,4 @@ func (r *Recorder) Dropped() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped
-}
-
-// JSONLSink streams every event as one JSON object per line — the
-// event-log analogue of the tracer's timeline (useful for offline
-// analysis of violation records).
-type JSONLSink struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-}
-
-// NewJSONLSink returns a sink writing JSONL to w.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{enc: json.NewEncoder(w)}
-}
-
-// Event implements Sink. Encoding errors are deliberately swallowed:
-// observability must never fail the observed program.
-func (s *JSONLSink) Event(e Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_ = s.enc.Encode(e)
 }

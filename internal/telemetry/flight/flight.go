@@ -25,8 +25,8 @@ import (
 )
 
 // Default capacities. The ring is deliberately small: forensics wants
-// the recent window, not the full history (that is what JSONLSink and
-// the tracer are for).
+// the recent window, not the full history (that is what the execution
+// trace and the tracer are for).
 const (
 	DefaultRingCap = 256
 	maxDumps       = 16

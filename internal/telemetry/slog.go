@@ -7,9 +7,9 @@ import (
 
 // SlogSink forwards selected events to a structured logger. It exists
 // for the operator-facing path — violations and other rare,
-// security-relevant events — not for bulk event logging; attach a
-// JSONLSink or the tracer for that. Kinds outside the configured set
-// are dropped before any attribute is built.
+// security-relevant events — not for bulk event logging; attach an
+// execution trace or the tracer for that. Kinds outside the configured
+// set are dropped before any attribute is built.
 type SlogSink struct {
 	log   *slog.Logger
 	kinds [maxEventKind + 1]bool

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
@@ -166,24 +165,6 @@ func TestRecorderCapAndByKind(t *testing.T) {
 	frees := r.ByKind(EvFree)
 	if len(frees) != 1 || frees[0].Addr != 1 {
 		t.Fatalf("ByKind(EvFree) = %+v", frees)
-	}
-}
-
-func TestJSONLSink(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewJSONLSink(&buf)
-	s.Event(Event{Kind: EvAlloc, Addr: 16, Size: 32})
-	s.Event(Event{Kind: EvViolation, Detail: "use-after-free"})
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("%d lines, want 2", len(lines))
-	}
-	var e Event
-	if err := json.Unmarshal([]byte(lines[1]), &e); err != nil {
-		t.Fatal(err)
-	}
-	if e.Kind != EvViolation || e.Detail != "use-after-free" {
-		t.Fatalf("decoded %+v", e)
 	}
 }
 

@@ -407,12 +407,6 @@ func (v *VM) InstallLayoutCache(gen *uint64, onHit func(site string, base uint64
 // Program returns the shared immutable Program this VM executes.
 func (v *VM) Program() *Program { return v.prog }
 
-// GlobalAddr returns the address of a module global.
-func (v *VM) GlobalAddr(name string) (uint64, bool) {
-	a, ok := v.prog.globals[name]
-	return a, ok
-}
-
 // Input returns the program input bytes.
 func (v *VM) Input() []byte { return v.input }
 
@@ -449,9 +443,6 @@ func (v *VM) TrackedBases() []uint64 {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// Hooks returns the attached tracer (may be nil).
-func (v *VM) HooksAttached() Hooks { return v.hooks }
 
 // Run executes @main with the given integer arguments.
 func (v *VM) Run(args ...int64) (int64, error) {

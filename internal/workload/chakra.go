@@ -68,5 +68,5 @@ func ChakraModel() *Workload {
 
 	return a.finish(
 		"script-engine object model: loader-populated engine types + dispatch loop",
-		defaultInput(1200, 43), 42, -1)
+		defaultInput(1200, 43), 42)
 }

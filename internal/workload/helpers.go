@@ -166,7 +166,7 @@ func newApp(name string, taintedNames, untaintedNames []string) *app {
 
 // finish emits @main and returns the workload. compute must already be
 // defined as @compute returning i64 (the checksum).
-func (a *app) finish(desc string, input []byte, paperCount int, paperOverhead float64) *Workload {
+func (a *app) finish(desc string, input []byte, paperCount int) *Workload {
 	b := ir.NewFunc(a.m, "main", ir.I64)
 	b.CallVoid("setup")
 	b.CallVoid("parse")
@@ -185,7 +185,6 @@ func (a *app) finish(desc string, input []byte, paperCount int, paperOverhead fl
 		Input:             input,
 		ExpectedTainted:   names,
 		PaperTaintedCount: paperCount,
-		PaperOverheadPct:  paperOverhead,
 	}
 }
 

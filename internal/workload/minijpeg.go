@@ -19,7 +19,6 @@ func LibJPEG() *Workload {
 			"savable_state", "tjinstance",
 		},
 		PaperTaintedCount: 8,
-		PaperOverheadPct:  -1,
 	}
 }
 

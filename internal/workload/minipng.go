@@ -54,7 +54,6 @@ func LibPNG() *Workload {
 		Input:             CanonicalPNG(),
 		ExpectedTainted:   pngTaintedNames(),
 		PaperTaintedCount: 8,
-		PaperOverheadPct:  -1,
 	}
 }
 

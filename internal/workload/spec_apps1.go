@@ -57,7 +57,7 @@ func Perlbench() *Workload {
 
 	return a.finish(
 		"interpreter-style arena: per-op sv allocation, hot refcount sweeps",
-		defaultInput(2048, 11), 20, 5.0)
+		defaultInput(2048, 11), 20)
 }
 
 // Bzip2 builds 401.bzip2: run-length encoding over the input with
@@ -121,7 +121,7 @@ func Bzip2() *Workload {
 
 	return a.finish(
 		"run-length encoder with stream counters in a bzFile object",
-		compressibleInput(3000, 5), 3, 5.0)
+		compressibleInput(3000, 5), 3)
 }
 
 // GCC builds 403.gcc: IR-node churn — thousands of short-lived typed
@@ -160,7 +160,7 @@ func GCC() *Workload {
 
 	return a.finish(
 		"compiler-style node churn: 12k short-lived typed allocations",
-		defaultInput(1024, 3), 33, 5.0)
+		defaultInput(1024, 3), 33)
 }
 
 // MCF builds 429.mcf: a single long-lived network object whose cost and
@@ -202,7 +202,7 @@ func MCF() *Workload {
 
 	return a.finish(
 		"min-cost-flow arc sweeps against one long-lived network object",
-		defaultInput(512, 7), 2, 5.0)
+		defaultInput(512, 7), 2)
 }
 
 // Gobmk builds 445.gobmk: board-scanning evaluation with dragon/worm
@@ -257,7 +257,7 @@ func Gobmk() *Workload {
 
 	return a.finish(
 		"Go board evaluation sweeps updating dragon statistics objects",
-		defaultInput(512, 13), 21, 5.0)
+		defaultInput(512, 13), 21)
 }
 
 // Hmmer builds 456.hmmer: a Viterbi-flavoured dynamic program over a
@@ -302,7 +302,7 @@ func Hmmer() *Workload {
 
 	return a.finish(
 		"profile-HMM dynamic program with score accumulators in a comp object",
-		defaultInput(256, 17), 4, 5.0)
+		defaultInput(256, 17), 4)
 }
 
 // Sjeng builds 458.sjeng: the paper's worst case (~30% overhead) — a
@@ -352,7 +352,7 @@ func Sjeng() *Workload {
 
 	return a.finish(
 		"chess move generation: per-move object alloc/copy/free churn (worst case)",
-		defaultInput(128, 19), 2, 30.0)
+		defaultInput(128, 19), 2)
 }
 
 func fmt2(prefix string, i int) string {

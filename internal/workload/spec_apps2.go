@@ -51,7 +51,7 @@ func Libquantum() *Workload {
 
 	return a.finish(
 		"quantum register simulation: pure float ops, no input-dependent objects",
-		nil, 0, -1)
+		nil, 0)
 }
 
 // H264ref builds 464.h264ref: motion-compensation-flavoured kernel whose
@@ -105,7 +105,7 @@ func H264ref() *Workload {
 
 	return a.finish(
 		"motion compensation: hot typed copies across picture-buffer objects",
-		defaultInput(1024, 23), 17, 5.0)
+		defaultInput(1024, 23), 17)
 }
 
 // Omnetpp builds 471.omnetpp: a tiny discrete-event simulation. Profile:
@@ -153,7 +153,7 @@ func Omnetpp() *Workload {
 
 	return a.finish(
 		"discrete-event simulation: sparse object activity, arithmetic-bound",
-		defaultInput(512, 29), 10, 5.0)
+		defaultInput(512, 29), 10)
 }
 
 // Astar builds 473.astar: breadth-first flood over a raw grid with a
@@ -229,7 +229,7 @@ func Astar() *Workload {
 
 	return a.finish(
 		"grid path relaxation with region-management object snapshots",
-		defaultInput(256, 31), 7, 5.0)
+		defaultInput(256, 31), 7)
 }
 
 // Xalancbmk builds 483.xalancbmk: XML-ish tokenizer that allocates a
@@ -283,7 +283,7 @@ func Xalancbmk() *Workload {
 
 	return a.finish(
 		"XML tokenizer: per-token string-object allocation, mostly transient",
-		xmlishInput(2048), 59, 5.0)
+		xmlishInput(2048), 59)
 }
 
 func xalanTaintedNames() []string {

@@ -59,6 +59,5 @@ func V8Orinoco() *Workload {
 		Input:             nil,
 		ExpectedTainted:   nil,
 		PaperTaintedCount: -1,
-		PaperOverheadPct:  -1,
 	}
 }

@@ -38,9 +38,6 @@ type Workload struct {
 	ExpectedTainted []string
 	// PaperTaintedCount is Table I's "# of tainted objects" column.
 	PaperTaintedCount int
-	// PaperOverheadPct is the approximate Fig. 6 overhead for SPEC apps
-	// (negative = not reported).
-	PaperOverheadPct float64
 }
 
 // Validate builds and validates the module (panics are construction

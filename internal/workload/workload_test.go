@@ -24,23 +24,20 @@ func runBaseline(t *testing.T, w *Workload) (int64, []byte) {
 	return res, v.Output()
 }
 
-func runHardened(t *testing.T, w *Workload, seed int64) (int64, []byte, *core.Runtime) {
+// runHardened runs the instrumented module ins of w under the POLaR
+// runtime configured by cfg.
+func runHardened(t *testing.T, w *Workload, ins *instrument.Result, cfg core.Config) (int64, []byte) {
 	t.Helper()
-	ins, err := instrument.Apply(w.Module, nil)
-	if err != nil {
-		t.Fatalf("%s: instrument: %v", w.Name, err)
-	}
-	v, err := vm.New(ins.Module, vm.WithInput(w.Input))
+	v, err := vm.New(ir.Clone(ins.Module), vm.WithInput(w.Input))
 	if err != nil {
 		t.Fatalf("%s: vm: %v", w.Name, err)
 	}
-	rt := core.New(ins.Table, core.DefaultConfig(seed))
-	rt.Attach(v)
+	core.New(ins.Table, cfg).Attach(v)
 	res, err := v.Run(w.Args...)
 	if err != nil {
-		t.Fatalf("%s: hardened run (seed %d): %v", w.Name, seed, err)
+		t.Fatalf("%s: hardened run (%s, seed %d): %v", w.Name, cfg.LayoutMode, cfg.Seed, err)
 	}
-	return res, v.Output(), rt
+	return res, v.Output()
 }
 
 // TestWorkloadsValidate checks every registered workload builds a valid
@@ -62,20 +59,39 @@ func TestWorkloadsValidate(t *testing.T) {
 }
 
 // TestWorkloadsDeterministicUnderPOLaR is the compatibility experiment
-// (§V.A): every workload must produce the same result hardened as
-// unhardened, across several randomization seeds.
+// (§V.A): every workload must produce the same result and output
+// hardened as unhardened, across several randomization seeds, in both
+// layout modes — the metadata table, and stateless derivation with and
+// without epoch rekeying.
 func TestWorkloadsDeterministicUnderPOLaR(t *testing.T) {
+	modes := []struct {
+		name       string
+		mode       core.LayoutMode
+		rekeyEvery int
+	}{
+		{"metadata", core.LayoutModeMetadata, 0},
+		{"stateless", core.LayoutModeStateless, 0},
+		{"stateless-rekey4", core.LayoutModeStateless, 4},
+	}
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			want, wantOut := runBaseline(t, w)
+			ins, err := instrument.Apply(w.Module, nil)
+			if err != nil {
+				t.Fatalf("instrument: %v", err)
+			}
 			for seed := int64(1); seed <= 3; seed++ {
-				got, gotOut, _ := runHardened(t, w, seed)
-				if got != want {
-					t.Fatalf("seed %d: hardened result %d != baseline %d", seed, got, want)
-				}
-				if !bytes.Equal(gotOut, wantOut) {
-					t.Fatalf("seed %d: hardened output differs from baseline", seed)
+				for _, m := range modes {
+					cfg := core.DefaultConfig(seed)
+					cfg.LayoutMode, cfg.RekeyEvery = m.mode, m.rekeyEvery
+					got, gotOut := runHardened(t, w, ins, cfg)
+					if got != want {
+						t.Fatalf("%s, seed %d: hardened result %d != baseline %d", m.name, seed, got, want)
+					}
+					if !bytes.Equal(gotOut, wantOut) {
+						t.Fatalf("%s, seed %d: hardened output differs from baseline", m.name, seed)
+					}
 				}
 			}
 		})

@@ -270,28 +270,25 @@ func HardenTraced(m *Module, targets []string, t *Telemetry) (*Hardened, error) 
 
 // options collects run configuration.
 type options struct {
-	seed          int64
-	input         []byte
-	args          []int64
-	fuel          uint64
-	warnOnly      bool
-	noUAF         bool
-	noRerand      bool
-	cacheSize     int
-	resolveMode   core.LayoutMode
-	rekeyEvery    int
-	dummiesMin    int
-	dummiesMax    int
-	setDummies    bool
-	metaIntegrity bool
-	traceW        io.Writer
-	traceMax      int
-	policy        *policy.Policy
-	tel           *telemetry.Telemetry
-	prof          *profile.SiteProfiler
-	flight        *flight.Recorder
-	xtrace        *exectrace.Writer
-	runtimeObs    func(LiveRuntime)
+	seed        int64
+	input       []byte
+	args        []int64
+	fuel        uint64
+	warnOnly    bool
+	cacheSize   int
+	resolveMode core.LayoutMode
+	rekeyEvery  int
+	dummiesMin  int
+	dummiesMax  int
+	setDummies  bool
+	traceW      io.Writer
+	traceMax    int
+	policy      *policy.Policy
+	tel         *telemetry.Telemetry
+	prof        *profile.SiteProfiler
+	flight      *flight.Recorder
+	xtrace      *exectrace.Writer
+	runtimeObs  func(LiveRuntime)
 }
 
 // Option configures Run and RunHardened.
@@ -312,13 +309,6 @@ func WithFuel(n uint64) Option { return func(o *options) { o.fuel = n } }
 
 // WithWarnPolicy counts violations instead of aborting on them.
 func WithWarnPolicy() Option { return func(o *options) { o.warnOnly = true } }
-
-// WithoutUAFDetection disables ghost-metadata use-after-free checks.
-func WithoutUAFDetection() Option { return func(o *options) { o.noUAF = true } }
-
-// WithoutCopyRerandomization makes object copies share the source
-// layout (the cheaper §IV.A.2 mode).
-func WithoutCopyRerandomization() Option { return func(o *options) { o.noRerand = true } }
 
 // WithCacheSize sets the offset-lookup cache capacity (-1 disables).
 // In stateless mode the same knob sizes the derivation memo.
@@ -355,10 +345,6 @@ func WithRekeyEvery(n int) Option { return func(o *options) { o.rekeyEvery = n }
 func WithDummies(min, max int) Option {
 	return func(o *options) { o.dummiesMin, o.dummiesMax, o.setDummies = min, max, true }
 }
-
-// WithMetadataIntegrity seals metadata records with a keyed MAC that is
-// verified on lookup (the §VI.A hardening against metadata corruption).
-func WithMetadataIntegrity() Option { return func(o *options) { o.metaIntegrity = true } }
 
 // WithTrace streams the first maxLines executed instructions to w
 // (0 = unlimited) — a debugging aid; see polarun -trace.
@@ -636,12 +622,6 @@ func runtimeConfig(o *options, table *classinfo.Table, perClass map[uint64]layou
 	if o.warnOnly {
 		cfg.Policy = core.PolicyWarn
 	}
-	if o.noUAF {
-		cfg.DetectUAF = false
-	}
-	if o.noRerand {
-		cfg.RerandomizeOnCopy = false
-	}
 	if o.cacheSize != 0 {
 		cfg.CacheSize = o.cacheSize
 	}
@@ -651,9 +631,6 @@ func runtimeConfig(o *options, table *classinfo.Table, perClass map[uint64]layou
 	}
 	if o.setDummies {
 		cfg.Layout.MinDummies, cfg.Layout.MaxDummies = o.dummiesMin, o.dummiesMax
-	}
-	if o.metaIntegrity {
-		cfg.MetadataIntegrity = true
 	}
 	if len(perClass) > 0 {
 		cfg.PerClass = perClass
