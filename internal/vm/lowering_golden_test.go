@@ -14,7 +14,7 @@ import (
 	"polar/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite the committed lowering golden")
+var update = flag.Bool("update", false, "rewrite the committed lowering and front-end goldens")
 
 // renderLoweringGolden compiles, with default options, the baseline and
 // the all-classes-hardened module of every workload, then the
