@@ -104,6 +104,44 @@ func TestChurnSeesTransitiveFrees(t *testing.T) {
 	}
 }
 
+// A loop churns only when it frees on every iteration. In
+//
+//	for { q = alloc; q.f; if (q.f) free q }
+//
+// the free sits in one arm of an if, so it does not dominate the
+// latch: iterations that skip it keep their IC entries, and the site
+// must keep its slot. The same loop with the free moved after the if
+// frees every trip and is churned.
+func TestChurnNeedsAFreeOnEveryIteration(t *testing.T) {
+	m := ir.NewModule("churncond")
+	st := testStruct(m)
+	b := ir.NewFunc(m, "main", ir.I64)
+	b.CountedLoop("sometimes", ir.Const(4), func(i ir.Value) {
+		q := b.Alloc(st)
+		b.Load(ir.I64, b.FieldPtr(st, q, 0))
+		b.If("odd", b.Bin(ir.BinAnd, i, ir.Const(1)), func() {
+			b.Free(q)
+		}, nil)
+	})
+	b.CountedLoop("always", ir.Const(4), func(i ir.Value) {
+		q := b.Alloc(st)
+		b.Load(ir.I64, b.FieldPtr(st, q, 0))
+		b.If("even", b.Bin(ir.BinAnd, i, ir.Const(1)), func() {
+			b.Store(ir.I64, i, b.FieldPtr(st, q, 2))
+		}, nil)
+		b.Free(q)
+	})
+	b.Ret(ir.Const(0))
+
+	facts := siteFacts(t, m)
+	if site := one(t, facts, "sometimes.body"); site.Churn {
+		t.Errorf("site churned though its loop frees only on some iterations\n%+v", site)
+	}
+	if site := one(t, facts, "always.body"); !site.Churn {
+		t.Errorf("site not churned though its loop frees on every iteration\n%+v", site)
+	}
+}
+
 // Monomorphic sites addressing one runs-once allocation share a key —
 // the compiler unifies them onto one IC slot — while loop-minted
 // objects, which are not runs-once, never get one.

@@ -58,8 +58,12 @@ type Allocator struct {
 	chunks  map[uint64]*chunk // addr -> chunk (live and freed)
 	free    map[int][]uint64  // size class -> LIFO free stack
 	largeFr map[int][]uint64  // exact size -> free stack for large chunks
-	quarLen int               // quarantine length (0 = immediate reuse)
-	quarQ   []uint64          // FIFO quarantine of freed addrs
+	// large holds every large chunk (live and freed) in ascending
+	// address order: chunks are carved upward and never move, so
+	// appending at carve time keeps it sorted for FindChunk.
+	large   []*chunk
+	quarLen int      // quarantine length (0 = immediate reuse)
+	quarQ   []uint64 // FIFO quarantine of freed addrs
 	// rng, when non-nil, randomizes placement: free-list picks are
 	// uniform instead of LIFO and fresh carves get random gaps — the
 	// inter-chunk (heap-layout) randomization of §VII.B, implemented
@@ -172,6 +176,9 @@ func (a *Allocator) Alloc(size int) (uint64, error) {
 	a.next = addr + uint64(cls)
 	c := &chunk{addr: addr, size: cls, live: true}
 	a.chunks[addr] = c
+	if cls > sizeClasses[len(sizeClasses)-1] {
+		a.large = append(a.large, c)
+	}
 	a.stats.Allocs++
 	a.stats.FreshCarve++
 	a.addLive(uint64(cls))
@@ -228,11 +235,26 @@ func (a *Allocator) SizeOf(addr uint64) (size int, live, ok bool) {
 	return c.size, c.live, true
 }
 
-// FindChunk locates the chunk containing addr (not only chunk bases).
-// It is a linear probe backwards over 16-byte alignment slots, bounded
-// by the maximum size class, so it is intended for diagnostics and
-// taint attribution, not hot paths.
+// FindChunk locates the live or freed chunk containing addr (any
+// interior address, not only chunk bases). Large chunks are found by a
+// binary search over their carve order; every other chunk is at most
+// the largest size class long, so a probe backwards over 16-byte
+// alignment slots, bounded by that class, finds it. It is intended for
+// diagnostics and taint attribution, not hot paths.
 func (a *Allocator) FindChunk(addr uint64) (base uint64, size int, live, ok bool) {
+	lo, hi := 0, len(a.large)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c := a.large[mid]; addr >= c.addr+uint64(c.size) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(a.large) && a.large[lo].addr <= addr {
+		c := a.large[lo]
+		return c.addr, c.size, c.live, true
+	}
 	probe := addr &^ 15
 	maxBack := uint64(sizeClasses[len(sizeClasses)-1])
 	for back := uint64(0); back <= maxBack; back += 16 {
@@ -351,6 +373,7 @@ func (a *Allocator) Reset() {
 	a.chunks = make(map[uint64]*chunk)
 	a.free = make(map[int][]uint64)
 	a.largeFr = make(map[int][]uint64)
+	a.large = nil
 	a.quarQ = nil
 	a.stats = Stats{}
 }

@@ -214,20 +214,36 @@ func TestAllocatorInvariantsQuick(t *testing.T) {
 	}
 }
 
-func TestFindChunkLargeAllocationLimitation(t *testing.T) {
-	// FindChunk probes at most the largest size class backwards; for
-	// large chunks only addresses within that window resolve. This is a
-	// documented diagnostic limitation, pinned here.
+func TestFindChunkLargeInterior(t *testing.T) {
+	// Every interior address of a large chunk resolves to it, however
+	// far past the largest size class, live or freed; a small chunk
+	// carved after it and the untouched space beyond resolve as usual.
 	a := newTestAllocator()
 	p, err := a.Alloc(100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, ok := a.FindChunk(p + 16); !ok {
-		t.Error("near-base interior address of large chunk should resolve")
+	q, err := a.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, _, ok := a.FindChunk(p + 90_000); ok {
-		t.Error("far interior of large chunk unexpectedly resolved (update the doc if FindChunk improved)")
+	size, _, _ := a.SizeOf(p)
+	for _, off := range []uint64{0, 16, 40_000, 90_000, uint64(size) - 1} {
+		if base, sz, live, ok := a.FindChunk(p + off); !ok || base != p || sz != size || !live {
+			t.Errorf("FindChunk(base+%d) = %#x %d %v %v, want %#x %d live", off, base, sz, live, ok, p, size)
+		}
+	}
+	if base, _, _, ok := a.FindChunk(q + 8); !ok || base != q {
+		t.Errorf("FindChunk(small chunk interior) = %#x %v, want %#x", base, ok, q)
+	}
+	if err := a.Free(p); err != nil {
+		t.Fatal(err)
+	}
+	if base, _, live, ok := a.FindChunk(p + 90_000); !ok || base != p || live {
+		t.Errorf("FindChunk(freed far interior) = %#x %v %v, want %#x freed", base, live, ok, p)
+	}
+	if _, _, _, ok := a.FindChunk(q + 64); ok {
+		t.Error("FindChunk found a chunk in untouched space past the last carve")
 	}
 }
 

@@ -63,8 +63,25 @@ func (s *shadowMem) set(addr uint64, l Label) {
 	s.page(addr >> shadowPageBits)[addr&(shadowPageSize-1)] = l
 }
 
+// inPage returns the shadow labels of [addr, addr+n) as one slice when
+// the range is non-empty and lies inside a single shadow page, so the
+// page is resolved once instead of once per byte.
+func (s *shadowMem) inPage(addr uint64, n int) ([]Label, bool) {
+	off := addr & (shadowPageSize - 1)
+	if n <= 0 || off+uint64(n) > shadowPageSize {
+		return nil, false
+	}
+	return s.page(addr >> shadowPageBits)[off : off+uint64(n)], true
+}
+
 func (s *shadowMem) rangeOr(addr uint64, n int) Label {
 	var l Label
+	if ls, ok := s.inPage(addr, n); ok {
+		for _, x := range ls {
+			l |= x
+		}
+		return l
+	}
 	for i := 0; i < n; i++ {
 		l |= s.get(addr + uint64(i))
 	}
@@ -72,6 +89,12 @@ func (s *shadowMem) rangeOr(addr uint64, n int) Label {
 }
 
 func (s *shadowMem) setRange(addr uint64, n int, l Label) {
+	if ls, ok := s.inPage(addr, n); ok {
+		for i := range ls {
+			ls[i] = l
+		}
+		return
+	}
 	for i := 0; i < n; i++ {
 		s.set(addr+uint64(i), l)
 	}
@@ -100,6 +123,15 @@ type frame struct {
 	// frame (inherited by callees) — the coarse implicit-flow
 	// approximation described in DESIGN.md.
 	control Label
+}
+
+// set labels register dest of the frame (a no-op outside any frame or
+// for a discarded result).
+func (fr *frame) set(dest int, l Label) {
+	if fr == nil || dest < 0 || dest >= len(fr.regs) {
+		return
+	}
+	fr.regs[dest] = l
 }
 
 // Engine implements vm.Hooks. Create one per execution, pass it to
@@ -140,23 +172,14 @@ func (e *Engine) top() *frame {
 	return e.stack[len(e.stack)-1]
 }
 
-func (e *Engine) taintOf(fr *frame, v ir.Value) Label {
-	if fr == nil || v.Kind != ir.ValReg {
-		return 0
-	}
-	if v.Reg >= len(fr.regs) {
+func (e *Engine) taintOf(fr *frame, v *ir.Value) Label {
+	if fr == nil || v.Kind != ir.ValReg || v.Reg >= len(fr.regs) {
 		return 0
 	}
 	return fr.regs[v.Reg]
 }
 
-func (e *Engine) setReg(dest int, l Label) {
-	fr := e.top()
-	if fr == nil || dest < 0 || dest >= len(fr.regs) {
-		return
-	}
-	fr.regs[dest] = l
-}
+func (e *Engine) setReg(dest int, l Label) { e.top().set(dest, l) }
 
 // Enter implements vm.Hooks.
 func (e *Engine) Enter(fn *ir.Func, args []ir.Value) {
@@ -168,7 +191,7 @@ func (e *Engine) Enter(fn *ir.Func, args []ir.Value) {
 			if i >= len(fr.regs) {
 				break
 			}
-			fr.regs[i] = e.taintOf(parent, args[i])
+			fr.regs[i] = e.taintOf(parent, &args[i])
 		}
 	}
 	e.stack = append(e.stack, fr)
@@ -181,7 +204,7 @@ func (e *Engine) Exit(retArg *ir.Value, callerDest int) {
 	if retArg == nil || callerDest < 0 {
 		return
 	}
-	e.setReg(callerDest, e.taintOf(fr, *retArg))
+	e.setReg(callerDest, e.taintOf(fr, retArg))
 }
 
 // Load implements vm.Hooks.
@@ -190,7 +213,7 @@ func (e *Engine) Load(dest int, addr uint64, size int) {
 }
 
 // Store implements vm.Hooks.
-func (e *Engine) Store(src ir.Value, addr uint64, size int) {
+func (e *Engine) Store(src *ir.Value, addr uint64, size int) {
 	l := e.taintOf(e.top(), src)
 	e.shadow.setRange(addr, size, l)
 	if l != 0 {
@@ -199,20 +222,22 @@ func (e *Engine) Store(src ir.Value, addr uint64, size int) {
 }
 
 // Bin implements vm.Hooks.
-func (e *Engine) Bin(dest int, a, b ir.Value) {
+func (e *Engine) Bin(dest int, a, b *ir.Value) {
 	fr := e.top()
-	e.setReg(dest, e.taintOf(fr, a)|e.taintOf(fr, b))
+	fr.set(dest, e.taintOf(fr, a)|e.taintOf(fr, b))
 }
 
 // Un implements vm.Hooks.
-func (e *Engine) Un(dest int, a ir.Value) {
-	e.setReg(dest, e.taintOf(e.top(), a))
+func (e *Engine) Un(dest int, a *ir.Value) {
+	fr := e.top()
+	fr.set(dest, e.taintOf(fr, a))
 }
 
 // PtrDerive implements vm.Hooks (GEP-like arithmetic keeps the base
 // pointer's label, as DFSan does for getelementptr).
-func (e *Engine) PtrDerive(dest int, base ir.Value) {
-	e.setReg(dest, e.taintOf(e.top(), base))
+func (e *Engine) PtrDerive(dest int, base *ir.Value) {
+	fr := e.top()
+	fr.set(dest, e.taintOf(fr, base))
 }
 
 // Memcpy implements vm.Hooks.
@@ -229,7 +254,7 @@ func (e *Engine) Memset(dst uint64, n int) {
 }
 
 // CondBr implements vm.Hooks.
-func (e *Engine) CondBr(cond ir.Value) {
+func (e *Engine) CondBr(cond *ir.Value) {
 	fr := e.top()
 	if fr == nil {
 		return
@@ -277,10 +302,10 @@ func (e *Engine) Builtin(name string, args []ir.Value, argVals []int64, ret int6
 		e.setReg(dest, e.sourceLabel)
 	default:
 		var l Label
-		for _, a := range args {
-			l |= e.taintOf(fr, a)
+		for i := range args {
+			l |= e.taintOf(fr, &args[i])
 		}
-		e.setReg(dest, l)
+		fr.set(dest, l)
 	}
 }
 

@@ -322,3 +322,47 @@ func TestMultiLabelProvenance(t *testing.T) {
 		t.Fatalf("labels = %#x, want union of both sources", ft[0].Labels)
 	}
 }
+
+// buildLargeObjectModule allocates a struct {[n x i64], i64} and a
+// small struct, and stores input_byte(0) into the last member of each.
+func buildLargeObjectModule(n int) *ir.Module {
+	m := ir.NewModule("large")
+	big := m.MustStruct(ir.NewStruct("Big",
+		ir.Field{Name: "arr", Type: ir.ArrayOf(ir.I64, n)},
+		ir.Field{Name: "last", Type: ir.I64},
+	))
+	small := m.MustStruct(ir.NewStruct("Small",
+		ir.Field{Name: "a", Type: ir.I64},
+		ir.Field{Name: "last", Type: ir.I64},
+	))
+	b := ir.NewFunc(m, "main", ir.I64)
+	v := b.Call("input_byte", ir.Const(0))
+	bp := b.Alloc(big)
+	b.Store(ir.I64, v, b.FieldPtrName(big, bp, "last"))
+	sp := b.Alloc(small)
+	b.Store(ir.I64, v, b.FieldPtrName(small, sp, "last"))
+	b.Ret(v)
+	return m
+}
+
+// TestContentTaintPastLargestSizeClass: a tainted member more than the
+// heap's largest size class (32 KiB) into its object is attributed to
+// the object's class like any other.
+func TestContentTaintPastLargestSizeClass(t *testing.T) {
+	for _, n := range []int{4096, 8192} { // 32,776- and 65,544-byte objects
+		rep, err := AnalyzeOne(buildLargeObjectModule(n), []byte{9}, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, class := range []string{"Big", "Small"} {
+			o, ok := rep.Object(class)
+			if !ok || !o.ContentTainted {
+				t.Errorf("n=%d: %s not content-tainted; report:\n%s", n, class, rep)
+				continue
+			}
+			if ft := o.SortedFields(); len(ft) != 1 || ft[0].Name != "last" {
+				t.Errorf("n=%d: %s tainted fields = %+v, want [last]", n, class, ft)
+			}
+		}
+	}
+}

@@ -216,6 +216,9 @@ type bcFunc struct {
 	fn     *ir.Func
 	code   []bcInstr
 	blocks []bcBlock
+	// edgeSeed is edgeSeed(fn.Name): the dispatch loops finish every
+	// coverage edge of this function from it (edgeIndex).
+	edgeSeed uint64
 	// wTo[pc] is the cumulative weight of code[:pc]; together with a
 	// block's start it prices the executed prefix on the (rare) fault
 	// and fuel-scarce paths without any per-instruction accounting.

@@ -312,16 +312,16 @@ type countingHooks struct {
 	enters, bins int
 }
 
-func (h *countingHooks) Enter(fn *ir.Func, args []ir.Value)     { h.enters++ }
-func (h *countingHooks) Exit(retArg *ir.Value, callerDest int)  {}
-func (h *countingHooks) Load(dest int, addr uint64, size int)   {}
-func (h *countingHooks) Store(src ir.Value, addr uint64, n int) {}
-func (h *countingHooks) Bin(dest int, a, b ir.Value)            { h.bins++ }
-func (h *countingHooks) Un(dest int, a ir.Value)                {}
-func (h *countingHooks) PtrDerive(dest int, base ir.Value)      {}
-func (h *countingHooks) Memcpy(dst, src uint64, n int)          {}
-func (h *countingHooks) Memset(dst uint64, n int)               {}
-func (h *countingHooks) CondBr(cond ir.Value)                   {}
+func (h *countingHooks) Enter(fn *ir.Func, args []ir.Value)      { h.enters++ }
+func (h *countingHooks) Exit(retArg *ir.Value, callerDest int)   {}
+func (h *countingHooks) Load(dest int, addr uint64, size int)    {}
+func (h *countingHooks) Store(src *ir.Value, addr uint64, n int) {}
+func (h *countingHooks) Bin(dest int, a, b *ir.Value)            { h.bins++ }
+func (h *countingHooks) Un(dest int, a *ir.Value)                {}
+func (h *countingHooks) PtrDerive(dest int, base *ir.Value)      {}
+func (h *countingHooks) Memcpy(dst, src uint64, n int)           {}
+func (h *countingHooks) Memset(dst uint64, n int)                {}
+func (h *countingHooks) CondBr(cond *ir.Value)                   {}
 func (h *countingHooks) Alloc(dest int, addr uint64, size int, st *ir.StructType) {
 }
 func (h *countingHooks) Free(addr uint64) {}

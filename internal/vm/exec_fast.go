@@ -254,7 +254,7 @@ blockLoop:
 			psc = c
 		}
 		if v.coverage != nil {
-			e := edgeHash(fn, prevBlk, blk)
+			e := edgeIndex(f.edgeSeed, prevBlk, blk)
 			if c := &v.coverage[e]; *c < 255 {
 				*c++
 			}

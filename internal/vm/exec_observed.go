@@ -99,7 +99,7 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argOps []ir.Value, callerDest
 			psc = c
 		}
 		if v.coverage != nil {
-			e := edgeHash(fn, prevBlk, blk)
+			e := edgeIndex(f.edgeSeed, prevBlk, blk)
 			if c := &v.coverage[e]; *c < 255 {
 				*c++
 			}
@@ -180,9 +180,13 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argOps []ir.Value, callerDest
 				delete(v.objects, addr)
 			case bcLoad:
 				addr := uint64(in.a.arg(regs))
-				u, err := mem.ReadU(addr, int(in.size))
-				if err != nil {
-					return 0, v.observedFault(psc, charged, fn, bb.irb, err)
+				u, ok := mem.readFast(addr, in.size)
+				if !ok {
+					var err error
+					u, err = mem.ReadU(addr, int(in.size))
+					if err != nil {
+						return 0, v.observedFault(psc, charged, fn, bb.irb, err)
+					}
 				}
 				if s := in.signShift; s != 0 {
 					regs[in.dest] = int64(u<<s) >> s
@@ -194,11 +198,14 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argOps []ir.Value, callerDest
 				}
 			case bcStore:
 				addr := uint64(in.b.arg(regs))
-				if err := mem.WriteU(addr, int(in.size), uint64(in.a.arg(regs))); err != nil {
-					return 0, v.observedFault(psc, charged, fn, bb.irb, err)
+				val := uint64(in.a.arg(regs))
+				if in.size != 8 || !mem.write8Fast(addr, val) {
+					if err := mem.WriteU(addr, int(in.size), val); err != nil {
+						return 0, v.observedFault(psc, charged, fn, bb.irb, err)
+					}
 				}
 				if v.hooks != nil {
-					v.hooks.Store(src.Args[0], addr, int(in.size))
+					v.hooks.Store(&src.Args[0], addr, int(in.size))
 				}
 			case bcMemcpy:
 				dst := uint64(in.a.arg(regs))
@@ -231,17 +238,17 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argOps []ir.Value, callerDest
 				regs[in.dest] = int64(uint64(in.a.arg(regs)) + uint64(in.off))
 				v.Stats.FieldAccess++
 				if v.hooks != nil {
-					v.hooks.PtrDerive(src.Dest, src.Args[0])
+					v.hooks.PtrDerive(src.Dest, &src.Args[0])
 				}
 			case bcElemPtr:
 				regs[in.dest] = int64(uint64(in.a.arg(regs)) + uint64(in.b.arg(regs))*uint64(in.size))
 				if v.hooks != nil {
-					v.hooks.PtrDerive(src.Dest, src.Args[0])
+					v.hooks.PtrDerive(src.Dest, &src.Args[0])
 				}
 			case bcPtrAdd:
 				regs[in.dest] = int64(uint64(in.a.arg(regs)) + uint64(in.b.arg(regs)))
 				if v.hooks != nil {
-					v.hooks.PtrDerive(src.Dest, src.Args[0])
+					v.hooks.PtrDerive(src.Dest, &src.Args[0])
 				}
 			case bcBin, bcFBin, bcCmp, bcFCmp:
 				a, b := in.a.arg(regs), in.b.arg(regs)
@@ -262,7 +269,7 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argOps []ir.Value, callerDest
 					regs[in.dest] = evalFCmp(ir.CmpKind(in.kind), fa, fb)
 				}
 				if v.hooks != nil {
-					v.hooks.Bin(src.Dest, src.Args[0], src.Args[1])
+					v.hooks.Bin(src.Dest, &src.Args[0], &src.Args[1])
 				}
 			case bcItoF, bcFtoI, bcMov:
 				a := in.a.arg(regs)
@@ -275,14 +282,14 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argOps []ir.Value, callerDest
 					regs[in.dest] = a
 				}
 				if v.hooks != nil {
-					v.hooks.Un(src.Dest, src.Args[0])
+					v.hooks.Un(src.Dest, &src.Args[0])
 				}
 			case bcBr:
 				next = int(in.t0)
 			case bcCondBr:
 				c := in.a.arg(regs)
 				if v.hooks != nil {
-					v.hooks.CondBr(src.Args[0])
+					v.hooks.CondBr(&src.Args[0])
 				}
 				if c != 0 {
 					next = int(in.t0)

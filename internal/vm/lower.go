@@ -416,7 +416,7 @@ func (p *Program) classicPair(in, next *ir.Instr) (bcInstr, bool) {
 // lowerFunc flattens one function; fuse=false lowers every source
 // instruction to its own dispatch.
 func (p *Program) lowerFunc(f *ir.Func, fuse bool) *bcFunc {
-	bf := &bcFunc{fn: f, numRegs: f.NumRegs, blocks: make([]bcBlock, len(f.Blocks))}
+	bf := &bcFunc{fn: f, numRegs: f.NumRegs, blocks: make([]bcBlock, len(f.Blocks)), edgeSeed: edgeSeed(f.Name)}
 	for bi, blk := range f.Blocks {
 		start := int32(len(bf.code))
 		cost := uint32(0)

@@ -33,15 +33,15 @@ func (h *RecordingHooks) Exit(retArg *ir.Value, callerDest int) {
 func (h *RecordingHooks) Load(dest int, addr uint64, size int) {
 	h.add("load %d %#x %d", dest, addr, size)
 }
-func (h *RecordingHooks) Store(src ir.Value, addr uint64, size int) {
-	h.add("store %v %#x %d", src, addr, size)
+func (h *RecordingHooks) Store(src *ir.Value, addr uint64, size int) {
+	h.add("store %v %#x %d", *src, addr, size)
 }
-func (h *RecordingHooks) Bin(dest int, a, b ir.Value)       { h.add("bin %d %v %v", dest, a, b) }
-func (h *RecordingHooks) Un(dest int, a ir.Value)           { h.add("un %d %v", dest, a) }
-func (h *RecordingHooks) PtrDerive(dest int, base ir.Value) { h.add("ptr %d %v", dest, base) }
-func (h *RecordingHooks) Memcpy(dst, src uint64, n int)     { h.add("memcpy %#x %#x %d", dst, src, n) }
-func (h *RecordingHooks) Memset(dst uint64, n int)          { h.add("memset %#x %d", dst, n) }
-func (h *RecordingHooks) CondBr(cond ir.Value)              { h.add("condbr %v", cond) }
+func (h *RecordingHooks) Bin(dest int, a, b *ir.Value)       { h.add("bin %d %v %v", dest, *a, *b) }
+func (h *RecordingHooks) Un(dest int, a *ir.Value)           { h.add("un %d %v", dest, *a) }
+func (h *RecordingHooks) PtrDerive(dest int, base *ir.Value) { h.add("ptr %d %v", dest, *base) }
+func (h *RecordingHooks) Memcpy(dst, src uint64, n int)      { h.add("memcpy %#x %#x %d", dst, src, n) }
+func (h *RecordingHooks) Memset(dst uint64, n int)           { h.add("memset %#x %d", dst, n) }
+func (h *RecordingHooks) CondBr(cond *ir.Value)              { h.add("condbr %v", *cond) }
 func (h *RecordingHooks) Alloc(dest int, addr uint64, size int, st *ir.StructType) {
 	name := "<raw>"
 	if st != nil {

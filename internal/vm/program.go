@@ -133,15 +133,11 @@ func CompileWith(m *ir.Module, opts CompileOpts) (*Program, error) {
 // and the determinism gate assert that compiling the same module twice
 // agrees here.
 func (p *Program) Fingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(fnvOffset64)
 	mix := func(x uint64) {
 		for i := 0; i < 8; i++ {
 			h ^= x & 0xff
-			h *= prime64
+			h *= fnvPrime64
 			x >>= 8
 		}
 	}

@@ -23,6 +23,21 @@ import (
 // stamps an instance and picks the engine at the call: VM.Run for
 // bytecode, RunReference (export_test.go) for the tree-walker.
 
+// edgeHash is the coverage-bitmap slot of the edge prev -> cur in fn,
+// computed from scratch on every block entry: FNV-1a over the name's
+// runes, then prev+1 and cur+1. It is the oracle for the engine's
+// per-function seed (edgeSeed) and edge finish (edgeIndex), so it
+// spells the hash out instead of calling them.
+func edgeHash(fn *ir.Func, prev, cur int) uint16 {
+	h := uint64(14695981039346656037)
+	for _, ch := range fn.Name {
+		h = (h ^ uint64(ch)) * 1099511628211
+	}
+	h = (h ^ uint64(uint32(prev+1))) * 1099511628211
+	h = (h ^ uint64(uint32(cur+1))) * 1099511628211
+	return uint16(h)
+}
+
 // refEngine is one reference execution of an instance: the VM plus the
 // per-run callee-binding cache.
 type refEngine struct {
@@ -233,7 +248,7 @@ func (r *refEngine) call(fn *ir.Func, args []ir.Value, callerRegs []int64, calle
 					return 0, v.fault(fn, b, err)
 				}
 				if v.hooks != nil {
-					v.hooks.Store(in.Args[0], addr, in.Type.Size())
+					v.hooks.Store(&in.Args[0], addr, in.Type.Size())
 				}
 			case ir.OpMemcpy:
 				dst := uint64(v.resolve(regs, in.Args[0]))
@@ -267,21 +282,21 @@ func (r *refEngine) call(fn *ir.Func, args []ir.Value, callerRegs []int64, calle
 				regs[in.Dest] = int64(base + uint64(in.Struct.Offset(in.Field)))
 				v.Stats.FieldAccess++
 				if v.hooks != nil {
-					v.hooks.PtrDerive(in.Dest, in.Args[0])
+					v.hooks.PtrDerive(in.Dest, &in.Args[0])
 				}
 			case ir.OpElemPtr:
 				base := uint64(v.resolve(regs, in.Args[0]))
 				idx := v.resolve(regs, in.Args[1])
 				regs[in.Dest] = int64(base + uint64(idx)*uint64(in.Type.Size()))
 				if v.hooks != nil {
-					v.hooks.PtrDerive(in.Dest, in.Args[0])
+					v.hooks.PtrDerive(in.Dest, &in.Args[0])
 				}
 			case ir.OpPtrAdd:
 				base := uint64(v.resolve(regs, in.Args[0]))
 				off := v.resolve(regs, in.Args[1])
 				regs[in.Dest] = int64(base + uint64(off))
 				if v.hooks != nil {
-					v.hooks.PtrDerive(in.Dest, in.Args[0])
+					v.hooks.PtrDerive(in.Dest, &in.Args[0])
 				}
 			case ir.OpBin:
 				a := v.resolve(regs, in.Args[0])
@@ -292,51 +307,51 @@ func (r *refEngine) call(fn *ir.Func, args []ir.Value, callerRegs []int64, calle
 				}
 				regs[in.Dest] = r
 				if v.hooks != nil {
-					v.hooks.Bin(in.Dest, in.Args[0], in.Args[1])
+					v.hooks.Bin(in.Dest, &in.Args[0], &in.Args[1])
 				}
 			case ir.OpFBin:
 				a := math.Float64frombits(uint64(v.resolve(regs, in.Args[0])))
 				bb := math.Float64frombits(uint64(v.resolve(regs, in.Args[1])))
 				regs[in.Dest] = int64(math.Float64bits(evalFBin(in.Bin, a, bb)))
 				if v.hooks != nil {
-					v.hooks.Bin(in.Dest, in.Args[0], in.Args[1])
+					v.hooks.Bin(in.Dest, &in.Args[0], &in.Args[1])
 				}
 			case ir.OpCmp:
 				a := v.resolve(regs, in.Args[0])
 				bb := v.resolve(regs, in.Args[1])
 				regs[in.Dest] = evalCmp(in.Cmp, a, bb)
 				if v.hooks != nil {
-					v.hooks.Bin(in.Dest, in.Args[0], in.Args[1])
+					v.hooks.Bin(in.Dest, &in.Args[0], &in.Args[1])
 				}
 			case ir.OpFCmp:
 				a := math.Float64frombits(uint64(v.resolve(regs, in.Args[0])))
 				bb := math.Float64frombits(uint64(v.resolve(regs, in.Args[1])))
 				regs[in.Dest] = evalFCmp(in.Cmp, a, bb)
 				if v.hooks != nil {
-					v.hooks.Bin(in.Dest, in.Args[0], in.Args[1])
+					v.hooks.Bin(in.Dest, &in.Args[0], &in.Args[1])
 				}
 			case ir.OpItoF:
 				regs[in.Dest] = int64(math.Float64bits(float64(v.resolve(regs, in.Args[0]))))
 				if v.hooks != nil {
-					v.hooks.Un(in.Dest, in.Args[0])
+					v.hooks.Un(in.Dest, &in.Args[0])
 				}
 			case ir.OpFtoI:
 				f := math.Float64frombits(uint64(v.resolve(regs, in.Args[0])))
 				regs[in.Dest] = int64(f)
 				if v.hooks != nil {
-					v.hooks.Un(in.Dest, in.Args[0])
+					v.hooks.Un(in.Dest, &in.Args[0])
 				}
 			case ir.OpMov:
 				regs[in.Dest] = v.resolve(regs, in.Args[0])
 				if v.hooks != nil {
-					v.hooks.Un(in.Dest, in.Args[0])
+					v.hooks.Un(in.Dest, &in.Args[0])
 				}
 			case ir.OpBr:
 				prevBlk, blk = blk, in.Blocks[0]
 			case ir.OpCondBr:
 				c := v.resolve(regs, in.Args[0])
 				if v.hooks != nil {
-					v.hooks.CondBr(in.Args[0])
+					v.hooks.CondBr(&in.Args[0])
 				}
 				if c != 0 {
 					prevBlk, blk = blk, in.Blocks[0]

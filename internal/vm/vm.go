@@ -36,7 +36,9 @@ type Stats struct {
 // Hooks receives fine-grained execution events; the taint engine
 // implements it. All methods are invoked after the VM has performed the
 // operation. A nil Hooks disables tracing with no overhead beyond a nil
-// check.
+// check. Operands arrive by reference into the executing source
+// instruction: a hook may read them during the call but must neither
+// modify nor retain them.
 type Hooks interface {
 	// Enter is called when a frame is pushed; args are the caller-frame
 	// operands (so the hook can transfer operand taints to parameters).
@@ -48,18 +50,18 @@ type Hooks interface {
 	// Load: dest register received size bytes from addr.
 	Load(dest int, addr uint64, size int)
 	// Store: operand src was written to addr (size bytes).
-	Store(src ir.Value, addr uint64, size int)
+	Store(src *ir.Value, addr uint64, size int)
 	// Bin: dest = a op b (integer or float).
-	Bin(dest int, a, b ir.Value)
+	Bin(dest int, a, b *ir.Value)
 	// Un: dest = f(a) for mov/itof/ftoi.
-	Un(dest int, a ir.Value)
+	Un(dest int, a *ir.Value)
 	// FieldPtr/ElemPtr/PtrAdd: dest derives from pointer operand base.
-	PtrDerive(dest int, base ir.Value)
+	PtrDerive(dest int, base *ir.Value)
 	// Memcpy after the copy; Memset after the fill.
 	Memcpy(dst, src uint64, n int)
 	Memset(dst uint64, n int)
 	// CondBr observes the branch condition (for control-taint).
-	CondBr(cond ir.Value)
+	CondBr(cond *ir.Value)
 	// Alloc observes a heap object birth (st may be nil for raw buffers).
 	Alloc(dest int, addr uint64, size int, st *ir.StructType)
 	// Free observes a heap object death.
@@ -620,12 +622,30 @@ func evalFCmp(op ir.CmpKind, a, b float64) int64 {
 	return 0
 }
 
-func edgeHash(fn *ir.Func, prev, cur int) uint16 {
-	h := uint64(14695981039346656037)
-	for _, ch := range fn.Name {
-		h = (h ^ uint64(ch)) * 1099511628211
+// Coverage edges are FNV-1a hashes of (function name, prev block + 1,
+// block + 1), truncated to the bitmap's 16-bit index. The name prefix
+// is the same for every edge of a function, so the lowering hashes it
+// once (bcFunc.edgeSeed) and the dispatch loops finish each edge from
+// that seed with two multiplies.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// edgeSeed hashes a function name, rune by rune, into the prefix every
+// coverage edge of that function starts from.
+func edgeSeed(name string) uint64 {
+	h := uint64(fnvOffset64)
+	for _, ch := range name {
+		h = (h ^ uint64(ch)) * fnvPrime64
 	}
-	h = (h ^ uint64(uint32(prev+1))) * 1099511628211
-	h = (h ^ uint64(uint32(cur+1))) * 1099511628211
+	return h
+}
+
+// edgeIndex is the coverage-bitmap slot of the edge prev -> cur (prev
+// is -1 on function entry) in the function whose edgeSeed is seed.
+func edgeIndex(seed uint64, prev, cur int) uint16 {
+	h := (seed ^ uint64(uint32(prev+1))) * fnvPrime64
+	h = (h ^ uint64(uint32(cur+1))) * fnvPrime64
 	return uint16(h)
 }
