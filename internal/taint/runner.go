@@ -3,6 +3,9 @@ package taint
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"polar/internal/ir"
 	"polar/internal/vm"
@@ -37,17 +40,57 @@ func AnalyzeOne(m *ir.Module, input []byte, opts RunOptions) (*Report, error) {
 // Analyze executes the module once per corpus input and returns the
 // merged report — the TaintClass object list for the program. The
 // module is compiled once; every input runs on its own hooked instance
-// of that Program.
+// of that Program, up to runtime.GOMAXPROCS(0) of them at once.
 func Analyze(m *ir.Module, corpus [][]byte, opts RunOptions) (*Report, error) {
+	return analyze(m, corpus, opts, runtime.GOMAXPROCS(0))
+}
+
+// analyze runs the corpus on up to width workers, each entry into a
+// report of its own, and merges the reports in corpus order, so the
+// result does not depend on width. On failure it returns the error of
+// the lowest-index entry that failed. Width 1 runs every entry inline.
+func analyze(m *ir.Module, corpus [][]byte, opts RunOptions, width int) (*Report, error) {
 	p, err := vm.Compile(ir.Clone(m))
 	if err != nil {
 		return nil, err
 	}
-	rep := NewReport()
-	for i, input := range corpus {
-		if err := analyzeInto(p, input, opts, rep); err != nil {
-			return nil, fmt.Errorf("taint: corpus entry %d: %w", i, err)
+	reps := make([]*Report, len(corpus))
+	errs := make([]error, len(corpus))
+	var next atomic.Int64
+	var failed atomic.Bool
+	// Entries are claimed in corpus order and every claimed entry runs,
+	// so once one fails, the entries left unclaimed all come after it.
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= len(corpus) {
+				return
+			}
+			reps[i] = NewReport()
+			if errs[i] = analyzeInto(p, corpus[i], opts, reps[i]); errs[i] != nil {
+				failed.Store(true)
+			}
 		}
+	}
+	if width = min(width, len(corpus)); width <= 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < width; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	rep := NewReport()
+	for i, r := range reps {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("taint: corpus entry %d: %w", i, errs[i])
+		}
+		rep.Merge(r)
 	}
 	return rep, nil
 }
