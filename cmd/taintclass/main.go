@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"polar"
+	"polar/internal/fuzz"
 	"polar/internal/workload"
 )
 
@@ -81,8 +82,7 @@ func run(wl string, fuzzIters int, seed int64, out string) error {
 		}
 		fmt.Printf("fuzzing: %d execs, %d edges, corpus %d, crashers %d\n",
 			fr.Execs, fr.Edges, len(fr.Corpus), len(fr.Crashers))
-		corpus = append(corpus, fr.Corpus...)
-		corpus = append(corpus, fr.Crashers...)
+		corpus = fuzz.TaintInputs(seeds, fr.Corpus, fr.Crashers)
 	}
 	rep, err := polar.AnalyzeTaint(m, corpus)
 	if err != nil {

@@ -70,8 +70,7 @@ func StaticTaint(fuzzIters int, seed int64) ([]StaticTaintRow, error) {
 			if err != nil {
 				return fmt.Errorf("%s: fuzz: %w", w.Name, err)
 			}
-			corpus = append(corpus, fr.Corpus...)
-			corpus = append(corpus, fr.Crashers...)
+			corpus = fuzz.TaintInputs(corpus, fr.Corpus, fr.Crashers)
 		}
 		rep, err := taint.Analyze(w.Module, corpus, taint.RunOptions{
 			IgnoreRunErrors: true, Fuel: 60_000_000, Args: w.Args,

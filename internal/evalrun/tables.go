@@ -46,8 +46,7 @@ func TableI(fuzzIters int, seed int64) ([]TaintRow, error) {
 			if err != nil {
 				return fmt.Errorf("%s: fuzz: %w", w.Name, err)
 			}
-			corpus = append(corpus, fr.Corpus...)
-			corpus = append(corpus, fr.Crashers...)
+			corpus = fuzz.TaintInputs(corpus, fr.Corpus, fr.Crashers)
 			execs, edges = fr.Execs, fr.Edges
 		}
 		rep, err := taint.Analyze(w.Module, corpus, taint.RunOptions{

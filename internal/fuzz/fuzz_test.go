@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -154,6 +155,53 @@ func TestFuelExhaustionIsNotACrash(t *testing.T) {
 	for _, c := range res.Crashers {
 		if len(c) > 0 && c[0] == 1 {
 			t.Fatal("fuel exhaustion misclassified as crash")
+		}
+	}
+}
+
+// TestTaintInputsListEachInputOnce: TaintClass gets the seeds, then each
+// distinct corpus entry and crasher once. A campaign on a program that
+// never reads its input keeps only its seed, so the seed alone is
+// analyzed; one on a program that always crashes makes its seed both
+// the first corpus entry and a crasher, and repeats short crashers.
+func TestTaintInputsListEachInputOnce(t *testing.T) {
+	flat := ir.NewModule("flat")
+	ir.NewFunc(flat, "main", ir.I64).Ret(ir.Const(0))
+	seed := []byte("seed")
+	res, err := Run(flat, [][]byte{seed}, Config{Iterations: 20, MaxInputLen: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Corpus) != 1 {
+		t.Fatalf("flat campaign kept %d corpus entries, want only its seed", len(res.Corpus))
+	}
+	if got := TaintInputs([][]byte{seed}, res.Corpus, res.Crashers); !reflect.DeepEqual(got, [][]byte{seed}) {
+		t.Fatalf("flat campaign: TaintInputs = %q, want just the seed", got)
+	}
+
+	crash := ir.NewModule("crash")
+	b := ir.NewFunc(crash, "main", ir.I64)
+	b.Load(ir.I64, ir.Const(8))
+	b.Ret(ir.Const(0))
+	seeds := [][]byte{{1}, {1}}
+	res, err = Run(crash, seeds, Config{Iterations: 200, MaxInputLen: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := TaintInputs(seeds, res.Corpus, res.Crashers)
+	if len(got) < len(seeds) || !reflect.DeepEqual(got[:len(seeds)], seeds) {
+		t.Fatalf("TaintInputs = %q, want it to start with the seeds %q", got, seeds)
+	}
+	listed := map[string]bool{string(seeds[0]): true}
+	for _, in := range got[len(seeds):] {
+		if listed[string(in)] {
+			t.Fatalf("TaintInputs lists %q twice", in)
+		}
+		listed[string(in)] = true
+	}
+	for _, in := range append(res.Corpus, res.Crashers...) {
+		if !listed[string(in)] {
+			t.Fatalf("TaintInputs omits %q", in)
 		}
 	}
 }

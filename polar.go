@@ -723,8 +723,7 @@ func SelectAndHarden(m *Module, seeds [][]byte, fuzzIters int, seed int64) (*Har
 		if err != nil {
 			return nil, nil, err
 		}
-		corpus = append(corpus, fr.Corpus...)
-		corpus = append(corpus, fr.Crashers...)
+		corpus = fuzz.TaintInputs(seeds, fr.Corpus, fr.Crashers)
 	}
 	rep, err := AnalyzeTaint(m, corpus)
 	if err != nil {
