@@ -23,7 +23,7 @@ import (
 const (
 	perfSeed          = 1
 	perfSeconds       = 10 // per --trace 0 run
-	perfTracedSeconds = 5  // per --trace 1 run; 16 s (churn) and 19 s (pipeline) of wall time on an idle machine
+	perfTracedSeconds = 5  // per --trace 1 run; 13.5 s (churn) and 13.5 s (pipeline) of wall time on an idle machine
 )
 
 // perfRuns are the gate's perfbench invocations, in the order they run:
@@ -162,8 +162,8 @@ func runPerfbench(t *testing.T, workload string, seconds, trace int) perfResult 
 }
 
 // TestPerfbenchGate is the performance gate, gated behind
-// POLAR_BENCH_PERF because it times over a minute of wall-clock work
-// (72 s on an idle two-CPU machine): run it on an otherwise idle
+// POLAR_BENCH_PERF because it times about a minute of wall-clock work
+// (59 s on an idle two-CPU machine): run it on an otherwise idle
 // machine. It writes
 // BENCH_perf.json before it checks, so a failing run still leaves its
 // numbers behind.

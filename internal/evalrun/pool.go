@@ -15,7 +15,10 @@ var parallelism = runtime.GOMAXPROCS(0)
 
 // SetParallelism sets how many experiment sub-steps (workloads,
 // kernels, CVE cases, defenses) run concurrently. n < 1 restores the
-// default, GOMAXPROCS. Width 1 is fully serial.
+// default, GOMAXPROCS. Width 1 runs the sub-steps one at a time, but a
+// fuzz campaign or taint analysis inside one still spreads its
+// executions over GOMAXPROCS goroutines; GOMAXPROCS=1 gives a fully
+// serial run.
 func SetParallelism(n int) {
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
