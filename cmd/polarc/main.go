@@ -55,6 +55,10 @@ func run(path, targets, policyPath, out, factsOut string, stats, lint bool) erro
 		return err
 	}
 	if lint || factsOut != "" {
+		// The passes assume a well-formed module, as the VM does.
+		if err := polar.Validate(m); err != nil {
+			return err
+		}
 		// Analyze the module while it is still uninstrumented — after the
 		// layout pass the fieldptr idioms the rules look for are gone, and
 		// the site classification must key the original positions.

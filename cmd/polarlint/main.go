@@ -25,7 +25,7 @@
 //	-metrics       print per-pass timing and finding counts to stderr
 //
 // Exit status: 0 clean (below the gate), 1 findings at/above -fail-on,
-// 2 usage or parse errors.
+// 2 usage, parse or validation errors.
 package main
 
 import (
@@ -163,6 +163,10 @@ func lintFile(path string, opts analysis.Options) (*ir.Module, *analysis.Result,
 	}
 	m, err := polar.Parse(string(src))
 	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	// The passes assume a well-formed module, as the VM does.
+	if err := polar.Validate(m); err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return m, analysis.Analyze(m, opts), nil

@@ -18,17 +18,34 @@ func (e *ValidationError) Error() string {
 	return fmt.Sprintf("ir: %d problems, first: %s", len(e.Problems), e.Problems[0])
 }
 
-// Validate checks structural well-formedness: every block ends in
-// exactly one terminator (and has no interior terminators), branch
-// targets are in range, register numbers are in range, callees that are
-// not builtins exist, field indices are valid, and globals referenced by
-// operands exist. Builtin callees (any name starting with a known
-// builtin prefix) are resolved at run time by the VM, so unknown callees
-// are only flagged when they look like module-internal names.
+// Validate checks structural well-formedness: function and global
+// names are unique, every block ends in exactly one terminator (and has
+// no interior terminators), branch targets are in range, register
+// numbers are in range, callees that are not builtins exist, field
+// indices are valid, and globals referenced by operands exist. Builtin
+// callees (any name starting with a known builtin prefix) are resolved
+// at run time by the VM, so unknown callees are only flagged when they
+// look like module-internal names.
 func Validate(m *Module) error {
 	var probs []string
 	addf := func(format string, args ...any) {
 		probs = append(probs, fmt.Sprintf(format, args...))
+	}
+	// The VM, Module.Func and the analysis all resolve functions and
+	// globals by name, and disagree on which of two definitions wins.
+	funcs := make(map[string]bool, len(m.Funcs))
+	for _, f := range m.Funcs {
+		if funcs[f.Name] {
+			addf("@%s: duplicate function", f.Name)
+		}
+		funcs[f.Name] = true
+	}
+	globals := make(map[string]bool, len(m.Globals))
+	for _, g := range m.Globals {
+		if globals[g.Name] {
+			addf("@%s: duplicate global", g.Name)
+		}
+		globals[g.Name] = true
 	}
 	for _, f := range m.Funcs {
 		if len(f.Blocks) == 0 {

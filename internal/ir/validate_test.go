@@ -147,3 +147,22 @@ func TestDefUseChains(t *testing.T) {
 		t.Fatalf("uses of %%r%d = %v", y.Reg, du.Uses[y.Reg])
 	}
 }
+
+// Two definitions of one name must be rejected: the VM binds a call to
+// the last definition while Module.Func returns the first, and the
+// analysis keys its per-function state by name.
+func TestValidateRejectsDuplicateNames(t *testing.T) {
+	m := NewModule("dup")
+	for i := 0; i < 2; i++ {
+		b := NewFunc(m, "f", I64)
+		b.Ret(Const(int64(i)))
+	}
+	b := NewFunc(m, "main", I64)
+	b.Ret(b.Call("f"))
+	m.Globals = append(m.Globals, &GlobalDef{Name: "g", Size: 8}, &GlobalDef{Name: "g", Size: 16})
+	probs := problemsOf(t, m)
+	want := []string{"@f: duplicate function", "@g: duplicate global"}
+	if strings.Join(probs, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("problems = %q, want %q", probs, want)
+	}
+}
