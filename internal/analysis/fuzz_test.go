@@ -10,9 +10,10 @@ import (
 )
 
 // FuzzAnalyze feeds arbitrary text through the IR parser, the
-// validator and every analysis pass. Three properties under fuzzing:
+// validator and every analysis pass. Four properties under fuzzing:
 // nothing panics, invalid modules are rejected before the passes run,
-// and analysis of a valid module is deterministic.
+// analysis of a valid module is deterministic, and its fixpoint
+// converges before the sweep cap.
 func FuzzAnalyze(f *testing.F) {
 	seeds := []string{filepath.Join("..", "..", "examples", "quickstart", "quickstart.ir")}
 	dumps, _ := filepath.Glob(filepath.Join("..", "..", "examples", "casestudies", "*.ir"))
@@ -33,6 +34,9 @@ func FuzzAnalyze(f *testing.F) {
 		}
 		if err := ir.Validate(m); err != nil {
 			return
+		}
+		if sweeps, limit, converged := analysis.Fixpoint(m, analysis.Options{}); !converged {
+			t.Fatalf("fixpoint stopped at the sweep cap (%d of %d sweeps)", sweeps, limit)
 		}
 		res1 := analysis.Analyze(m, analysis.Options{})
 		res2 := analysis.Analyze(m, analysis.Options{})

@@ -250,29 +250,28 @@ func (a absVal) eq(b absVal) bool {
 	return a.taint == b.taint && a.off == b.off && a.pts.eq(b.pts)
 }
 
-// joinVal is the lattice join. Inputs are treated as immutable; the
-// result may alias an input's pts set.
+// joinVal is the lattice join; it is commutative and idempotent. An
+// offset survives only where both sides agree on it, except that a
+// value pointing nowhere adds nothing to one that points somewhere.
+// Inputs are treated as immutable; the result may alias an input's pts
+// set.
 func joinVal(a, b absVal) absVal {
-	out := absVal{taint: a.taint || b.taint}
+	out := absVal{taint: a.taint || b.taint, off: a.off}
+	if a.off != b.off {
+		out.off = offUnknown
+	}
 	switch {
+	case a.pts.empty() && b.pts.empty():
 	case a.pts.empty():
 		out.pts, out.off = b.pts, b.off
 	case b.pts.empty():
 		out.pts, out.off = a.pts, a.off
 	case a.pts.eq(b.pts):
 		out.pts = a.pts
-		out.off = a.off
-		if a.off != b.off {
-			out.off = offUnknown
-		}
 	default:
 		u := a.pts.clone()
 		u.or(b.pts)
 		out.pts = u
-		out.off = a.off
-		if a.off != b.off {
-			out.off = offUnknown
-		}
 	}
 	return out
 }
@@ -454,14 +453,14 @@ func constOf(v ir.Value) (int64, bool) {
 	return 0, false
 }
 
-// run iterates all (function, context) units to a global fixed point.
-// Memory, summary and class state only ever grow, so termination is
-// guaranteed; the sweep bound is a safety valve for the fuzzer, scaled
-// with the module since summary chains now traverse context-cloned
-// units.
-func (ip *interp) run() {
-	maxSweeps := 64 + 4*len(ip.mi.Funcs)
-	for sweep := 0; sweep < maxSweeps; sweep++ {
+// run sweeps all (function, context) units in module order until one
+// sweep changes nothing, and reports the sweeps it took and whether it
+// converged. Memory, summary and class state only ever grow, so the
+// fixpoint exists; sweepCap is a safety valve against hostile IR that
+// tests require no shipped or fuzzed module to reach.
+func (ip *interp) run() (sweeps int, converged bool) {
+	for sweeps < ip.sweepCap() {
+		sweeps++
 		before := ip.version
 		factsChanged := false
 		for _, fi := range ip.mi.Funcs {
@@ -472,10 +471,15 @@ func (ip *interp) run() {
 			}
 		}
 		if ip.version == before && !factsChanged {
-			return
+			return sweeps, true
 		}
 	}
+	return sweeps, false
 }
+
+// sweepCap bounds run's sweeps, scaled with the module since summary
+// chains traverse context-cloned units.
+func (ip *interp) sweepCap() int { return 64 + 4*len(ip.mi.Funcs) }
 
 // solveFunc runs the flow-sensitive register analysis for one function
 // under one calling context, against the current memory/summary state,
