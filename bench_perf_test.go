@@ -23,7 +23,7 @@ import (
 const (
 	perfSeed          = 1
 	perfSeconds       = 10 // per --trace 0 run
-	perfTracedSeconds = 5  // per --trace 1 run; 15.0 s (churn) and 15.5–16.2 s (pipeline) of wall time on a shared two-CPU machine
+	perfTracedSeconds = 5  // per --trace 1 run; 19.5–19.8 s (churn) and 20.4 s (pipeline) of wall time on a shared two-CPU machine
 )
 
 // perfRuns are the gate's perfbench invocations, in the order they run:
@@ -163,7 +163,7 @@ func runPerfbench(t *testing.T, workload string, seconds, trace int) perfResult 
 
 // TestPerfbenchGate is the performance gate, gated behind
 // POLAR_BENCH_PERF because it times about a minute of wall-clock work
-// (61–67 s on a shared two-CPU machine): run it on an otherwise idle
+// (61–75 s on a shared two-CPU machine): run it on an otherwise idle
 // machine. It writes
 // BENCH_perf.json before it checks, so a failing run still leaves its
 // numbers behind.

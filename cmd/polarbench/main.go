@@ -9,14 +9,9 @@
 //	           [-prom dir] [-trace-json file]
 //
 // Experiments: table1, table2, table3, table4, fig7, security, static,
-// seeding, ablation. Default runs all of them; -only rejects any other
-// name with exit status 2. Figure 6's per-app overhead is measured by
-// perfbench (perfbench/NOTES.md), not here. seeding is the static
-// IC-seeding differential (DESIGN.md §14): every workload compiles
-// with and without the analysis-computed site classification,
-// both arms run under one seed with execution traces attached, and the
-// gate requires byte-identical traces plus a strict inline-cache miss
-// reduction on at least three workloads. The text format is what
+// ablation. Default runs all of them; -only rejects any other name with
+// exit status 2. Figure 6's per-app overhead is measured by perfbench
+// (perfbench/NOTES.md), not here. The text format is what
 // EXPERIMENTS.md records; csv is plotting-ready. -metrics appends a
 // deterministic JSON metrics snapshot after each experiment's output
 // (machine-readable companion to the tables). -prom additionally
@@ -101,7 +96,7 @@ func main() {
 
 // experiments lists every name -only accepts, in the order run
 // executes them.
-var experiments = []string{"table1", "table2", "table3", "table4", "fig7", "security", "static", "seeding", "ablation"}
+var experiments = []string{"table1", "table2", "table3", "table4", "fig7", "security", "static", "ablation"}
 
 // parseOnly turns the -only value into the set of selected experiments
 // (empty: run all). An unknown name is an error, so a mistyped gate
@@ -287,28 +282,6 @@ func run(sel func(string) bool, csv bool, metrics emitConfig, reps, trials, fuzz
 		}
 		if err := emitMetrics(metrics, "static", func(reg *telemetry.Registry) { evalrun.PublishStaticTaint(rows, reg) }); err != nil {
 			return err
-		}
-	}
-	if sel("seeding") {
-		sp := evalrun.Span("seeding", "experiment")
-		rows, err := evalrun.Seeding(seed)
-		sp.End()
-		if err != nil {
-			return err
-		}
-		if csv {
-			fmt.Print(evalrun.CSVSeeding(rows))
-		} else {
-			fmt.Println(evalrun.RenderSeeding(rows))
-		}
-		if err := emitMetrics(metrics, "seeding", func(reg *telemetry.Registry) { evalrun.PublishSeeding(rows, reg) }); err != nil {
-			return err
-		}
-		// Hard gates: static seeding must be observably invisible
-		// (byte-identical traces) and must actually cut inline-cache
-		// misses on a share of the workloads.
-		if v := evalrun.SeedingViolations(rows, 3); len(v) > 0 {
-			return fmt.Errorf("seeding: %s", strings.Join(v, "; "))
 		}
 	}
 	if sel("ablation") {

@@ -4,17 +4,11 @@
 //
 // Usage:
 //
-//	polarc [-targets a,b,c] [-facts facts.json] [-o out.ir] program.ir
+//	polarc [-targets a,b,c] [-o out.ir] program.ir
 //
 // With no -targets flag every class is hardened (the paper's §V.A
 // compatibility configuration). The rewritten module embeds its class
 // table, so polarun can execute it directly.
-//
-// -facts writes the static olr_getptr site classification (computed on
-// the module BEFORE instrumentation, whose in-place rewrite keeps the
-// "@fn.block#idx" positions stable) to the named file; polarun -facts
-// feeds it back at compile time to pre-seed inline layout caches
-// (DESIGN.md §14). It is the same artifact polarlint -facts emits.
 package main
 
 import (
@@ -33,19 +27,18 @@ func main() {
 	out := flag.String("o", "", "output file (default: stdout)")
 	stats := flag.Bool("stats", false, "print rewrite statistics to stderr")
 	lint := flag.Bool("lint", false, "run the static analysis passes before instrumenting; abort on error-severity findings")
-	factsOut := flag.String("facts", "", "write the pre-instrumentation SiteFacts artifact (for polarun -facts)")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: polarc [-lint] [-targets a,b,c | -policy p.json] [-facts f.json] [-o out.ir] program.ir")
+		fmt.Fprintln(os.Stderr, "usage: polarc [-lint] [-targets a,b,c | -policy p.json] [-o out.ir] program.ir")
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), *targets, *policyPath, *out, *factsOut, *stats, *lint); err != nil {
+	if err := run(flag.Arg(0), *targets, *policyPath, *out, *stats, *lint); err != nil {
 		fmt.Fprintln(os.Stderr, "polarc:", err)
 		os.Exit(1)
 	}
 }
 
-func run(path, targets, policyPath, out, factsOut string, stats, lint bool) error {
+func run(path, targets, policyPath, out string, stats, lint bool) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -54,32 +47,19 @@ func run(path, targets, policyPath, out, factsOut string, stats, lint bool) erro
 	if err != nil {
 		return err
 	}
-	if lint || factsOut != "" {
+	if lint {
 		// The passes assume a well-formed module, as the VM does.
 		if err := polar.Validate(m); err != nil {
 			return err
 		}
 		// Analyze the module while it is still uninstrumented — after the
-		// layout pass the fieldptr idioms the rules look for are gone, and
-		// the site classification must key the original positions.
-		res := analysis.Analyze(m, analysis.Options{Lint: true, UAF: true, SiteFacts: factsOut != ""})
-		if factsOut != "" {
-			data, err := res.Sites.EncodeJSON()
-			if err == nil {
-				err = os.WriteFile(factsOut, data, 0o644)
-			}
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "polarc: wrote facts for %d sites to %s\n", len(res.Sites.Sites), factsOut)
+		// layout pass the fieldptr idioms the rules look for are gone.
+		res := analysis.Analyze(m, analysis.Options{Lint: true, UAF: true})
+		if len(res.Findings) > 0 {
+			fmt.Fprint(os.Stderr, res.Findings.Render())
 		}
-		if lint {
-			if len(res.Findings) > 0 {
-				fmt.Fprint(os.Stderr, res.Findings.Render())
-			}
-			if n := res.Findings.CountAtLeast(analysis.SevError); n > 0 {
-				return fmt.Errorf("lint: %d error-severity finding(s); not instrumenting", n)
-			}
+		if n := res.Findings.CountAtLeast(analysis.SevError); n > 0 {
+			return fmt.Errorf("lint: %d error-severity finding(s); not instrumenting", n)
 		}
 	}
 	var h *polar.Hardened

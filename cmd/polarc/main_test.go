@@ -17,7 +17,7 @@ func TestLintRejectsInvalidModule(t *testing.T) {
 	if err := os.WriteFile(path, []byte(dupFuncs), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := run(path, "", "", filepath.Join(dir, "out.ir"), "", false, true)
+	err := run(path, "", "", filepath.Join(dir, "out.ir"), false, true)
 	if err == nil || !strings.Contains(err.Error(), "duplicate function") {
 		t.Fatalf("run -lint = %v, want a duplicate-function validation error", err)
 	}

@@ -16,8 +16,7 @@
 //	-context K     call-string depth for heap cloning (default 2;
 //	               0 disables context sensitivity entirely)
 //	-facts FILE    write the olr_getptr site classification (the
-//	               SiteFacts artifact polarc/polarun -facts consume;
-//	               single input only)
+//	               SiteFacts artifact; single input only)
 //	-suggest       propose norandom tags for untainted wire-format
 //	               classes
 //	-taint-report FILE  dynamic-campaign policy file (taintclass -o);
@@ -49,7 +48,7 @@ func main() {
 	taintOut := flag.Bool("taint", false, "print the ranked static TaintClass table")
 	policyOut := flag.String("policy", "", "write a policy file derived from the static taint pass")
 	contextK := flag.Int("context", 2, "call-string depth for heap cloning (0 = context-insensitive)")
-	factsOut := flag.String("facts", "", "write the SiteFacts artifact for analysis-guided compilation")
+	factsOut := flag.String("facts", "", "write the SiteFacts artifact (the olr_getptr site classification)")
 	suggest := flag.Bool("suggest", false, "propose norandom tags for untainted wire-format classes")
 	taintReport := flag.String("taint-report", "", "dynamic-campaign policy file whose targets veto -suggest")
 	metricsOut := flag.Bool("metrics", false, "print per-pass metrics to stderr")

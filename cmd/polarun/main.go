@@ -4,7 +4,7 @@
 //
 //	polarun [-hardened|-harden] [-input file] [-seed n] [-stats]
 //	        [-runs n] [-parallel n] [-metrics] [-trace-json file]
-//	        [-profile file] [-facts file] [-http addr]
+//	        [-profile file] [-http addr]
 //	        program.ir [args...]
 //
 // Programs run on the bytecode engine (compile-time lowering with fused
@@ -46,13 +46,6 @@
 //	              top-N report goes to stderr and the pprof-compatible
 //	              protobuf to the named file (`go tool pprof file`)
 //	-profile-top  rows in the text report (default 15)
-//	-facts        with -hardened or -harden, compile under a static site
-//	              classification written by polarlint -facts:
-//	              proven-polymorphic olr_getptr sites get no inline-cache
-//	              slot, monomorphic sites proven to address one runs-once
-//	              object share a pre-seeded slot (DESIGN.md §14).
-//	              Observationally identical to an unseeded compile —
-//	              only IC hit rates change
 //	-cpuprofile   Go-level CPU profile of the interpreter itself
 //	-memprofile   Go-level allocation profile, written after the run
 //	-http         serve /debug/polar/{metrics,events,hotsites,
@@ -130,8 +123,6 @@ type runConfig struct {
 	exectraceLimit   uint64
 	layoutMode       string
 	rekeyEpoch       int
-	factsPath        string
-	facts            *polar.CompileFacts
 }
 
 // outputConflict rejects two flags writing into the same file: the
@@ -194,18 +185,10 @@ func main() {
 	flag.Uint64Var(&c.exectraceLimit, "exectrace-limit", 0, "stop recording execution-trace events after N records (0 = unbounded; overflow is counted)")
 	flag.StringVar(&c.layoutMode, "layout-mode", "metadata", "layout-resolution strategy: metadata (per-object table) or stateless (keyed derivation, no UAF detection)")
 	flag.IntVar(&c.rekeyEpoch, "rekey-epoch", 0, "stateless mode: re-randomize every live object's layout after every N frees (0 = never)")
-	flag.StringVar(&c.factsPath, "facts", "", "with -hardened or -harden: compile under this static site classification (JSON written by polarlint -facts)")
 	flag.Parse()
 	if err := outputConflict(c); err != nil {
 		fmt.Fprintln(os.Stderr, "polarun:", err)
 		os.Exit(2)
-	}
-	if c.factsPath != "" {
-		var err error
-		if c.facts, err = polar.ReadFactsFile(c.factsPath); err != nil {
-			fmt.Fprintln(os.Stderr, "polarun:", err)
-			os.Exit(2)
-		}
 	}
 	if _, err := polar.ParseLayoutMode(c.layoutMode); err != nil {
 		fmt.Fprintln(os.Stderr, "polarun:", err)
@@ -389,10 +372,9 @@ func run(c runConfig) error {
 		if herr != nil {
 			return herr
 		}
-		h.Facts = c.facts
 		prep, err = polar.PrepareHardened(h)
 	case c.hardened:
-		prep, err = polar.PrepareHardened(&polar.Hardened{Module: m, Facts: c.facts})
+		prep, err = polar.PrepareHardened(&polar.Hardened{Module: m})
 	default:
 		prep, err = polar.Prepare(m)
 	}

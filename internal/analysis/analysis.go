@@ -35,8 +35,8 @@ type Options struct {
 	Taint, Lint, UAF bool
 	EnableAll        bool
 	// SiteFacts additionally classifies every member-access site as
-	// monomorphic / polymorphic / unknown (Result.Sites) — the artifact
-	// vm.CompileOpts consumes for static inline-cache seeding.
+	// monomorphic / polymorphic / unknown (Result.Sites), the artifact
+	// polarlint -facts writes.
 	SiteFacts bool
 	// ContextK is the call-string depth of the heap-cloning contexts:
 	// 0 selects the default (2), ContextInsensitive (-1) disables

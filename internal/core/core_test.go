@@ -108,85 +108,6 @@ func TestInternQuick(t *testing.T) {
 	}
 }
 
-func TestOffsetCacheBasics(t *testing.T) {
-	c := newOffsetCache(64)
-	if _, hit := c.get(0x1000, 5, 0); hit {
-		t.Fatal("empty cache hit")
-	}
-	c.put(0x1000, 5, 0, 24)
-	off, hit := c.get(0x1000, 5, 0)
-	if !hit || off != 24 {
-		t.Fatalf("get = %d %v", off, hit)
-	}
-	// Different class hash (type-confused access) must miss.
-	if _, hit := c.get(0x1000, 6, 0); hit {
-		t.Fatal("confused class hit the cache")
-	}
-	// Different field must miss.
-	if _, hit := c.get(0x1000, 5, 1); hit {
-		t.Fatal("wrong field hit the cache")
-	}
-	c.invalidate(0x1000, 4)
-	if _, hit := c.get(0x1000, 5, 0); hit {
-		t.Fatal("invalidated entry still hit")
-	}
-	if c.hits != 1 || c.misses != 4 {
-		t.Fatalf("counters = %d/%d", c.hits, c.misses)
-	}
-}
-
-func TestOffsetCacheDisabled(t *testing.T) {
-	c := newOffsetCache(0)
-	c.put(1, 2, 3, 4)
-	if _, hit := c.get(1, 2, 3); hit {
-		t.Fatal("disabled cache hit")
-	}
-	c.invalidate(1, 8) // must not panic
-	// A disabled cache makes no probes, so it must record none: the
-	// no-cache ablation's Table III hit-rate column stays empty instead
-	// of reporting a 0% rate over probes that never happened.
-	if c.hits != 0 || c.misses != 0 {
-		t.Fatalf("disabled cache counted probes: hits=%d misses=%d", c.hits, c.misses)
-	}
-}
-
-// TestOffsetCacheLazyMissCounting: an enabled cache whose entry array has
-// not been allocated yet (no put so far) still counts probes — those
-// probes really happened and fell through to the metadata slow path.
-func TestOffsetCacheLazyMissCounting(t *testing.T) {
-	c := newOffsetCache(64)
-	if _, hit := c.get(0x1000, 5, 0); hit {
-		t.Fatal("unallocated cache hit")
-	}
-	if c.misses != 1 {
-		t.Fatalf("pre-allocation probe not counted: misses=%d", c.misses)
-	}
-}
-
-// TestOffsetCacheQuick: whatever was last put for (base, class, field)
-// is what get returns, across random collisions.
-func TestOffsetCacheQuick(t *testing.T) {
-	c := newOffsetCache(16) // tiny: force collisions
-	shadow := make(map[[3]uint64]int32)
-	prop := func(baseSel, fieldSel uint8, off int32) bool {
-		base := uint64(baseSel%8)*16 + 0x1000
-		field := int(fieldSel % 4)
-		key := [3]uint64{base, 7, uint64(field)}
-		c.put(base, 7, field, off)
-		shadow[key] = off
-		got, hit := c.get(base, 7, field)
-		// A hit must return the shadow value; a miss is allowed (another
-		// key may have evicted the slot).
-		if hit && got != shadow[key] {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestViolationErrorShape(t *testing.T) {
 	v := &Violation{Kind: ViolationTrap, Addr: 0xdead, Class: "X"}
 	if v.Error() == "" {

@@ -66,6 +66,6 @@ func (r *Runtime) CorruptMetadataForTest(base uint64, l *layout.Layout) bool {
 	m.Layout = l
 	// Note: deliberately NOT resealing — a real attacker without the
 	// secret cannot produce a valid MAC.
-	r.cache.invalidate(base, 64)
+	r.cache.Invalidate(base, 64)
 	return true
 }

@@ -121,3 +121,65 @@ func TestMetadataIntegrityNoFalsePositives(t *testing.T) {
 		}
 	}
 }
+
+// TestMetadataIntegrityNotHiddenByLayoutCache: one site reads p->a in a
+// six-trip loop and the record is corrupted at trip 3. The corruption
+// invalidates the object's layout-cache entries, so the forged record
+// is caught at the very next access (@main.poke.join) whether or not
+// the dispatch loops read the cache, not at the free after the loop.
+func TestMetadataIntegrityNotHiddenByLayoutCache(t *testing.T) {
+	m := ir.NewModule("integrityloop")
+	st := m.MustStruct(ir.NewStruct("S",
+		ir.Field{Name: "a", Type: ir.I64},
+		ir.Field{Name: "b", Type: ir.I64},
+	))
+	b := ir.NewFunc(m, "main", ir.I64)
+	sum := b.Local(ir.I64)
+	b.Store(ir.I64, ir.Const(0), sum)
+	p := b.Alloc(st)
+	b.Store(ir.I64, ir.Const(5), b.FieldPtrName(st, p, "a"))
+	b.CountedLoop("loop", ir.Const(6), func(i ir.Value) {
+		b.If("poke", b.Cmp(ir.CmpEq, i, ir.Const(3)), func() { b.CallVoid("taint_poke") }, nil)
+		v := b.Load(ir.I64, b.FieldPtrName(st, p, "a"))
+		b.Store(ir.I64, b.Bin(ir.BinAdd, b.Load(ir.I64, sum), v), sum)
+	})
+	b.Free(p)
+	b.Ret(b.Load(ir.I64, sum))
+	ins, err := instrument.Apply(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged, err := layout.Generate(
+		[]layout.FieldInfo{{Size: 8, Align: 8}, {Size: 8, Align: 8}},
+		layout.Config{Mode: layout.ModeIdentity}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, read := range []bool{true, false} {
+		v, err := vm.New(ir.Clone(ins.Module))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.DefaultConfig(7)
+		cfg.MetadataIntegrity = true
+		rt := core.New(ins.Table, cfg)
+		rt.Attach(v)
+		if !read {
+			v.InstallLayoutCache(nil, nil)
+		}
+		v.RegisterBuiltin("taint_poke", func(c *vm.Call) (int64, error) {
+			if !rt.CorruptMetadataForTest(uint64(vm.HeapBase), forged) {
+				t.Fatal("no object at heap base to corrupt")
+			}
+			return 0, nil
+		})
+		_, err = v.Run()
+		var viol *core.Violation
+		if !errors.As(err, &viol) || viol.Kind != core.ViolationMetadata {
+			t.Fatalf("cache read %v: want a metadata-corruption violation, got %v", read, err)
+		}
+		if viol.Site != "@main.poke.join" {
+			t.Errorf("cache read %v: violation at %s, want the next access at @main.poke.join", read, viol.Site)
+		}
+	}
+}

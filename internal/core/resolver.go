@@ -93,8 +93,9 @@ type LayoutResolver interface {
 
 	// FinishFree retires per-object state before the chunk is released:
 	// cache invalidation plus ghost-marking or record drop for the
-	// metadata strategy; a no-op for stateless (derivation is pure, so
-	// there is nothing to retire).
+	// metadata strategy; for stateless, the object's memo slot and
+	// layout-table entries (derivation is pure, so nothing else is
+	// retired).
 	FinishFree(v *vm.VM, base uint64) error
 
 	// AfterFree runs once the chunk is back in the allocator — the
@@ -148,15 +149,11 @@ func (m *metaResolver) Mode() LayoutMode { return LayoutModeMetadata }
 // UAF and type-confusion checks.
 func (m *metaResolver) Resolve(v *vm.VM, base uint64, field int, classHash uint64) (int, exectrace.Resolution, error) {
 	r := m.rt
-	if off, hit := r.cache.get(base, classHash, field); hit {
+	if off, hit := r.cache.Get(base, classHash, field); hit {
 		if r.tel != nil {
 			r.histProbe.Observe(1)
 			r.tel.Emit(telemetry.Event{Kind: telemetry.EvFieldHit, Addr: base, Class: classHash, Field: field})
 		}
-		// A cache hit is a clean, live, well-typed resolution (the slow
-		// path enforced that before populating): safe to memoize at the
-		// calling site's inline cache.
-		r.curCall.Memoize(int64(off))
 		return int(off), exectrace.ResCacheHit, nil
 	}
 	if r.prof != nil {
@@ -225,20 +222,9 @@ func (m *metaResolver) Resolve(v *vm.VM, base uint64, field int, classHash uint6
 		return 0, 0, fmt.Errorf("polar: %s: %w", r.className(meta.ClassHash), err)
 	}
 	// Only well-typed live accesses populate the cache; confused or
-	// dangling resolutions must keep hitting the slow path. The same rule
-	// gates the per-site inline cache — and the cache-size gate keeps the
-	// "nocache" ablation arm free of inline caching too, so its probe
-	// counts keep meaning what they measure.
+	// dangling resolutions must keep hitting the slow path.
 	if meta.ClassHash == classHash && !meta.Freed {
-		if r.cache.put(base, classHash, field, int32(off)) {
-			// An inline-cache entry may still memoize the evicted
-			// resolution; without the bump it would serve a cache hit
-			// this table no longer holds.
-			r.layoutGen++
-		}
-		if r.cache.size > 0 {
-			r.curCall.Memoize(int64(off))
-		}
+		r.cache.Put(base, classHash, field, int32(off))
 	}
 	return off, exectrace.ResMetadata, nil
 }
@@ -262,10 +248,7 @@ func (m *metaResolver) Alloc(v *vm.VM, cls *classinfo.Class) (uint64, *layout.La
 	meta, old := r.store.Register(base, cls.Hash, l, l.TotalSize)
 	r.seal(meta)
 	if old != nil {
-		r.cache.invalidate(base, len(old.Layout.Offsets))
-		// Re-registration of a recycled base: inline-cache entries keyed
-		// to the old object must stop matching.
-		r.layoutGen++
+		r.cache.Invalidate(base, len(old.Layout.Offsets))
 	}
 	return base, l, nil
 }
@@ -300,7 +283,7 @@ func (m *metaResolver) FinishFree(v *vm.VM, base uint64) error {
 	if !ok {
 		return nil
 	}
-	r.cache.invalidate(base, len(meta.Layout.Offsets))
+	r.cache.Invalidate(base, len(meta.Layout.Offsets))
 	if r.cfg.DetectUAF {
 		r.store.MarkFreed(base)
 		r.seal(meta) // Freed participates in the MAC
@@ -384,8 +367,7 @@ func (m *metaResolver) Memcpy(v *vm.VM, dst, src uint64, n int, classHash uint64
 			if old == nil {
 				r.noteLiveObject()
 			} else {
-				r.cache.invalidate(dst, len(old.Layout.Offsets))
-				r.layoutGen++ // re-registration, as in Alloc
+				r.cache.Invalidate(dst, len(old.Layout.Offsets))
 			}
 			v.TrackObject(dst, cls.Struct)
 			if err := r.armTraps(v, dst, l); err != nil {

@@ -25,7 +25,10 @@ type Config struct {
 	// Policy selects abort-on-violation vs count-and-continue.
 	Policy Policy
 	// CacheSize is the offset-lookup cache capacity in entries
-	// (rounded up to a power of two); 0 disables the cache. Default 8192.
+	// (rounded up to a power of two); 0 selects the default 8192 and a
+	// negative size disables the cache. Stateless mode sizes its
+	// derivation memo with it instead; a negative size disables the
+	// memo and the layout table in front of it.
 	CacheSize int
 	// LayoutMode selects the layout-resolution strategy (resolver.go):
 	// LayoutModeMetadata (zero value) is the paper's MetaStore-backed
@@ -146,11 +149,17 @@ const maxViolationRecords = 1024
 type Runtime struct {
 	cfg   Config
 	table *classinfo.Table
-	// store/cache back the metadata strategy. They are always
-	// constructed (diagnostics, forensics and tests read them) but the
-	// stateless resolver never populates them.
-	store  *MetaStore
-	cache  *offsetCache
+	// store backs the metadata strategy. It is always constructed
+	// (diagnostics, forensics and tests read it) but the stateless
+	// resolver never populates it.
+	store *MetaStore
+	// cache is the one layout cache (vm.LayoutCache), which Attach hands
+	// to the dispatch loops. In metadata mode it is the §V.B offset
+	// cache, sized by Config.CacheSize, which Resolve probes and Stats
+	// counts. In stateless mode, which has no offset cache, it is a
+	// small fixed-size table in front of the derivation memo, nil when
+	// the memo is off; its hits are inline hits only.
+	cache  *vm.LayoutCache
 	rng    *rand.Rand
 	secret uint64
 
@@ -158,13 +167,11 @@ type Runtime struct {
 	// entry point delegates its strategy-specific ladder here.
 	resolver LayoutResolver
 
-	// layoutGen is the layout generation the engines' per-site inline
-	// caches validate against (vm.InstallLayoutCache). Any event that can
-	// change what (base, class, field) resolves to — a free (the base may
-	// be recycled under another class), a re-registration, a stateless
-	// epoch advance — increments it, invalidating every cached entry at
-	// once. Starts at 1 so a zeroed (never-written) cache entry can never
-	// match.
+	// layoutGen is the generation the layout cache's entries validate
+	// against. Entries die per object (free, re-registration, eviction);
+	// the generation advances only for a whole-program event, the
+	// stateless epoch advance, which drops every entry at once. Starts
+	// at 1 so a zeroed (never-written) entry can never match.
 	layoutGen uint64
 
 	allocs     uint64
@@ -236,7 +243,6 @@ func New(table *classinfo.Table, cfg Config) *Runtime {
 		cfg:        cfg,
 		table:      table,
 		store:      NewSharedMetaStore(cfg.Interner),
-		cache:      newOffsetCache(cfg.CacheSize),
 		rng:        rng,
 		secret:     rng.Uint64() | 1,
 		violations: make(map[ViolationKind]uint64),
@@ -250,8 +256,12 @@ func New(table *classinfo.Table, cfg Config) *Runtime {
 	switch cfg.LayoutMode {
 	case LayoutModeStateless:
 		r.resolver = newStatelessResolver(r)
+		if cfg.CacheSize > 0 {
+			r.cache = vm.NewLayoutCache(vm.SmallCacheSize, &r.layoutGen)
+		}
 	default:
 		r.resolver = &metaResolver{rt: r}
+		r.cache = vm.NewLayoutCache(cfg.CacheSize, &r.layoutGen)
 	}
 	if t := cfg.Telemetry; t != nil {
 		r.tel = t
@@ -310,13 +320,14 @@ func (r *Runtime) Stats() Stats {
 		Frees:             r.frees,
 		Memcpys:           r.memcpys,
 		MemberAccess:      r.accesses,
-		CacheHits:         r.cache.hits,
-		CacheMisses:       r.cache.misses,
 		MetaProbes:        r.metaProbes,
 		PeakLive:          r.peakLive,
 		Violations:        make(map[ViolationKind]uint64, len(r.violations)),
 		ViolationsDropped: r.DroppedViolations(),
 		Meta:              r.store.Stats(),
+	}
+	if r.resolver.Mode() == LayoutModeMetadata {
+		s.CacheHits, s.CacheMisses = r.cache.Hits(), r.cache.Misses()
 	}
 	for k, v := range r.violations {
 		s.Violations[k] = v
@@ -489,15 +500,14 @@ func (r *Runtime) Attach(v *vm.VM) {
 		r.curCall, r.curField = c, -1
 		return r.olrCheck(c.VM, uint64(c.Arg(0)))
 	})
-	// Hand the engines the inline layout-cache protocol: the generation
-	// counter their cached entries validate against, and the hit callback
-	// that replays this runtime's fast-path observables when a site skips
-	// the resolver entirely.
-	v.InstallLayoutCache(&r.layoutGen, r.icFieldHit)
+	// Hand the dispatch loops the layout cache, and the hit callback
+	// that replays this runtime's resolver observables when a site skips
+	// the builtin entirely.
+	v.UseLayoutCache(r.cache, r.icFieldHit)
 }
 
 // profSiteFor is profSite for a caller that carries the site string
-// itself (the inline-cache hit callback runs without curCall set — the
+// itself (the layout-cache hit callback runs without curCall set — the
 // builtin dispatch was skipped).
 func (r *Runtime) profSiteFor(site string) *profile.SiteCounts {
 	sc, ok := r.profSites[site]
@@ -508,24 +518,21 @@ func (r *Runtime) profSiteFor(site string) *profile.SiteCounts {
 	return sc
 }
 
-// icFieldHit is the VM's inline-cache hit callback: a monomorphic
-// olr_getptr site revalidated its memoized offset against the current
-// layout generation and skipped the resolver. The runtime's observable
-// stream must be indistinguishable from the strategy's own fast path —
-// trace identity across engines depends on every dispatch loop calling
-// this at the same points — so it replays exactly what that arm would have
-// done: the metadata strategy's offset-cache hit (probe length 1,
-// cache.hits) or the stateless memo hit (probe length 0, no cache
-// counters — the stateless ablation row asserts they stay zero).
+// icFieldHit is the VM's layout-cache hit callback: a dispatch loop
+// found the olr_getptr resolution in r.cache and skipped the builtin.
+// The runtime's observable stream must be indistinguishable from the
+// resolver's own hit — trace identity across engines depends on every
+// dispatch loop calling this at the same points — so it replays exactly
+// what that arm would have done: the metadata strategy's offset-cache
+// hit (probe length 1; the cache counted the hit itself) or the
+// stateless memo hit (probe length 0, no cache counters — the stateless
+// ablation row asserts they stay zero).
 func (r *Runtime) icFieldHit(site string, base uint64, field int64, class uint64, off int64) {
 	r.accesses++
 	if r.prof != nil {
 		r.profSiteFor(site).IncGetptr()
 	}
 	stateless := r.resolver.Mode() == LayoutModeStateless
-	if !stateless {
-		r.cache.hits++
-	}
 	if r.tel != nil {
 		if stateless {
 			r.histProbe.Observe(0)
@@ -671,10 +678,6 @@ func (r *Runtime) olrFree(v *vm.VM, base uint64) error {
 	if err := v.Heap.Free(base); err != nil {
 		return err
 	}
-	// The freed base may be recycled under another class/layout;
-	// invalidate every inline-cache entry. (Plain frees bump the counter
-	// at the engines' free opcode instead — olr_free never reaches it.)
-	r.layoutGen++
 	return r.resolver.AfterFree(v)
 }
 

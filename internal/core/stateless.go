@@ -129,10 +129,9 @@ func (s *statelessResolver) layoutFor(cls *classinfo.Class, base uint64) (*layou
 	r.noteLayoutGen(cls, in.cfg, in.nFptrs, l)
 	if e != nil {
 		if e.l != nil && e.epoch == s.epoch && (e.base != base || e.class != cls.Hash) {
-			// Evicting another live object's entry: invalidate any
-			// inline-cache entry that memoizes it, as offsetCache.put's
-			// callers do.
-			r.layoutGen++
+			// Evicting another object's entry: the layout table must not
+			// serve a hit the memo no longer holds.
+			r.cache.Invalidate(e.base, len(e.l.Offsets))
 		}
 		*e = derivedEntry{base: base, class: cls.Hash, epoch: s.epoch, l: l}
 	}
@@ -212,8 +211,8 @@ func (s *statelessResolver) Resolve(v *vm.VM, base uint64, field int, classHash 
 			r.tel.Emit(telemetry.Event{Kind: telemetry.EvFieldHit, Addr: base, Class: classHash, Field: field})
 		}
 		// The memo witnessed (base, class) live this epoch — the same
-		// clean-resolution guarantee the inline cache needs.
-		r.curCall.Memoize(int64(l.Offsets[field]))
+		// clean-resolution guarantee the layout table needs.
+		r.cache.Put(base, classHash, field, int32(l.Offsets[field]))
 		return l.Offsets[field], exectrace.ResStateless, nil
 	}
 	st, tracked := v.ObjectType(base)
@@ -277,10 +276,10 @@ func (s *statelessResolver) Resolve(v *vm.VM, base uint64, field int, classHash 
 		r.histProbe.Observe(0)
 		r.tel.Emit(telemetry.Event{Kind: telemetry.EvFieldHit, Addr: base, Class: classHash, Field: field})
 	}
-	// Clean tracked resolution. Gate on the memo so the nocache ablation
-	// arm stays inline-cache-free, mirroring the metadata strategy.
+	// Clean tracked resolution, now in the memo. Without a memo there
+	// is no table either (the nocache ablation arm).
 	if s.memo != nil {
-		r.curCall.Memoize(int64(l.Offsets[field]))
+		r.cache.Put(base, classHash, field, int32(l.Offsets[field]))
 	}
 	return l.Offsets[field], exectrace.ResStateless, nil
 }
@@ -341,13 +340,15 @@ func (s *statelessResolver) BeginFree(v *vm.VM, base uint64) (*layout.Layout, ui
 	return l, cls.Hash, true, nil
 }
 
-// FinishFree clears the dying object's memo slot. Not for derivation
-// correctness (a recycled base re-derives the same layout anyway) but
-// for the liveness witness: a populated slot lets Resolve skip the VM
-// type-map check, so it must never outlive the object it vouches for.
+// FinishFree clears the dying object's memo slot and its layout-table
+// entries. Not for derivation correctness (a recycled base re-derives
+// the same layout anyway) but for the liveness witness: a populated
+// slot lets Resolve skip the VM type-map check, so it must never
+// outlive the object it vouches for.
 func (s *statelessResolver) FinishFree(v *vm.VM, base uint64) error {
 	if s.memo != nil {
-		if e := &s.memo[s.memoIdx(base)]; e.base == base {
+		if e := &s.memo[s.memoIdx(base)]; e.base == base && e.l != nil {
+			s.rt.cache.Invalidate(base, len(e.l.Offsets))
 			e.l = nil
 		}
 	}
@@ -380,8 +381,8 @@ func (s *statelessResolver) Rerandomize(v *vm.VM) (bool, error) {
 	oldEpoch := s.epoch
 	s.epoch++
 	s.rekeys++
-	// Every derived offset changes with the epoch: invalidate all
-	// inline-cache entries before any object moves.
+	// Every derived offset changes with the epoch: drop the whole
+	// layout table before any object moves.
 	r.layoutGen++
 	for _, base := range v.TrackedBases() {
 		st, ok := v.ObjectType(base)
@@ -480,7 +481,10 @@ func (s *statelessResolver) Memcpy(v *vm.VM, dst, src uint64, n int, classHash u
 	// static layout so static-arm accesses still resolve.
 	if size, live, isChunk := v.Heap.SizeOf(dst); isChunk && live && size >= s.maxSize(srcCls) {
 		v.TrackObject(dst, srcCls.Struct)
-		r.layoutGen++ // dst's resolution path changed (static -> derived)
+		if s.memo != nil {
+			// dst's resolution path changed (static -> derived).
+			r.cache.Invalidate(dst, len(srcCls.Members))
+		}
 		dl, err := s.layoutFor(srcCls, dst)
 		if err != nil {
 			return err

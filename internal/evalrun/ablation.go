@@ -27,16 +27,10 @@ type AblationRow struct {
 	// FusedDispatches counts bcFused superinstruction dispatches in the
 	// representative run.
 	FusedDispatches uint64
-	// ICHitPct is the per-site inline layout-cache hit rate of that run
-	// (hits / (hits+misses); meaningful in both layout modes — the
-	// stateless arm memoizes derived offsets the same way).
+	// ICHitPct is the dispatch loops' layout-cache hit rate in that run
+	// (hits / (hits+misses)). In metadata mode it is the offset cache's
+	// own hit rate; the stateless arm reads its small layout table.
 	ICHitPct float64
-	// ICSeededHitPct is the hit rate of an otherwise-identical run whose
-	// compile consumed the static site classification (DESIGN.md §14):
-	// polymorphic sites lose their IC slot, runs-once monomorphic sites
-	// share one. Comparing it against ICHitPct isolates what static
-	// seeding buys on each configuration.
-	ICSeededHitPct float64
 }
 
 // ablationConfigs enumerates the DESIGN.md §4 variants. The offset
@@ -122,14 +116,6 @@ func Ablation(reps int, seed int64) ([]AblationRow, error) {
 			row.MetaProbes = st.MetaProbes
 			row.MetaBytesPerLive = rt.MetadataBytesPerLiveObject()
 		}
-		// The seeded arm of the IC column: a fresh analyze→seed→compile of
-		// the same app run once under the same configuration and the
-		// representative rep's seed (measureWorkload's last hardened rep).
-		seededHit, err := seededHitPct(c.app, c.cfg, TaskSeed(seed, "ablation/"+c.cfgName+"/"+c.app)+int64(reps))
-		if err != nil {
-			return fmt.Errorf("%s/%s: %w", c.cfgName, c.app, err)
-		}
-		row.ICSeededHitPct = seededHit
 		rows[i] = row
 		return nil
 	})
@@ -145,12 +131,12 @@ func RenderAblation(rows []AblationRow) string {
 	b.WriteString("Ablation: overhead by runtime configuration (DESIGN.md §4)\n")
 	b.WriteString("metadata columns from one representative hardened run per cell;\n")
 	b.WriteString("the stateless arm shows 0 probes / 0 bytes — no cache needed\n")
-	b.WriteString(fmt.Sprintf("%-16s %-14s %9s %9s %12s %10s %10s %8s %11s\n",
-		"config", "app", "ovhd%", "cache-hit%", "meta-probes", "metaB/obj", "fused", "ic-hit%", "ic-seeded%"))
+	b.WriteString(fmt.Sprintf("%-16s %-14s %9s %9s %12s %10s %10s %8s\n",
+		"config", "app", "ovhd%", "cache-hit%", "meta-probes", "metaB/obj", "fused", "ic-hit%"))
 	for _, r := range rows {
-		b.WriteString(fmt.Sprintf("%-16s %-14s %8.1f%% %9.1f%% %12d %10.1f %10d %7.1f%% %10.1f%%\n",
+		b.WriteString(fmt.Sprintf("%-16s %-14s %8.1f%% %9.1f%% %12d %10.1f %10d %7.1f%%\n",
 			r.Config, r.App, r.OverheadPct, r.CacheHitPct, r.MetaProbes, r.MetaBytesPerLive,
-			r.FusedDispatches, r.ICHitPct, r.ICSeededHitPct))
+			r.FusedDispatches, r.ICHitPct))
 	}
 	return b.String()
 }

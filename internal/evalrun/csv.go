@@ -123,8 +123,7 @@ func CSVAblation(rows []AblationRow) string {
 			r.Config, r.App, f2(r.OverheadPct), f2(r.CacheHitPct),
 			strconv.FormatUint(r.MetaProbes, 10), f2(r.MetaBytesPerLive),
 			strconv.FormatUint(r.FusedDispatches, 10), f2(r.ICHitPct),
-			f2(r.ICSeededHitPct),
 		})
 	}
-	return writeCSV([]string{"config", "app", "overhead_pct", "cache_hit_pct", "meta_probes", "meta_bytes_per_live", "fused_dispatches", "ic_hit_pct", "ic_seeded_hit_pct"}, out)
+	return writeCSV([]string{"config", "app", "overhead_pct", "cache_hit_pct", "meta_probes", "meta_bytes_per_live", "fused_dispatches", "ic_hit_pct"}, out)
 }

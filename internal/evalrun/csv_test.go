@@ -73,21 +73,18 @@ func TestCSVFigure7AndAblation(t *testing.T) {
 	ab := parseCSV(t, CSVAblation([]AblationRow{{
 		Config: "no-cache", App: "429.mcf", OverheadPct: 1.5,
 		MetaProbes: 42, MetaBytesPerLive: 64,
-		FusedDispatches: 7, ICHitPct: 99.5, ICSeededHitPct: 98.5,
+		FusedDispatches: 7, ICHitPct: 99.5,
 	}}))
 	if ab[1][0] != "no-cache" {
 		t.Errorf("ablation row = %v", ab[1])
 	}
 	// The metadata columns stay at $5/$6 — the CI stateless gate
-	// addresses them positionally — and the engine and seeding columns
-	// append strictly at the end.
-	if len(ab[0]) != 9 || ab[0][4] != "meta_probes" || ab[1][4] != "42" || ab[1][5] != "64.000" {
+	// addresses them positionally — and the engine columns append
+	// strictly at the end.
+	if len(ab[0]) != 8 || ab[0][4] != "meta_probes" || ab[1][4] != "42" || ab[1][5] != "64.000" {
 		t.Errorf("ablation metadata columns = %v / %v", ab[0], ab[1])
 	}
 	if ab[0][6] != "fused_dispatches" || ab[1][6] != "7" || ab[0][7] != "ic_hit_pct" || ab[1][7] != "99.500" {
 		t.Errorf("ablation engine columns = %v / %v", ab[0], ab[1])
-	}
-	if ab[0][8] != "ic_seeded_hit_pct" || ab[1][8] != "98.500" {
-		t.Errorf("ablation seeding column = %v / %v", ab[0], ab[1])
 	}
 }

@@ -198,9 +198,9 @@ type bcInstr struct {
 	// for every other opcode); irIn then points at the run's first
 	// source instruction.
 	micro []mcInstr
-	// ic is the instruction's inline layout-cache slot (bcCallBuiltin on
-	// olr_getptr only; -1 everywhere else). Slots index the per-instance
-	// VM.icSlots table; the Program only counts them.
+	// ic is the instruction's olr_getptr site ordinal (bcCallBuiltin on
+	// olr_getptr only; -1 everywhere else): the dispatch loops read the
+	// layout cache where it is set.
 	ic int32
 }
 

@@ -335,13 +335,6 @@ blockLoop:
 					return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 				}
 				v.Stats.Frees++
-				if v.icGen != nil {
-					// A freed base may be recycled by a later alloc of a
-					// different class; advancing the layout generation keeps
-					// stale inline-cache entries from matching. (Same point
-					// as the tree-walker's OpFree arm.)
-					*v.icGen++
-				}
 				if v.tel != nil {
 					v.tel.Emit(telemetry.Event{Kind: telemetry.EvFree, Addr: addr})
 				}
@@ -686,22 +679,15 @@ blockLoop:
 					regs[in.dest] = ret
 				}
 			case bcCallBuiltin:
-				if in.ic >= 0 && v.icGen != nil {
-					// Inline layout cache: a monomorphic olr_getptr site
-					// whose (base, field, class) still matches under the
-					// current layout generation skips the resolver entirely.
-					base := uint64(in.args[0].arg(regs))
-					field := in.args[1].arg(regs)
-					class := uint64(in.args[2].arg(regs))
-					if e := &v.icSlots[in.ic]; e.gen == *v.icGen && e.base == base && e.field == field && e.class == class {
-						v.Perf.InlineHits++
-						v.icHit(v.prog.SiteName(bb.irb), base, field, class, e.off)
+				if in.ic >= 0 && v.lc != nil {
+					// Layout cache: an olr_getptr whose (base, field, class)
+					// the runtime's cache holds skips the builtin entirely.
+					if addr, ok := v.cachedGetptr(bb.irb, uint64(in.args[0].arg(regs)), in.args[1].arg(regs), uint64(in.args[2].arg(regs))); ok {
 						if in.dest >= 0 {
-							regs[in.dest] = int64(base + uint64(e.off))
+							regs[in.dest] = addr
 						}
 						break
 					}
-					v.Perf.InlineMisses++
 				}
 				bi := v.builtinSlots[in.off]
 				if bi == nil {
@@ -713,7 +699,7 @@ blockLoop:
 					argv = append(argv, in.args[i].arg(regs))
 				}
 				v.argvScratch = argv[:0]
-				v.callScratch = Call{VM: v, Name: in.irIn.Callee, Args: argv, RawArgs: in.irIn.Args, fn: fn, blk: bb.irb, ic: in.ic + 1}
+				v.callScratch = Call{VM: v, Name: in.irIn.Callee, Args: argv, RawArgs: in.irIn.Args, fn: fn, blk: bb.irb, getptr: in.ic >= 0}
 				ret, err := bi(&v.callScratch)
 				if err != nil {
 					return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))

@@ -20,8 +20,8 @@ import (
 //
 // Accounting is per instruction (observed runs are dominated by the
 // observers, so block batching would buy nothing), and with Hooks
-// attached inline layout-cache hits are never served, so
-// Hooks.Builtin sees every olr_getptr call.
+// attached the layout cache is never read, so Hooks.Builtin sees every
+// olr_getptr call.
 
 // chargeSite credits n executed instructions to the current profiler
 // site (psc is nil when profiling is off).
@@ -166,9 +166,6 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argOps []ir.Value, callerDest
 					return 0, v.observedFault(psc, charged, fn, bb.irb, err)
 				}
 				v.Stats.Frees++
-				if v.icGen != nil {
-					*v.icGen++
-				}
 				// Hook first: the taint engine attributes the free via
 				// the object-type tracking this delete removes.
 				if v.hooks != nil {
@@ -312,19 +309,13 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argOps []ir.Value, callerDest
 					regs[in.dest] = ret
 				}
 			case bcCallBuiltin:
-				if in.ic >= 0 && v.icGen != nil && v.hooks == nil {
-					base := uint64(in.args[0].arg(regs))
-					field := in.args[1].arg(regs)
-					class := uint64(in.args[2].arg(regs))
-					if e := &v.icSlots[in.ic]; e.gen == *v.icGen && e.base == base && e.field == field && e.class == class {
-						v.Perf.InlineHits++
-						v.icHit(v.prog.SiteName(bb.irb), base, field, class, e.off)
+				if in.ic >= 0 && v.lc != nil && v.hooks == nil {
+					if addr, ok := v.cachedGetptr(bb.irb, uint64(in.args[0].arg(regs)), in.args[1].arg(regs), uint64(in.args[2].arg(regs))); ok {
 						if in.dest >= 0 {
-							regs[in.dest] = int64(base + uint64(e.off))
+							regs[in.dest] = addr
 						}
 						break
 					}
-					v.Perf.InlineMisses++
 				}
 				bi := v.builtinSlots[in.off]
 				if bi == nil {
@@ -335,7 +326,7 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argOps []ir.Value, callerDest
 					argv = append(argv, in.args[i].arg(regs))
 				}
 				v.argvScratch = argv[:0]
-				v.callScratch = Call{VM: v, Name: src.Callee, Args: argv, RawArgs: src.Args, fn: fn, blk: bb.irb, ic: in.ic + 1}
+				v.callScratch = Call{VM: v, Name: src.Callee, Args: argv, RawArgs: src.Args, fn: fn, blk: bb.irb, getptr: in.ic >= 0}
 				ret, err := bi(&v.callScratch)
 				if err != nil {
 					return 0, v.observedFault(psc, charged, fn, bb.irb, err)

@@ -95,10 +95,30 @@ func loadShift(t ir.Type) uint8 {
 	return 0
 }
 
-// olrGetptrName is the instrumented member-access builtin whose call
-// sites carry per-site inline layout caches (3 args: base, field index,
-// class hash — see internal/instrument).
+// olrGetptrName is the instrumented member-access builtin at whose call
+// sites the dispatch loops read the layout cache (3 args: base, field
+// index, class hash — see internal/instrument).
 const olrGetptrName = "olr_getptr"
+
+// numberGetptrSites gives every olr_getptr call site its ordinal,
+// walking the module in lowering order so the numbering is a pure
+// function of the module. Both lowerings carry the ordinal in
+// bcInstr.ic as the mark that the site may be served from the layout
+// cache.
+func (p *Program) numberGetptrSites() {
+	next := int32(0)
+	for _, f := range p.mod.Funcs {
+		for _, blk := range f.Blocks {
+			for ii := range blk.Instrs {
+				in := &blk.Instrs[ii]
+				if in.Op == ir.OpCall && in.Callee == olrGetptrName && len(in.Args) == 3 {
+					p.getptrSites[in] = next
+					next++
+				}
+			}
+		}
+	}
+}
 
 // lowerOne lowers a single source instruction 1:1 (no fusion).
 func (p *Program) lowerOne(in *ir.Instr) bcInstr {
@@ -204,10 +224,10 @@ func (p *Program) lowerOne(in *ir.Instr) bcInstr {
 		} else {
 			out.op = bcCallBuiltin
 			out.off = int32(p.builtinSlotFor(in.Callee))
-			// Per-call-site inline layout cache slot, from the plan
-			// planICSites made (the entries live per instance).
-			if slot, ok := p.icSlotOf[in]; ok {
-				out.ic = slot
+			// The olr_getptr site ordinal marks where the dispatch
+			// loops read the layout cache.
+			if n, ok := p.getptrSites[in]; ok {
+				out.ic = n
 			}
 		}
 	case ir.OpRet:

@@ -62,7 +62,7 @@ func renderLoweringGolden(t *testing.T) string {
 
 // TestLoweringGolden pins the lowered code every default compile
 // produces: any change to which instructions fuse, how operands are
-// encoded, which inline-cache slots sites get or how registers are
+// encoded, which sites read the layout cache or how registers are
 // allocated changes a fingerprint. Regenerate with:
 // go test ./internal/vm -run TestLoweringGolden -update
 func TestLoweringGolden(t *testing.T) {

@@ -48,12 +48,10 @@ type Program struct {
 	funcIdx     map[string]int
 	builtinSlot map[string]int
 
-	// numICSites counts the inline layout-cache slots planICSites
-	// allocated (facts.go); icSlotOf maps each olr_getptr source
-	// instruction that carries a slot to it. Under static facts sites
-	// may share a slot or carry none at all.
-	numICSites int
-	icSlotOf   map[*ir.Instr]int32
+	// getptrSites maps each olr_getptr source instruction to its
+	// ordinal in lowering order (numberGetptrSites); the dispatch loops
+	// read the layout cache at these sites only.
+	getptrSites map[*ir.Instr]int32
 
 	// observed is the unfused lowering (index-aligned with bcFuncs) that
 	// runs with Hooks or the instruction log attached execute; built at
@@ -67,27 +65,11 @@ type globalInit struct {
 	data []byte
 }
 
-// CompileOpts carries the compile inputs that change lowered code.
-// The zero value is the default build.
-type CompileOpts struct {
-	// Facts carries the static site classification for inline-cache
-	// seeding (facts.go): churned sites lose their IC slot, proven
-	// single-object monomorphic sites share one. Nil keeps the default
-	// one-fresh-slot-per-site numbering.
-	Facts *StaticFacts
-}
-
 // Compile validates m and precomputes everything runs share. The module
 // must not be mutated afterwards; Clone it first if the caller keeps
-// rewriting it.
+// rewriting it. The same module always produces byte-identical lowered
+// code — see Fingerprint.
 func Compile(m *ir.Module) (*Program, error) {
-	return CompileWith(m, CompileOpts{})
-}
-
-// CompileWith compiles under explicit compile inputs. The same module
-// and options always produce byte-identical lowered code — see
-// Fingerprint.
-func CompileWith(m *ir.Module, opts CompileOpts) (*Program, error) {
 	if err := ir.Validate(m); err != nil {
 		return nil, err
 	}
@@ -99,7 +81,7 @@ func CompileWith(m *ir.Module, opts CompileOpts) (*Program, error) {
 		siteNames:   make(map[*ir.Block]string),
 		funcIdx:     make(map[string]int, len(m.Funcs)),
 		builtinSlot: make(map[string]int),
-		icSlotOf:    make(map[*ir.Instr]int32),
+		getptrSites: make(map[*ir.Instr]int32),
 	}
 	addr := uint64(GlobalBase)
 	for _, g := range m.Globals {
@@ -118,16 +100,16 @@ func CompileWith(m *ir.Module, opts CompileOpts) (*Program, error) {
 			p.siteNames[b] = "@" + f.Name + "." + b.Name
 		}
 	}
-	// Plan the inline-cache slots, then lower every function to fused
+	// Number the olr_getptr sites, then lower every function to fused
 	// flat bytecode (needs the complete funcIdx for direct callee
 	// binding).
-	p.planICSites(opts.Facts)
+	p.numberGetptrSites()
 	p.bcFuncs = p.lowerAll(true)
 	return p, nil
 }
 
 // Fingerprint hashes the complete lowered instruction stream (opcodes,
-// operand kinds and values, micro-op sequences, weights, cache slots,
+// operand kinds and values, micro-op sequences, weights, getptr sites,
 // block layout) into a stable 64-bit FNV-1a digest. Two Programs with
 // equal fingerprints execute identical bytecode; the lowering golden
 // and the determinism gate assert that compiling the same module twice
@@ -290,13 +272,6 @@ func (p *Program) NewInstance(opts ...Option) (*VM, error) {
 	// defaults below, core.Runtime.Attach later) so every registration
 	// lands in both the name map and the bytecode callee table.
 	v.builtinSlots = make([]Builtin, len(p.builtinSlot))
-	if p.numICSites > 0 {
-		// Inline layout-cache entries are per instance (they memoize
-		// instance-specific randomized offsets) and start invalid: a
-		// zero entry's generation never matches a live runtime's, whose
-		// generation counter starts at 1.
-		v.icSlots = make([]icEntry, p.numICSites)
-	}
 	heapOpts := []heap.Option{heap.WithQuarantine(v.quarantine)}
 	if v.heapRand != 0 {
 		heapOpts = append(heapOpts, heap.WithRandomPlacement(v.heapRand))

@@ -19,7 +19,7 @@ import (
 // execution traces and runtime records.
 //
 // The reference shares the instance's state (memory, heap, fuel, Stats,
-// inline layout caches, observers) with the bytecode engine, so a test
+// layout cache, observers) with the bytecode engine, so a test
 // stamps an instance and picks the engine at the call: VM.Run for
 // bytecode, RunReference (export_test.go) for the tree-walker.
 
@@ -215,13 +215,6 @@ func (r *refEngine) call(fn *ir.Func, args []ir.Value, callerRegs []int64, calle
 					return 0, v.fault(fn, b, err)
 				}
 				v.Stats.Frees++
-				if v.icGen != nil {
-					// A raw free can recycle a base address out from under
-					// a memoized resolution; advance the generation so
-					// every inline-cached offset revalidates (same point
-					// in both engines).
-					*v.icGen++
-				}
 				// Hook first: the taint engine attributes the free via
 				// the object-type tracking this delete removes.
 				if v.hooks != nil {
@@ -403,13 +396,13 @@ func (r *refEngine) call(fn *ir.Func, args []ir.Value, callerRegs []int64, calle
 }
 
 // boundCallee is a resolved call target: a module function, a builtin,
-// or (both nil) a callee that resolves to nothing and faults. ic is the
-// site's inline layout-cache slot plus one (0 = none), resolved from
-// the Program's numbering once per bind.
+// or (both nil) a callee that resolves to nothing and faults. getptr
+// marks an olr_getptr site of the Program's numbering, where the
+// layout cache is read.
 type boundCallee struct {
-	fn *ir.Func
-	bi Builtin
-	ic int32
+	fn     *ir.Func
+	bi     Builtin
+	getptr bool
 }
 
 func (r *refEngine) dispatchCall(fn *ir.Func, b *ir.Block, regs []int64, in *ir.Instr) (int64, error) {
@@ -424,9 +417,7 @@ func (r *refEngine) dispatchCall(fn *ir.Func, b *ir.Block, regs []int64, in *ir.
 		if bound.fn == nil {
 			bound.bi = v.builtins[in.Callee]
 		}
-		if slot, has := v.prog.icSlotOf[in]; has {
-			bound.ic = slot + 1
-		}
+		_, bound.getptr = v.prog.getptrSites[in]
 		r.binds[in] = bound
 	}
 	if bound.fn != nil {
@@ -435,20 +426,14 @@ func (r *refEngine) dispatchCall(fn *ir.Func, b *ir.Block, regs []int64, in *ir.
 	if bound.bi == nil {
 		return 0, v.fault(fn, b, fmt.Errorf("%w: @%s", ErrUnknownFunc, in.Callee))
 	}
-	// Inline layout-cache fast path, shared with the bytecode engine
-	// (same slots, same generation check, same hit callback — that is
-	// what keeps the engines' event and trace streams identical). Hooks
-	// disable it: Hooks.Builtin must observe every call.
-	if bound.ic > 0 && v.icGen != nil && v.hooks == nil {
-		base := uint64(v.resolve(regs, in.Args[0]))
-		field := v.resolve(regs, in.Args[1])
-		class := uint64(v.resolve(regs, in.Args[2]))
-		if e := &v.icSlots[bound.ic-1]; e.gen == *v.icGen && e.base == base && e.field == field && e.class == class {
-			v.Perf.InlineHits++
-			v.icHit(v.prog.SiteName(b), base, field, class, e.off)
-			return int64(base + uint64(e.off)), nil
+	// Layout-cache fast path, shared with the bytecode engine (same
+	// cache, same hit callback — that is what keeps the engines' event
+	// and trace streams identical). Hooks disable it: Hooks.Builtin must
+	// observe every call.
+	if bound.getptr && v.lc != nil && v.hooks == nil {
+		if addr, ok := v.cachedGetptr(b, uint64(v.resolve(regs, in.Args[0])), v.resolve(regs, in.Args[1]), uint64(v.resolve(regs, in.Args[2]))); ok {
+			return addr, nil
 		}
-		v.Perf.InlineMisses++
 	}
 	// Builtins never re-enter the interpreter, so one scratch argument
 	// buffer and Call frame per VM suffice (keeps the hot olr_getptr
@@ -458,7 +443,7 @@ func (r *refEngine) dispatchCall(fn *ir.Func, b *ir.Block, regs []int64, in *ir.
 		argv = append(argv, v.resolve(regs, a))
 	}
 	v.argvScratch = argv[:0]
-	v.callScratch = Call{VM: v, Name: in.Callee, Args: argv, RawArgs: in.Args, fn: fn, blk: b, ic: bound.ic}
+	v.callScratch = Call{VM: v, Name: in.Callee, Args: argv, RawArgs: in.Args, fn: fn, blk: b, getptr: bound.getptr}
 	ret, err := bound.bi(&v.callScratch)
 	if err != nil {
 		return 0, v.fault(fn, b, err)

@@ -44,16 +44,16 @@ func (s Stats) Publish(reg *telemetry.Registry) {
 	reg.Gauge("vm.max_depth").Set(float64(s.MaxDepth))
 }
 
-// Perf holds engine-strategy counters: inline layout-cache traffic at
-// olr_getptr sites and bcFused superinstruction dispatches. They are
-// deliberately NOT part of Stats — the engine differential suite holds
-// Stats to struct equality across engines, while these legitimately
-// differ (the tree-walker never dispatches fused runs; a hooked run
-// never serves inline-cache hits).
+// Perf holds engine-strategy counters: the dispatch loops' layout-cache
+// traffic at olr_getptr sites and bcFused superinstruction dispatches.
+// They are deliberately NOT part of Stats — the engine differential
+// suite holds Stats to struct equality across engines, while these
+// legitimately differ (the tree-walker never dispatches fused runs; a
+// hooked run never reads the layout cache).
 type Perf struct {
-	// InlineHits/InlineMisses count inline layout-cache lookups at
-	// eligible olr_getptr sites (a hit skips the core resolver; a miss
-	// falls into it and may re-memoize).
+	// InlineHits/InlineMisses count the dispatch loops' layout-cache
+	// lookups at olr_getptr sites (a hit skips the builtin; a miss calls
+	// it). In metadata mode they are the offset cache's hits and misses.
 	InlineHits   uint64
 	InlineMisses uint64
 	// FusedDispatches counts bcFused superinstruction dispatches (each
@@ -67,7 +67,7 @@ func (p Perf) String() string {
 		p.InlineHits, p.InlineMisses, p.FusedDispatches)
 }
 
-// HitRate returns the inline-cache hit fraction (0 when no lookups).
+// HitRate returns the layout-cache hit fraction (0 when no lookups).
 func (p Perf) HitRate() float64 {
 	if t := p.InlineHits + p.InlineMisses; t > 0 {
 		return float64(p.InlineHits) / float64(t)

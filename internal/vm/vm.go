@@ -90,10 +90,9 @@ type Call struct {
 	fn  *ir.Func
 	blk *ir.Block
 
-	// ic is the call site's inline layout-cache slot plus one (0 = the
-	// site carries no cache), so the zero Call is inert. Builtins opt
-	// into memoization via Memoize.
-	ic int32
+	// getptr marks a call from an olr_getptr site, the only calls
+	// Memoize may cache, so the zero Call is inert.
+	getptr bool
 }
 
 // Site returns the instruction site of the call as "@fn.block" (empty
@@ -121,24 +120,18 @@ func (c *Call) Arg(i int) int64 {
 	return c.Args[i]
 }
 
-// Memoize installs the current olr_getptr resolution into the call
-// site's inline layout cache: the next access at this site with the
-// same (base, field, class) under the same layout generation skips the
-// builtin entirely. The resolver must only call this on clean
+// Memoize installs the current olr_getptr resolution into the VM's
+// layout cache: the next access with the same (base, field, class) at
+// any olr_getptr site, under the same layout generation, skips the
+// builtin entirely. The builtin must only call this on clean
 // resolutions — a live, correctly-typed object whose offset will stay
 // valid until the generation counter next advances. A no-op when the
-// site carries no cache slot or no cache is installed.
+// call is not an olr_getptr site or no cache is installed.
 func (c *Call) Memoize(off int64) {
-	if c == nil || c.ic <= 0 || c.VM == nil || c.VM.icGen == nil || len(c.Args) < 3 {
+	if c == nil || !c.getptr || c.VM == nil || c.VM.lc == nil || len(c.Args) < 3 {
 		return
 	}
-	c.VM.icSlots[c.ic-1] = icEntry{
-		base:  uint64(c.Args[0]),
-		field: c.Args[1],
-		class: uint64(c.Args[2]),
-		off:   off,
-		gen:   *c.VM.icGen,
-	}
+	c.VM.lc.Put(uint64(c.Args[0]), uint64(c.Args[2]), int(c.Args[1]), int32(off))
 }
 
 const (
@@ -179,17 +172,12 @@ type VM struct {
 	// faults like an unknown function).
 	builtinSlots []Builtin
 
-	// Per-call-site inline layout caches (nil/zero unless the compiled
-	// module has olr_getptr sites and a layout runtime installed the
-	// protocol): icSlots holds one entry per numbered site, icGen points
-	// at the runtime's layout-generation counter (entries from an older
-	// generation never hit; the counter starts at 1 so zeroed entries
-	// are invalid), and icHit replays the runtime's fast-path
-	// observables on a hit so the event and trace streams stay
-	// identical to a resolver fast-path resolution.
-	icSlots []icEntry
-	icGen   *uint64
-	icHit   func(site string, base uint64, field int64, class uint64, off int64)
+	// lc is the layout cache the dispatch loops read at olr_getptr
+	// sites (nil = none; see UseLayoutCache), and icHit replays the
+	// runtime's resolver observables for a hit served from it, so the
+	// event and trace streams stay identical to a resolver hit.
+	lc    *LayoutCache
+	icHit func(site string, base uint64, field int64, class uint64, off int64)
 
 	input  []byte
 	output []byte
@@ -283,7 +271,7 @@ func WithFuel(n uint64) Option {
 
 // WithHooks attaches a tracer (taint engine). The instance then runs
 // observed: the Program's unfused lowering, with every Hooks call made
-// from the source instruction, and no inline layout-cache hits, so
+// from the source instruction, and no layout-cache reads, so
 // Hooks.Builtin sees every call.
 func WithHooks(h Hooks) Option {
 	return func(v *VM) { v.hooks = h }
@@ -369,41 +357,57 @@ func New(m *ir.Module, opts ...Option) (*VM, error) {
 // RegisterBuiltin installs (or replaces) a native function. The POLaR
 // runtime uses this to provide the olr_* ABI. Registration also binds
 // the builtin into the callee table (when the compiled module calls the
-// name).
+// name). Registering olr_getptr detaches the layout cache, so a new
+// resolver sees every call until a cache is installed for it.
 func (v *VM) RegisterBuiltin(name string, fn Builtin) {
 	v.builtins[name] = fn
 	if idx, ok := v.prog.builtinSlot[name]; ok {
 		v.builtinSlots[idx] = fn
 	}
-	// A re-registered olr_getptr must see every call again: zeroed
-	// entries carry generation 0, which no installed runtime's counter
-	// (starting at 1) ever matches.
-	for i := range v.icSlots {
-		v.icSlots[i] = icEntry{}
+	if name == olrGetptrName {
+		v.lc, v.icHit = nil, nil
 	}
 }
 
-// icEntry is one per-call-site inline layout-cache slot: the last clean
-// olr_getptr resolution at that site, valid while the runtime's layout
-// generation still equals gen.
-type icEntry struct {
-	base  uint64
-	class uint64
-	field int64
-	off   int64
-	gen   uint64
+// InstallLayoutCache arms the layout cache with a small table of the
+// VM's own (SmallCacheSize entries) for an olr_getptr builtin that
+// fills it through Call.Memoize: gen is the generation counter its
+// entries validate against (advanced whenever any memoized offset may
+// have gone stale), and onHit replays the builtin's observables for a
+// served hit. A nil gen or onHit detaches the cache.
+func (v *VM) InstallLayoutCache(gen *uint64, onHit func(site string, base uint64, field int64, class uint64, off int64)) {
+	var c *LayoutCache
+	if gen != nil {
+		c = NewLayoutCache(SmallCacheSize, gen)
+	}
+	v.UseLayoutCache(c, onHit)
 }
 
-// InstallLayoutCache arms the per-call-site inline layout caches: gen
-// is the runtime's layout-generation counter (bumped whenever any
-// memoized offset may have gone stale — free, layout-changing copy,
-// rerandomize), and onHit replays the runtime's fast-path observables
-// (counters, events, trace record) for a served hit. With hooks
-// attached the caches stay cold so Hooks.Builtin still observes every
-// call.
-func (v *VM) InstallLayoutCache(gen *uint64, onHit func(site string, base uint64, field int64, class uint64, off int64)) {
-	v.icGen = gen
-	v.icHit = onHit
+// UseLayoutCache hands the dispatch loops a layout runtime's own
+// cache: at every olr_getptr site they probe c first and, on a hit,
+// call onHit instead of the builtin. With hooks attached the loops
+// never read it, so Hooks.Builtin still observes every call. A nil c
+// or onHit detaches the cache.
+func (v *VM) UseLayoutCache(c *LayoutCache, onHit func(site string, base uint64, field int64, class uint64, off int64)) {
+	if c == nil || onHit == nil {
+		c, onHit = nil, nil
+	}
+	v.lc, v.icHit = c, onHit
+}
+
+// cachedGetptr serves an olr_getptr call at a site in blk from the
+// layout cache when it holds (base, field, class): it counts the
+// lookup in Perf, replays the hit and returns the member address.
+// ok=false sends the call on to the builtin.
+func (v *VM) cachedGetptr(blk *ir.Block, base uint64, field int64, class uint64) (addr int64, ok bool) {
+	off, hit := v.lc.lookup(base, class, int(field))
+	if !hit {
+		v.Perf.InlineMisses++
+		return 0, false
+	}
+	v.Perf.InlineHits++
+	v.icHit(v.prog.SiteName(blk), base, field, class, int64(off))
+	return int64(base + uint64(off)), true
 }
 
 // Program returns the shared immutable Program this VM executes.

@@ -20,9 +20,7 @@ package polar
 import (
 	"fmt"
 	"io"
-	"os"
 
-	"polar/internal/analysis"
 	"polar/internal/classinfo"
 	"polar/internal/core"
 	"polar/internal/fuzz"
@@ -91,28 +89,6 @@ type SiteProfiler = profile.SiteProfiler
 // NewSiteProfiler returns an empty hot-site profiler.
 func NewSiteProfiler() *SiteProfiler { return profile.NewSiteProfiler() }
 
-// CompileFacts is the static olr_getptr site classification consumed at
-// compile time for inline-cache seeding (DESIGN.md §14): sites proven
-// polymorphic lose their IC slot, monomorphic sites proven to address
-// one runs-once object share a single slot. Produced by polarlint
-// -facts, loaded with ReadFactsFile, and applied through
-// Hardened.Facts.
-type CompileFacts = vm.StaticFacts
-
-// ReadFactsFile loads a polarlint -facts artifact and converts it into
-// the compiler-facing seeding form.
-func ReadFactsFile(path string) (*CompileFacts, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	sf, err := analysis.DecodeSiteFacts(data)
-	if err != nil {
-		return nil, err
-	}
-	return sf.CompileFacts(), nil
-}
-
 // Parse reads the textual IR form (see internal/ir: Print/Parse).
 func Parse(src string) (*Module, error) { return ir.Parse(src) }
 
@@ -127,10 +103,6 @@ func Validate(m *Module) error { return ir.Validate(m) }
 type Hardened struct {
 	Module *Module
 	table  *classinfo.Table
-
-	// Facts, when non-nil, seeds the inline caches PrepareHardened
-	// compiles (see CompileFacts); it changes IC hit rates only.
-	Facts *CompileFacts
 
 	// perClass holds taint-tuned layout overrides (see TuneFromTaint).
 	perClass map[uint64]layout.Config
@@ -493,7 +465,7 @@ func Prepare(m *Module) (*Prepared, error) {
 // the POLaR runtime.
 func PrepareHardened(h *Hardened) (*Prepared, error) {
 	mod := ir.Clone(h.Module)
-	prog, err := vm.CompileWith(mod, vm.CompileOpts{Facts: h.Facts})
+	prog, err := vm.Compile(mod)
 	if err != nil {
 		return nil, err
 	}

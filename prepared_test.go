@@ -9,9 +9,7 @@ import (
 	"testing"
 
 	"polar/internal/evalrun"
-	"polar/internal/ir"
 	"polar/internal/telemetry"
-	"polar/internal/vm"
 )
 
 // TestPreparedConcurrentRuns drives the public compile-once API the way
@@ -181,50 +179,5 @@ func TestPreparedMergedMetricsWidthIndependent(t *testing.T) {
 	if c["core.allocs"] == 0 || interns != c["core.meta.registered"] || interns < c["core.allocs"] {
 		t.Fatalf("layouts unique+shared = %d, want one per registration (%d; allocs %d)",
 			interns, c["core.meta.registered"], c["core.allocs"])
-	}
-}
-
-// TestHardenedFactsReachCompiler: PrepareHardened compiles under
-// Hardened.Facts, so facts that suppress every olr_getptr site of the
-// hardened quickstart leave it no inline-cache sites, where the same
-// program without facts has some.
-func TestHardenedFactsReachCompiler(t *testing.T) {
-	src, err := os.ReadFile("examples/quickstart/quickstart.ir")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Parse(string(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := Harden(m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	icSites := func() int {
-		prep, err := PrepareHardened(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for _, fs := range prep.LoweredStats() {
-			n += fs.ICSites
-		}
-		return n
-	}
-	plain := icSites()
-	suppress := &CompileFacts{Sites: map[string]vm.SiteSeed{}}
-	for _, f := range h.Module.Funcs {
-		for _, blk := range f.Blocks {
-			for ii, in := range blk.Instrs {
-				if in.Op == ir.OpCall && in.Callee == "olr_getptr" {
-					suppress.Sites[fmt.Sprintf("@%s.%s#%d", f.Name, blk.Name, ii)] = vm.SiteSeed{Suppress: true}
-				}
-			}
-		}
-	}
-	h.Facts = suppress
-	if seeded := icSites(); plain == 0 || seeded != 0 {
-		t.Fatalf("inline-cache sites: %d without facts, %d with every site suppressed; want >0 and 0", plain, seeded)
 	}
 }
