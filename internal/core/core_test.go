@@ -38,17 +38,17 @@ func TestMetaStoreRegisterLookupFree(t *testing.T) {
 	}
 	s.MarkFreed(0x1000)
 	ghost, ok := s.Lookup(0x1000)
-	if !ok || !ghost.Freed {
+	if !ok || !ghost.Freed || ghost.Layout != l {
 		t.Fatal("ghost record missing after MarkFreed")
 	}
 	if s.LiveCount() != 0 {
 		t.Fatalf("live after free = %d", s.LiveCount())
 	}
-	// Re-registration replaces the ghost and reports it.
+	// Re-registration replaces the ghost and reports the ghost's layout.
 	l2 := genLayout(t, 2)
 	_, old = s.Register(0x1000, 43, l2, l2.TotalSize)
-	if old == nil || !old.Freed {
-		t.Fatal("re-registration did not surface the ghost")
+	if old != l {
+		t.Fatal("re-registration did not surface the ghost's layout")
 	}
 	st := s.Stats()
 	if st.Registered != 2 || st.Retired != 1 {

@@ -181,18 +181,27 @@ func (s *MetaStore) Intern(classHash uint64, l *layout.Layout) *layout.Layout {
 	return c
 }
 
-// Register installs metadata for a freshly allocated object, replacing
-// any ghost record at the same base. It returns the new record plus the
-// replaced one (nil if none), so callers can invalidate caches covering
-// the old object's fields.
-func (s *MetaStore) Register(base uint64, classHash uint64, l *layout.Layout, size int) (*ObjectMeta, *ObjectMeta) {
+// Register installs metadata for a freshly allocated object. A record
+// already at the same base (the ghost of a freed object whose chunk the
+// allocator recycled) is overwritten in place, so re-registering a base
+// allocates nothing. It returns the object's record plus the replaced
+// record's layout (nil if the base had no record), so callers can
+// invalidate caches covering the old object's fields. A record pointer
+// from an earlier Lookup of base describes the new object afterwards.
+func (s *MetaStore) Register(base uint64, classHash uint64, l *layout.Layout, size int) (*ObjectMeta, *layout.Layout) {
 	sh := s.shard(base)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	old := sh.objects[base]
-	m := &ObjectMeta{Base: base, ClassHash: classHash, Layout: l, Size: size}
-	sh.objects[base] = m
 	sh.registered++
+	var old *layout.Layout
+	m, ok := sh.objects[base]
+	if ok {
+		old = m.Layout
+	} else {
+		m = new(ObjectMeta)
+		sh.objects[base] = m
+	}
+	*m = ObjectMeta{Base: base, ClassHash: classHash, Layout: l, Size: size}
 	return m, old
 }
 

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"strings"
 )
 
@@ -154,10 +153,18 @@ func (l *Layout) FieldOffset(i int) (int, error) {
 
 // Clone returns a copy of l that shares no storage with it.
 func (l *Layout) Clone() *Layout {
-	c := *l
-	c.Slots = slices.Clone(l.Slots)
-	c.Offsets = slices.Clone(l.Offsets)
-	return &c
+	c := new(Layout)
+	l.CopyInto(c)
+	return c
+}
+
+// CopyInto makes dst a copy of l, hash included, reusing dst's Slots
+// and Offsets when they are large enough, so copying into a warmed
+// layout allocates nothing.
+func (l *Layout) CopyInto(dst *Layout) {
+	dst.Slots = append(dst.Slots[:0], l.Slots...)
+	dst.Offsets = append(dst.Offsets[:0], l.Offsets...)
+	dst.TotalSize, dst.Dummies, dst.hash = l.TotalSize, l.Dummies, l.hash
 }
 
 // Generate builds a randomized layout for the given fields.

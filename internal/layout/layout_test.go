@@ -2,6 +2,7 @@ package layout
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -426,5 +427,37 @@ func TestCloneSharesNothing(t *testing.T) {
 	}
 	if c.Key() != key {
 		t.Fatalf("clone changed with its source: %s, was %s", c.Key(), key)
+	}
+}
+
+// TestCopyIntoReusesStorage: copying into a warmed layout allocates
+// nothing and yields a layout Equal to the source with the same hash
+// and dummy count, whether the destination's storage was left by a
+// wider or a narrower class, and the copy shares no storage with its
+// source.
+func TestCopyIntoReusesStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	shapes := rand.New(rand.NewSource(8))
+	var src, dst Layout
+	for i := 0; i < 200; i++ {
+		if err := GenerateInto(&src, randomFields(shapes), DefaultConfig(), rng); err != nil {
+			t.Fatal(err)
+		}
+		src.CopyInto(&dst)
+		if !dst.Equal(&src) || dst.Hash() != src.Hash() || dst.Dummies != src.Dummies ||
+			!slices.Equal(dst.Offsets, src.Offsets) {
+			t.Fatalf("copy %d: got %s, want %s", i, dst.Key(), src.Key())
+		}
+	}
+	key := dst.Key()
+	if err := GenerateInto(&src, fieldsFixture(), DefaultConfig(), rng); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Key() != key {
+		t.Fatalf("copy changed with its source: %s, was %s", dst.Key(), key)
+	}
+	src.CopyInto(&dst)
+	if allocs := testing.AllocsPerRun(100, func() { src.CopyInto(&dst) }); allocs != 0 {
+		t.Fatalf("CopyInto a warmed layout allocated %.1f times per call, want 0", allocs)
 	}
 }

@@ -216,6 +216,16 @@ func (m *Memory) ReadBytes(addr uint64, n int) ([]byte, error) {
 	return out, nil
 }
 
+// ReadInto is ReadBytes into the caller's buffer: it fills b with the
+// len(b) bytes starting at addr and allocates nothing.
+func (m *Memory) ReadInto(addr uint64, b []byte) error {
+	if err := m.check(addr, len(b)); err != nil {
+		return err
+	}
+	m.readInto(b, addr)
+	return nil
+}
+
 // readInto fills b with the bytes starting at addr, which the caller
 // has checked.
 func (m *Memory) readInto(b []byte, addr uint64) {

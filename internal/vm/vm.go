@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"polar/internal/heap"
 	"polar/internal/ir"
@@ -437,17 +437,19 @@ func (v *VM) TrackObject(base uint64, st *ir.StructType) { v.objects[base] = st 
 // UntrackObject removes object tracking at free time.
 func (v *VM) UntrackObject(base uint64) { delete(v.objects, base) }
 
-// TrackedBases returns the base addresses of every tracked live object
-// in ascending order. The sort matters: the stateless rekey walk emits
-// per-object events, and map iteration order must not leak into the
-// event or trace streams (they are byte-identical per seed).
-func (v *VM) TrackedBases() []uint64 {
-	out := make([]uint64, 0, len(v.objects))
+// AppendTrackedBases appends the base addresses of every tracked live
+// object to dst in ascending order and returns the extended slice, so a
+// caller reusing its buffer allocates nothing. The sort matters: the
+// stateless rekey walk emits per-object events, and map iteration order
+// must not leak into the event or trace streams (they are
+// byte-identical per seed).
+func (v *VM) AppendTrackedBases(dst []uint64) []uint64 {
+	n := len(dst)
 	for base := range v.objects {
-		out = append(out, base)
+		dst = append(dst, base)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // Run executes @main with the given integer arguments.
