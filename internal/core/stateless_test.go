@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"polar/internal/telemetry"
+	"polar/internal/telemetry/exectrace"
 )
 
 // statelessHarness is newViolationHarness with the stateless resolver
@@ -426,5 +427,28 @@ func TestProbeBucketsCanonical(t *testing.T) {
 	if mhist.Counts[1] != mst.CacheHits || mhist.Counts[2] != mst.CacheMisses {
 		t.Fatalf("metadata buckets 1/2 = %d/%d, want hits/misses %d/%d",
 			mhist.Counts[1], mhist.Counts[2], mst.CacheHits, mst.CacheMisses)
+	}
+}
+
+// TestStatelessNullBaseNeverHitsFreedSlot: a freed object's memo slot
+// keeps its class, epoch and layout storage and marks itself empty with
+// base 0, so an access through a null pointer of the same class must
+// not read that slot as a hit. With a one-slot memo every base shares
+// the slot; the null access resolves on the static arm.
+func TestStatelessNullBaseNeverHitsFreedSlot(t *testing.T) {
+	h := statelessHarness(t, 0, func(c *Config) { c.CacheSize = 1 })
+	base := h.alloc(h.hashA)
+	if err := h.r.olrFree(h.v, base); err != nil {
+		t.Fatalf("free: %v", err)
+	}
+	cls, _ := h.r.table.ByHash(h.hashA)
+	for f := range cls.Members {
+		off, res, err := h.r.resolver.Resolve(h.v, 0, f, h.hashA)
+		if err != nil {
+			t.Fatalf("Resolve(null, %d): %v", f, err)
+		}
+		if res != exectrace.ResStatic || off != cls.Members[f].StaticOffset {
+			t.Fatalf("null access to field %d resolved (%d, %v), want the static offset %d", f, off, res, cls.Members[f].StaticOffset)
+		}
 	}
 }
