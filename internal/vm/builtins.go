@@ -1,9 +1,39 @@
 package vm
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 )
+
+// InputUse is what one run observed of its input: the input_* builtins,
+// the only code that reads the input, update it with every answer they
+// give. Prefix is the end of the highest in-range byte an input_byte or
+// input_read answer covered. Len says whether an answer depended on the
+// input's length: input_len, input_byte at or past the end, and an
+// input_read that starts at or past the end or is clipped at it. A
+// negative offset, or an input_read of n <= 0 bytes, gets the same
+// answer for every input and marks nothing.
+type InputUse struct {
+	Prefix int
+	Len    bool
+}
+
+// Replays reports whether every input query of the run on ran that
+// recorded u gets the same answer on cand. Every builtin is
+// deterministic, so a run of the same program, with the same options
+// and arguments, on such a cand executes exactly as the one on ran did:
+// same return value, error, output, Stats and coverage.
+func (u InputUse) Replays(ran, cand []byte) bool {
+	return (!u.Len || len(cand) == len(ran)) && len(cand) >= u.Prefix && bytes.Equal(cand[:u.Prefix], ran[:u.Prefix])
+}
+
+// read records an answer that covered the input up to end.
+func (u *InputUse) read(end int) {
+	if end > u.Prefix {
+		u.Prefix = end
+	}
+}
 
 // registerDefaultBuiltins installs the core intrinsics every program can
 // use:
@@ -21,29 +51,45 @@ import (
 // points that TaintClass treats as taint sources (§IV.B.1).
 func registerDefaultBuiltins(v *VM) {
 	v.RegisterBuiltin("input_len", func(c *Call) (int64, error) {
+		c.VM.inputUse.Len = true
 		return int64(len(c.VM.input)), nil
 	})
 	v.RegisterBuiltin("input_read", func(c *Call) (int64, error) {
 		dst := uint64(c.Arg(0))
 		off := int(c.Arg(1))
 		n := int(c.Arg(2))
-		if off < 0 || off >= len(c.VM.input) || n <= 0 {
+		in, use := c.VM.input, &c.VM.inputUse
+		if off < 0 || n <= 0 {
 			return 0, nil
 		}
-		if off+n > len(c.VM.input) {
-			n = len(c.VM.input) - off
+		if off >= len(in) {
+			use.Len = true
+			return 0, nil
 		}
-		if err := c.VM.Mem.WriteBytes(dst, c.VM.input[off:off+n]); err != nil {
+		// Clip against what is left, not off+n > len(in): off+n
+		// overflows for n near MaxInt64.
+		if n > len(in)-off {
+			n = len(in) - off
+			use.Len = true
+		}
+		use.read(off + n)
+		if err := c.VM.Mem.WriteBytes(dst, in[off:off+n]); err != nil {
 			return 0, err
 		}
 		return int64(n), nil
 	})
 	v.RegisterBuiltin("input_byte", func(c *Call) (int64, error) {
 		off := int(c.Arg(0))
-		if off < 0 || off >= len(c.VM.input) {
+		in, use := c.VM.input, &c.VM.inputUse
+		if off < 0 {
 			return -1, nil
 		}
-		return int64(c.VM.input[off]), nil
+		if off >= len(in) {
+			use.Len = true
+			return -1, nil
+		}
+		use.read(off + 1)
+		return int64(in[off]), nil
 	})
 	v.RegisterBuiltin("print_i64", func(c *Call) (int64, error) {
 		c.VM.output = append(c.VM.output, []byte(fmt.Sprintf("%d\n", c.Arg(0)))...)

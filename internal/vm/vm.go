@@ -181,6 +181,9 @@ type VM struct {
 
 	input  []byte
 	output []byte
+	// inputUse is what the runs so far observed of input; only the
+	// input_* builtins write it.
+	inputUse InputUse
 
 	fuel     uint64
 	fuelLeft uint64
@@ -413,8 +416,8 @@ func (v *VM) cachedGetptr(blk *ir.Block, base uint64, field int64, class uint64)
 // Program returns the shared immutable Program this VM executes.
 func (v *VM) Program() *Program { return v.prog }
 
-// Input returns the program input bytes.
-func (v *VM) Input() []byte { return v.input }
+// InputUse returns what the instance's runs observed of its input.
+func (v *VM) InputUse() InputUse { return v.inputUse }
 
 // Output returns everything the program printed.
 func (v *VM) Output() []byte { return v.output }
