@@ -55,7 +55,8 @@ type Result struct {
 	// faults, aborts — kept separately (useful corpus for the CVE case
 	// studies).
 	Crashers [][]byte
-	// Execs is the number of executions performed.
+	// Execs is the number of inputs the campaign evaluated, replayed
+	// ones included (see run).
 	Execs int
 	// Edges is the number of distinct coverage-bitmap slots ever hit.
 	Edges int
@@ -65,7 +66,7 @@ type Result struct {
 // runtime.GOMAXPROCS(0) executions in flight and returns what executing
 // them one at a time returns; see run.
 func Run(m *ir.Module, seeds [][]byte, cfg Config) (*Result, error) {
-	return run(m, seeds, cfg, runtime.GOMAXPROCS(0))
+	return newCampaign(cfg, runtime.GOMAXPROCS(0)).run(m, seeds)
 }
 
 // run is the campaign with up to width executions in flight. Inputs are
@@ -82,44 +83,67 @@ func Run(m *ir.Module, seeds [][]byte, cfg Config) (*Result, error) {
 // right after that mutant's draw. The result, the events and the
 // counters therefore do not depend on width. Width 1 runs every
 // execution inline.
-func run(m *ir.Module, seeds [][]byte, cfg Config, width int) (*Result, error) {
-	if cfg.Iterations <= 0 {
-		cfg.Iterations = 1000
-	}
-	if cfg.MaxInputLen <= 0 {
-		cfg.MaxInputLen = 4096
-	}
+//
+// A mutant that agrees with its parent on everything the parent's run
+// observed of its input (vm.InputUse.Replays) is not executed: its run
+// would repeat the parent's, so it is committed with the parent's
+// outcome. Its edges are the parent's, already seen, and it crashes
+// only if the parent did, which only a seed can have done. It takes no
+// place among the width executions. Seeds always execute.
+func (c *campaign) run(m *ir.Module, seeds [][]byte) (*Result, error) {
 	// One compiled Program per campaign; every execution is a fresh
 	// instance of it.
 	prog, err := vm.Compile(m)
 	if err != nil {
 		return nil, fmt.Errorf("fuzz: seed execution: %w", err)
 	}
+	c.prog = prog
 	if len(seeds) == 0 {
 		seeds = [][]byte{{}}
 	}
-	c := &campaign{prog: prog, cfg: cfg, width: width, slots: make(chan struct{}, width)}
 	c.rewind(0)
 	defer c.wg.Wait()
 
+	cfg := c.cfg
 	res := &Result{}
+	// ran holds, beside res.Corpus, what each entry's run observed.
+	var ran []outcome
 	seen := make([]byte, 1<<16)
 	var inflight []*execution
+	running := 0 // executions in inflight, replays not counted
 	total := len(seeds) + cfg.Iterations
 	next := 0 // campaign index of the next input to start
 	for idx := 0; idx < total; idx++ {
 		// A mutant is drawn only once every seed has committed, from the
-		// corpus as committed so far.
-		for len(inflight) < width && next < total && (next < len(seeds) || idx >= len(seeds)) {
+		// corpus as committed so far. A replay at the head of the queue
+		// commits before anything more is drawn, so replays, which take
+		// no place among the width, do not pile up ahead of it.
+		for running < c.width && next < total && (next < len(seeds) || idx >= len(seeds)) &&
+			(len(inflight) == 0 || !inflight[0].replayed) {
+			var e *execution
 			if next < len(seeds) {
-				inflight = append(inflight, c.start(seeds[next], 0))
+				e = c.start(seeds[next], 0)
 			} else {
-				inflight = append(inflight, c.start(c.draw(res.Corpus)))
+				in, draws, p := c.draw(res.Corpus)
+				if ran[p].use.Replays(res.Corpus[p], in) {
+					e = &execution{input: in, draws: draws, replayed: true, crashed: ran[p].crashed}
+				} else {
+					e = c.start(in, draws)
+				}
 			}
+			if !e.replayed {
+				running++
+			}
+			inflight = append(inflight, e)
 			next++
 		}
 		e := inflight[0]
 		inflight = inflight[1:]
+		if e.replayed {
+			c.replays++
+		} else {
+			running--
+		}
 		if e.done != nil {
 			<-e.done
 		}
@@ -145,6 +169,7 @@ func run(m *ir.Module, seeds [][]byte, cfg Config, width int) (*Result, error) {
 			}
 			if nc || len(res.Corpus) == 0 {
 				res.Corpus = append(res.Corpus, append([]byte(nil), e.input...))
+				ran = append(ran, outcome{e.use, e.crashed})
 				if cfg.Telemetry != nil {
 					cfg.Telemetry.Emit(telemetry.Event{Kind: telemetry.EvCorpusAdd, Size: len(e.input), Detail: "seed"})
 				}
@@ -159,12 +184,13 @@ func run(m *ir.Module, seeds [][]byte, cfg Config, width int) (*Result, error) {
 		}
 		if nc {
 			res.Corpus = append(res.Corpus, e.input)
+			ran = append(ran, outcome{e.use, false})
 			if cfg.Telemetry != nil {
 				cfg.Telemetry.Emit(telemetry.Event{Kind: telemetry.EvCorpusAdd, Size: len(e.input), Detail: "mutant"})
 			}
 			// Every execution still in flight was drawn without this
 			// entry in the corpus: drop it and draw again from here.
-			inflight = nil
+			inflight, running = nil, 0
 			c.rewind(e.draws)
 			next = idx + 1
 		}
@@ -214,6 +240,29 @@ type campaign struct {
 
 	src *countedSource
 	rng *rand.Rand
+
+	// replays counts the committed mutants that were replayed instead
+	// of executed.
+	replays int
+}
+
+// newCampaign returns a campaign over cfg, with its defaults filled in,
+// that keeps up to width executions in flight.
+func newCampaign(cfg Config, width int) *campaign {
+	if cfg.Iterations <= 0 {
+		cfg.Iterations = 1000
+	}
+	if cfg.MaxInputLen <= 0 {
+		cfg.MaxInputLen = 4096
+	}
+	return &campaign{cfg: cfg, width: width, slots: make(chan struct{}, width)}
+}
+
+// outcome is what a corpus entry's run observed of its input and
+// whether it crashed: the outcome of every mutant its record replays.
+type outcome struct {
+	use     vm.InputUse
+	crashed bool
 }
 
 // countedSource counts the values drawn from the campaign's generator,
@@ -238,24 +287,27 @@ func (c *campaign) rewind(draws uint64) {
 }
 
 // draw derives the next mutant from the corpus and returns it with the
-// number of generator values drawn so far.
-func (c *campaign) draw(corpus [][]byte) ([]byte, uint64) {
-	parent := corpus[c.rng.Intn(len(corpus))]
+// number of generator values drawn so far and its parent's index.
+func (c *campaign) draw(corpus [][]byte) ([]byte, uint64, int) {
+	p := c.rng.Intn(len(corpus))
 	var donor []byte
 	if len(corpus) > 1 {
 		donor = corpus[c.rng.Intn(len(corpus))]
 	}
-	return Mutate(parent, donor, c.cfg.MaxInputLen, c.rng), c.src.draws
+	return Mutate(corpus[p], donor, c.cfg.MaxInputLen, c.rng), c.src.draws, p
 }
 
-// execution is one input's run. Its fields other than input and draws
-// are valid once done is closed; done is nil for an inline run.
+// execution is one input's run. Its fields other than input, draws and
+// replayed are valid once done is closed; done is nil for an inline run
+// and for a replay, which has no coverage of its own.
 type execution struct {
-	input []byte
-	draws uint64 // generator values drawn up to and including this input
-	done  chan struct{}
+	input    []byte
+	draws    uint64 // generator values drawn up to and including this input
+	replayed bool
+	done     chan struct{}
 
 	cov     []byte
+	use     vm.InputUse
 	crashed bool
 	err     error
 }
@@ -280,8 +332,9 @@ func (c *campaign) start(input []byte, draws uint64) *execution {
 	return e
 }
 
-// execute runs e.input on a fresh instance and records its coverage and
-// whether it crashed. Fuel exhaustion is not a crash.
+// execute runs e.input on a fresh instance and records its coverage,
+// what it observed of its input and whether it crashed. Fuel exhaustion
+// is not a crash.
 func (c *campaign) execute(e *execution) {
 	opts := []vm.Option{vm.WithInput(e.input), vm.WithCoverage()}
 	if c.cfg.Fuel > 0 {
@@ -294,6 +347,7 @@ func (c *campaign) execute(e *execution) {
 	}
 	_, runErr := v.Run(c.cfg.Args...)
 	e.cov = v.Coverage()
+	e.use = v.InputUse()
 	e.crashed = runErr != nil && !errors.Is(runErr, vm.ErrFuelExhausted)
 }
 

@@ -176,23 +176,65 @@ func buildBranchy() *ir.Module {
 	return m
 }
 
+// oracleCase is a campaign the oracle tests run both ways.
+type oracleCase struct {
+	name  string
+	m     *ir.Module
+	seeds [][]byte
+	cfg   Config
+}
+
+// matchesSequential runs c at every width from 1 to 4 and requires the
+// Result, the corpus-add events and the fuzz.* counters the sequential
+// loop produces, draw for draw. It returns how many mutants the
+// campaign replayed, which must not depend on width either.
+func matchesSequential(t *testing.T, c oracleCase) (replays int) {
+	t.Helper()
+	want := observe(t, runSequential, c.m, c.seeds, c.cfg)
+	t.Logf("execs %d, edges %d, corpus %d, crashers %d",
+		want.res.Execs, want.res.Edges, len(want.res.Corpus), len(want.res.Crashers))
+	if c.name == "branchy" && len(want.res.Corpus) <= 20 {
+		t.Fatalf("corpus grew to %d entries; the test needs more than 20", len(want.res.Corpus))
+	}
+	for width := 1; width <= 4; width++ {
+		var n int
+		got := observe(t, func(m *ir.Module, seeds [][]byte, cfg Config) (*Result, error) {
+			cp := newCampaign(cfg, width)
+			res, err := cp.run(m, seeds)
+			n = cp.replays
+			return res, err
+		}, c.m, c.seeds, c.cfg)
+		if !reflect.DeepEqual(got.res, want.res) {
+			t.Fatalf("width %d: result differs from the sequential campaign: execs %d/%d, edges %d/%d, corpus %d/%d, crashers %d/%d",
+				width, got.res.Execs, want.res.Execs, got.res.Edges, want.res.Edges,
+				len(got.res.Corpus), len(want.res.Corpus), len(got.res.Crashers), len(want.res.Crashers))
+		}
+		if !reflect.DeepEqual(got.events, want.events) {
+			t.Fatalf("width %d: events differ from the sequential campaign:\n got %v\nwant %v", width, got.events, want.events)
+		}
+		if !reflect.DeepEqual(got.snap, want.snap) {
+			t.Fatalf("width %d: registry differs from the sequential campaign:\n got %v\nwant %v", width, got.snap.Counters, want.snap.Counters)
+		}
+		if width > 1 && n != replays {
+			t.Fatalf("width %d replayed %d mutants, width 1 replayed %d", width, n, replays)
+		}
+		replays = n
+	}
+	t.Logf("replayed %d of %d mutants", replays, c.cfg.Iterations)
+	return replays
+}
+
 // TestCampaignMatchesSequential is the oracle for the campaign loop: at
 // every width from 1 to 4, the campaign must return the Result, emit
 // the corpus-add events and set the fuzz.* counters that the sequential
 // loop does, draw for draw.
 func TestCampaignMatchesSequential(t *testing.T) {
-	type tc struct {
-		name  string
-		m     *ir.Module
-		seeds [][]byte
-		cfg   Config
-	}
-	cases := []tc{
+	cases := []oracleCase{
 		{"branchy", buildBranchy(), [][]byte{[]byte("seed-input-bytes")}, Config{Iterations: 300, MaxInputLen: 24, Seed: 5}},
 		{"branchy-seeds", buildBranchy(), [][]byte{{}, []byte("ab"), {0xFF, 0xFF, 0xFF}, []byte("ab")}, Config{Iterations: 100, MaxInputLen: 24, Seed: 11}},
 	}
 	for _, w := range []*workload.Workload{workload.LibPNG(), workload.LibJPEG(), workload.ChakraModel()} {
-		cases = append(cases, tc{w.Name, w.Module, [][]byte{w.Input}, Config{
+		cases = append(cases, oracleCase{w.Name, w.Module, [][]byte{w.Input}, Config{
 			Iterations: 60, MaxInputLen: len(w.Input), Seed: 7919, Fuel: 30_000_000, Args: w.Args,
 		}})
 	}
@@ -200,27 +242,51 @@ func TestCampaignMatchesSequential(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			want := observe(t, runSequential, c.m, c.seeds, c.cfg)
-			t.Logf("execs %d, edges %d, corpus %d, crashers %d",
-				want.res.Execs, want.res.Edges, len(want.res.Corpus), len(want.res.Crashers))
-			if c.name == "branchy" && len(want.res.Corpus) <= 20 {
-				t.Fatalf("corpus grew to %d entries; the test needs more than 20", len(want.res.Corpus))
-			}
-			for width := 1; width <= 4; width++ {
-				got := observe(t, func(m *ir.Module, seeds [][]byte, cfg Config) (*Result, error) {
-					return run(m, seeds, cfg, width)
-				}, c.m, c.seeds, c.cfg)
-				if !reflect.DeepEqual(got.res, want.res) {
-					t.Fatalf("width %d: result differs from the sequential campaign: execs %d/%d, edges %d/%d, corpus %d/%d, crashers %d/%d",
-						width, got.res.Execs, want.res.Execs, got.res.Edges, want.res.Edges,
-						len(got.res.Corpus), len(want.res.Corpus), len(got.res.Crashers), len(want.res.Crashers))
-				}
-				if !reflect.DeepEqual(got.events, want.events) {
-					t.Fatalf("width %d: events differ from the sequential campaign:\n got %v\nwant %v", width, got.events, want.events)
-				}
-				if !reflect.DeepEqual(got.snap, want.snap) {
-					t.Fatalf("width %d: registry differs from the sequential campaign:\n got %v\nwant %v", width, got.snap.Counters, want.snap.Counters)
-				}
+			matchesSequential(t, c)
+		})
+	}
+}
+
+// buildCrashOnFirstByte returns a program that reads byte 0 of its
+// input and faults on the null page when it is 'X'. A seed "X..."
+// crashes, so mutants that keep byte 0 replay as crashers.
+func buildCrashOnFirstByte() *ir.Module {
+	m := ir.NewModule("crash-first-byte")
+	b := ir.NewFunc(m, "main", ir.I64)
+	v := b.Call("input_byte", ir.Const(0))
+	boom := b.Cmp(ir.CmpEq, v, ir.Const('X'))
+	b.If("boom", boom, func() { b.Load(ir.I64, ir.Const(8)) }, nil)
+	b.Ret(v)
+	return m
+}
+
+// TestCampaignReplaysMatchSequential holds the campaigns whose mutants
+// the campaign replays instead of executing to the same oracle: the
+// three pipeline apps that read only a prefix of their input, which
+// replay at least 9 of their 10 mutants, and a crashing seed, whose
+// replays must commit as crashers. It is kept apart from
+// TestCampaignMatchesSequential because the sequential loop executes
+// every one of the apps' mutants, which is slow under the race
+// detector.
+func TestCampaignReplaysMatchSequential(t *testing.T) {
+	type tc struct {
+		oracleCase
+		min int // fewest replays the case must see
+	}
+	cases := []tc{{oracleCase{"crash-first-byte", buildCrashOnFirstByte(), [][]byte{[]byte("X-longer-seed-input")},
+		Config{Iterations: 40, MaxInputLen: 24, Seed: 3}}, 1}}
+	// The apps at the settings of perfbench's pipeline workload.
+	for _, w := range []*workload.Workload{workload.Perlbench(), workload.Sjeng(), workload.H264ref()} {
+		cases = append(cases, tc{oracleCase{w.Name, w.Module, [][]byte{w.Input}, Config{
+			Iterations: 10, MaxInputLen: len(w.Input), Seed: 1, Fuel: 30_000_000, Args: w.Args,
+		}}, 9})
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			if n := matchesSequential(t, c.oracleCase); n < c.min {
+				t.Fatalf("replayed %d of %d mutants, want at least %d", n, c.cfg.Iterations, c.min)
 			}
 		})
 	}
