@@ -2,9 +2,40 @@ package vm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
+
+// ErrOutputLimit is returned by a print builtin that would grow the
+// output log past maxOutput bytes.
+var ErrOutputLimit = errors.New("vm: output log limit exceeded")
+
+// maxOutput bounds the output log, so a hostile print_str length fails
+// typed instead of asking Go for that much memory.
+const maxOutput = 16 << 20
+
+// growOutput extends the output log by n bytes and returns them for the
+// caller to fill.
+func (v *VM) growOutput(n int) ([]byte, error) {
+	l := len(v.output)
+	if n > maxOutput-l {
+		return nil, fmt.Errorf("%w: %d bytes after %d", ErrOutputLimit, n, l)
+	}
+	v.output = slices.Grow(v.output, n)[:l+n]
+	return v.output[l:], nil
+}
+
+// printLine appends s to the output log.
+func printLine(c *Call, s string) (int64, error) {
+	b, err := c.VM.growOutput(len(s))
+	if err != nil {
+		return 0, err
+	}
+	copy(b, s)
+	return 0, nil
+}
 
 // InputUse is what one run observed of its input: the input_* builtins,
 // the only code that reads the input, update it with every answer they
@@ -48,7 +79,9 @@ func (u *InputUse) read(end int) {
 //	rt_sqrt(f) -> f64, rt_sin(f), rt_cos(f) float helpers (bit-cast args)
 //
 // The input_* family models the instrumented fread/MapViewOfFile entry
-// points that TaintClass treats as taint sources (§IV.B.1).
+// points that TaintClass treats as taint sources (§IV.B.1). The print
+// builtins fail with ErrOutputLimit rather than grow the output log past
+// maxOutput bytes.
 func registerDefaultBuiltins(v *VM) {
 	v.RegisterBuiltin("input_len", func(c *Call) (int64, error) {
 		c.VM.inputUse.Len = true
@@ -92,20 +125,26 @@ func registerDefaultBuiltins(v *VM) {
 		return int64(in[off]), nil
 	})
 	v.RegisterBuiltin("print_i64", func(c *Call) (int64, error) {
-		c.VM.output = append(c.VM.output, []byte(fmt.Sprintf("%d\n", c.Arg(0)))...)
-		return 0, nil
+		return printLine(c, fmt.Sprintf("%d\n", c.Arg(0)))
 	})
 	v.RegisterBuiltin("print_f64", func(c *Call) (int64, error) {
-		f := math.Float64frombits(uint64(c.Arg(0)))
-		c.VM.output = append(c.VM.output, []byte(fmt.Sprintf("%g\n", f))...)
-		return 0, nil
+		return printLine(c, fmt.Sprintf("%g\n", math.Float64frombits(uint64(c.Arg(0)))))
 	})
 	v.RegisterBuiltin("print_str", func(c *Call) (int64, error) {
-		b, err := c.VM.Mem.ReadBytes(uint64(c.Arg(0)), int(c.Arg(1)))
+		addr, n := uint64(c.Arg(0)), int(c.Arg(1))
+		if n < 0 {
+			return 0, negativeLen(n)
+		}
+		if err := c.VM.Mem.check(addr, n); err != nil {
+			return 0, err
+		}
+		// Read straight from simulated memory into the log: the length
+		// is checked against the limit before anything is allocated.
+		b, err := c.VM.growOutput(n)
 		if err != nil {
 			return 0, err
 		}
-		c.VM.output = append(c.VM.output, b...)
+		c.VM.Mem.readInto(b, addr)
 		return 0, nil
 	})
 	v.RegisterBuiltin("rt_rand", func(c *Call) (int64, error) {

@@ -202,22 +202,8 @@ func (m *Memory) WriteU(addr uint64, n int, v uint64) error {
 	return nil
 }
 
-// ReadBytes copies n bytes starting at addr into a fresh slice. A
-// negative n is an error.
-func (m *Memory) ReadBytes(addr uint64, n int) ([]byte, error) {
-	if n < 0 {
-		return nil, negativeLen(n)
-	}
-	if err := m.check(addr, n); err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	m.readInto(out, addr)
-	return out, nil
-}
-
-// ReadInto is ReadBytes into the caller's buffer: it fills b with the
-// len(b) bytes starting at addr and allocates nothing.
+// ReadInto fills b with the len(b) bytes starting at addr and
+// allocates nothing.
 func (m *Memory) ReadInto(addr uint64, b []byte) error {
 	if err := m.check(addr, len(b)); err != nil {
 		return err

@@ -194,17 +194,55 @@ func TestInputBuiltins(t *testing.T) {
 
 func TestPrintBuiltins(t *testing.T) {
 	m := ir.NewModule("print")
+	if _, err := m.AddGlobal("s", 8, []byte("hi there")); err != nil {
+		t.Fatal(err)
+	}
 	b := ir.NewFunc(m, "main", ir.I64)
 	b.CallVoid("print_i64", ir.Const(42))
 	b.CallVoid("print_f64", ir.ConstF(2.5))
+	b.CallVoid("print_str", ir.Global("s"), ir.Const(8))
 	b.Ret(ir.Const(0))
 	v := mustVM(t, m)
 	if _, err := v.Run(); err != nil {
 		t.Fatal(err)
 	}
-	out := string(v.Output())
-	if !strings.Contains(out, "42\n") || !strings.Contains(out, "2.5\n") {
+	if out := string(v.Output()); out != "42\n2.5\nhi there" {
 		t.Fatalf("output = %q", out)
+	}
+}
+
+// TestOutputLimit: the print builtins fill the output log up to
+// maxOutput bytes and fail with ErrOutputLimit past it, leaving the log
+// as it was; a negative print_str length fails on its own.
+func TestOutputLimit(t *testing.T) {
+	m := ir.NewModule("limit")
+	if _, err := m.AddGlobal("s", 8, nil); err != nil {
+		t.Fatal(err)
+	}
+	b := ir.NewFunc(m, "main", ir.I64, ir.Param{Name: "n", Type: ir.I64})
+	b.CallVoid("print_str", ir.Global("s"), b.ParamReg(0))
+	b.CallVoid("print_i64", ir.Const(7))
+	b.Ret(ir.Const(0))
+	for _, tc := range []struct {
+		n       int64
+		wantLen int
+		wantErr bool
+	}{
+		{maxOutput - 2, maxOutput, false},
+		{maxOutput - 1, maxOutput - 1, true},
+		{maxOutput + 1, 0, true},
+	} {
+		v := mustVM(t, m)
+		_, err := v.Run(tc.n)
+		if got := errors.Is(err, ErrOutputLimit); got != tc.wantErr {
+			t.Fatalf("n=%d: err = %v", tc.n, err)
+		}
+		if len(v.Output()) != tc.wantLen {
+			t.Fatalf("n=%d: output log holds %d bytes, want %d", tc.n, len(v.Output()), tc.wantLen)
+		}
+	}
+	if _, err := mustVM(t, m).Run(-5); err == nil || !strings.Contains(err.Error(), "vm: negative length -5") {
+		t.Fatalf("n=-5: err = %v, want a negative length", err)
 	}
 }
 
@@ -311,12 +349,12 @@ func TestMemoryPageStraddle(t *testing.T) {
 	if got != 0x1122334455667788 {
 		t.Fatalf("straddled read = %#x", got)
 	}
-	b, err := mem.ReadBytes(addr-2, 16)
-	if err != nil {
+	b := make([]byte, 16)
+	if err := mem.ReadInto(addr-2, b); err != nil {
 		t.Fatal(err)
 	}
 	if b[2] != 0x88 || b[9] != 0x11 {
-		t.Fatalf("ReadBytes straddle = %v", b)
+		t.Fatalf("ReadInto straddle = %v", b)
 	}
 }
 
@@ -426,8 +464,7 @@ func TestExecutionTracer(t *testing.T) {
 
 // TestMemoryCopy: Copy is memmove (overlap in either direction keeps
 // the source image), stages through a reused buffer (no allocation
-// after the first call), and rejects a negative length, as ReadBytes
-// does.
+// after the first call), and rejects a negative length.
 func TestMemoryCopy(t *testing.T) {
 	mem := newMemory()
 	base := uint64(HeapBase + pageSize - 5) // straddles a page boundary
@@ -449,8 +486,8 @@ func TestMemoryCopy(t *testing.T) {
 		if err := mem.Copy(tc.dst, tc.src, 10); err != nil {
 			t.Fatal(err)
 		}
-		got, err := mem.ReadBytes(base, 12)
-		if err != nil {
+		got := make([]byte, 12)
+		if err := mem.ReadInto(base, got); err != nil {
 			t.Fatal(err)
 		}
 		if string(got) != string(tc.want) {
@@ -467,9 +504,6 @@ func TestMemoryCopy(t *testing.T) {
 	}
 	if err := mem.Copy(base, base+8, -1); err == nil {
 		t.Error("Copy accepted a negative length")
-	}
-	if _, err := mem.ReadBytes(base, -1); err == nil {
-		t.Error("ReadBytes accepted a negative length")
 	}
 	if err := mem.Copy(base, NullGuard-8, 4); !errors.Is(err, ErrNullDeref) {
 		t.Errorf("Copy from the null guard: err = %v, want ErrNullDeref", err)
