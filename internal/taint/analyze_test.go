@@ -11,8 +11,8 @@ import (
 
 // TestAnalyzeEqualsInOrderMerge: at every width from 1 to 4, Analyze
 // over a corpus reports exactly what analyzing each entry alone and
-// merging the reports in corpus order reports, down to each field's
-// labels. The corpus is libpng's canonical input and its CVE inputs,
+// merging the reports in corpus order reports, down to each tainted
+// field. The corpus is libpng's canonical input and its CVE inputs,
 // which taint different classes.
 func TestAnalyzeEqualsInOrderMerge(t *testing.T) {
 	w := workload.LibPNG()

@@ -1,3 +1,19 @@
+// Package taint implements the TaintClass framework of POLaR (§IV.B):
+// the per-class report of Tables I and IV, and the runner that fills it
+// from taint runs of the VM.
+//
+// The DataFlowSanitizer analogue itself lives in the VM (vm.WithTaint):
+// it labels every byte the program reads from its untrusted input (the
+// input_* builtins model the instrumented fread / MapViewOfFile entry
+// points) and propagates the labels inline through loads, stores,
+// arithmetic, pointer derivation and memory copies — DFSan's
+// propagation rules. A label is one bit: input-dependent or not. When
+// tainted bytes land inside a heap object of known class, the VM
+// reports the class and the byte range, and the Report records the
+// class and the member fields the range covers as input-dependent. A
+// coarse control-taint flag per frame marks allocations and frees that
+// execute under a tainted branch condition, approximating "life-cycle
+// affected by untrusted input".
 package taint
 
 import (
@@ -7,6 +23,7 @@ import (
 	"sync"
 
 	"polar/internal/ir"
+	"polar/internal/vm"
 )
 
 // FieldTaint describes one tainted member of a class.
@@ -14,7 +31,6 @@ type FieldTaint struct {
 	Index     int
 	Name      string
 	IsPointer bool
-	Labels    Label
 }
 
 // ObjectReport is the TaintClass verdict for one class: whether its
@@ -44,8 +60,8 @@ func (o *ObjectReport) SortedFields() []*FieldTaint {
 }
 
 // Report accumulates per-class taint verdicts across one or many
-// executions (the fuzz driver merges per-input reports into one).
-// Safe for concurrent use.
+// executions (the fuzz driver merges per-input reports into one). It is
+// the vm.TaintSink of a taint run. Safe for concurrent use.
 type Report struct {
 	mu      sync.Mutex
 	objects map[string]*ObjectReport
@@ -65,11 +81,13 @@ func (r *Report) obj(class string) *ObjectReport {
 	return o
 }
 
-// markContent records tainted bytes at [off, off+n) of an instance of
-// st, resolving which members are covered via the static layout (the
+var _ vm.TaintSink = (*Report)(nil)
+
+// Content records tainted bytes at [off, off+n) of an instance of st,
+// resolving which members are covered via the static layout (the
 // TaintClass build runs uninstrumented, so objects carry the compiler
 // layout).
-func (r *Report) markContent(st *ir.StructType, off, n int, l Label) {
+func (r *Report) Content(st *ir.StructType, off, n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	o := r.obj(st.Name)
@@ -79,31 +97,26 @@ func (r *Report) markContent(st *ir.StructType, off, n int, l Label) {
 		if fo+f.Type.Size() <= off || fo >= off+n {
 			continue
 		}
-		ft, ok := o.Fields[i]
-		if !ok {
+		if _, ok := o.Fields[i]; !ok {
 			_, isPtr := f.Type.(ir.PtrType)
 			_, isFptr := f.Type.(ir.FuncPtrType)
-			ft = &FieldTaint{Index: i, Name: f.Name, IsPointer: isPtr || isFptr}
-			o.Fields[i] = ft
+			o.Fields[i] = &FieldTaint{Index: i, Name: f.Name, IsPointer: isPtr || isFptr}
 		}
-		ft.Labels |= l
 	}
 }
 
-func (r *Report) markAlloc(st *ir.StructType, l Label) {
+// Alloc records an allocation of st under tainted control.
+func (r *Report) Alloc(st *ir.StructType) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	o := r.obj(st.Name)
-	o.AllocTainted = true
-	_ = l
+	r.obj(st.Name).AllocTainted = true
 }
 
-func (r *Report) markFree(st *ir.StructType, l Label) {
+// Free records a deallocation of st under tainted control.
+func (r *Report) Free(st *ir.StructType) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	o := r.obj(st.Name)
-	o.FreeTainted = true
-	_ = l
+	r.obj(st.Name).FreeTainted = true
 }
 
 // Merge folds other into r (corpus union).
@@ -118,9 +131,7 @@ func (r *Report) Merge(other *Report) {
 		o.AllocTainted = o.AllocTainted || oo.AllocTainted
 		o.FreeTainted = o.FreeTainted || oo.FreeTainted
 		for idx, ft := range oo.Fields {
-			if cur, ok := o.Fields[idx]; ok {
-				cur.Labels |= ft.Labels
-			} else {
+			if _, ok := o.Fields[idx]; !ok {
 				cp := *ft
 				o.Fields[idx] = &cp
 			}

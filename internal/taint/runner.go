@@ -23,8 +23,8 @@ type RunOptions struct {
 	IgnoreRunErrors bool
 }
 
-// AnalyzeOne executes the module once with the given input under the
-// taint engine and returns the per-run report.
+// AnalyzeOne executes the module once with the given input as a taint
+// run and returns the per-run report.
 func AnalyzeOne(m *ir.Module, input []byte, opts RunOptions) (*Report, error) {
 	p, err := vm.Compile(ir.Clone(m))
 	if err != nil {
@@ -39,8 +39,8 @@ func AnalyzeOne(m *ir.Module, input []byte, opts RunOptions) (*Report, error) {
 
 // Analyze executes the module once per corpus input and returns the
 // merged report — the TaintClass object list for the program. The
-// module is compiled once; every input runs on its own hooked instance
-// of that Program, up to runtime.GOMAXPROCS(0) of them at once.
+// module is compiled once; every input runs as a taint run on its own
+// instance of that Program, up to runtime.GOMAXPROCS(0) of them at once.
 func Analyze(m *ir.Module, corpus [][]byte, opts RunOptions) (*Report, error) {
 	return analyze(m, corpus, opts, runtime.GOMAXPROCS(0))
 }
@@ -96,8 +96,7 @@ func analyze(m *ir.Module, corpus [][]byte, opts RunOptions, width int) (*Report
 }
 
 func analyzeInto(p *vm.Program, input []byte, opts RunOptions, rep *Report) error {
-	eng := NewEngine(rep)
-	vmOpts := []vm.Option{vm.WithInput(input), vm.WithHooks(eng)}
+	vmOpts := []vm.Option{vm.WithInput(input), vm.WithTaint(rep)}
 	if opts.Fuel > 0 {
 		vmOpts = append(vmOpts, vm.WithFuel(opts.Fuel))
 	}
@@ -105,7 +104,6 @@ func analyzeInto(p *vm.Program, input []byte, opts RunOptions, rep *Report) erro
 	if err != nil {
 		return err
 	}
-	eng.Bind(v)
 	if _, err := v.Run(opts.Args...); err != nil {
 		if opts.IgnoreRunErrors || errors.Is(err, vm.ErrFuelExhausted) {
 			return nil
@@ -113,11 +111,4 @@ func analyzeInto(p *vm.Program, input []byte, opts RunOptions, rep *Report) erro
 		return err
 	}
 	return nil
-}
-
-// vmNewForTest builds a VM with the engine attached (test helper kept
-// here so the engine wiring stays in one place).
-func vmNewForTest(t interface{ Helper() }, m *ir.Module, eng *Engine, input []byte) (*vm.VM, error) {
-	t.Helper()
-	return vm.New(ir.Clone(m), vm.WithHooks(eng), vm.WithInput(input))
 }

@@ -197,11 +197,11 @@ func TestMergeAndCount(t *testing.T) {
 	a := NewReport()
 	b := NewReport()
 	st := ir.NewStruct("S", ir.Field{Name: "x", Type: ir.I64}, ir.Field{Name: "y", Type: ir.I32})
-	a.markContent(st, 0, 8, 1)
-	b.markContent(st, 8, 4, 2)
-	b.markAlloc(st, 2)
+	a.Content(st, 0, 8)
+	b.Content(st, 8, 4)
+	b.Alloc(st)
 	other := ir.NewStruct("T", ir.Field{Name: "z", Type: ir.I64})
-	b.markFree(other, 4)
+	b.Free(other)
 	a.Merge(b)
 	if a.Count() != 2 {
 		t.Fatalf("merged count = %d, want 2", a.Count())
@@ -210,8 +210,8 @@ func TestMergeAndCount(t *testing.T) {
 	if len(o.Fields) != 2 || !o.AllocTainted {
 		t.Fatalf("merged S = %+v", o)
 	}
-	if o.Fields[0].Labels != 1 || o.Fields[1].Labels != 2 {
-		t.Fatalf("labels = %v %v", o.Fields[0].Labels, o.Fields[1].Labels)
+	if o.Fields[0].Name != "x" || o.Fields[1].Name != "y" {
+		t.Fatalf("merged fields = %+v %+v", o.Fields[0], o.Fields[1])
 	}
 	ot, _ := a.Object("T")
 	if !ot.FreeTainted {
@@ -247,79 +247,6 @@ func TestAnalyzeCorpusIgnoresCrashes(t *testing.T) {
 	// Without the flag the crash is an error.
 	if _, err := Analyze(m, [][]byte{{200}}, RunOptions{}); err == nil {
 		t.Fatal("crash swallowed without IgnoreRunErrors")
-	}
-}
-
-func TestShadowMemRanges(t *testing.T) {
-	s := newShadowMem()
-	s.setRange(100, 8, 3)
-	if got := s.rangeOr(96, 16); got != 3 {
-		t.Fatalf("rangeOr = %d", got)
-	}
-	if got := s.rangeOr(108, 8); got != 0 {
-		t.Fatalf("clean range = %d", got)
-	}
-	s.copyRange(200, 100, 8)
-	if got := s.rangeOr(200, 8); got != 3 {
-		t.Fatalf("copied labels = %d", got)
-	}
-	// Overlapping copy (forward).
-	s.copyRange(102, 100, 8)
-	if got := s.rangeOr(102, 8); got != 3 {
-		t.Fatalf("overlap copy = %d", got)
-	}
-	// Cross-page.
-	base := uint64(shadowPageSize - 4)
-	s.setRange(base, 8, 5)
-	if got := s.rangeOr(base, 8); got != 5 {
-		t.Fatalf("cross-page = %d", got)
-	}
-}
-
-// TestMultiLabelProvenance: distinct source labels (e.g. one per input
-// chunk in a fuzz corpus) stay distinguishable through propagation and
-// merge — the byte-granular provenance DFSan's label unions provide.
-func TestMultiLabelProvenance(t *testing.T) {
-	m := ir.NewModule("labels")
-	st := m.MustStruct(ir.NewStruct("S",
-		ir.Field{Name: "a", Type: ir.I64},
-		ir.Field{Name: "b", Type: ir.I64},
-	))
-	if _, err := m.AddGlobal("buf", 16, nil); err != nil {
-		t.Fatal(err)
-	}
-	b := ir.NewFunc(m, "main", ir.I64)
-	b.Call("input_read", ir.Global("buf"), ir.Const(0), ir.Const(8))
-	p := b.Alloc(st)
-	v := b.Load(ir.I64, ir.Global("buf"))
-	b.Store(ir.I64, v, b.FieldPtr(st, p, 0))
-	b.Ret(ir.Const(0))
-
-	run := func(label Label, rep *Report) {
-		eng := NewEngine(rep)
-		eng.SetSourceLabel(label)
-		v2, err := vmNewForTest(t, m, eng, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.Bind(v2)
-		if _, err := v2.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	merged := NewReport()
-	run(1<<3, merged)
-	run(1<<7, merged)
-	o, ok := merged.Object("S")
-	if !ok {
-		t.Fatal("S missing")
-	}
-	ft := o.SortedFields()
-	if len(ft) != 1 {
-		t.Fatalf("fields = %+v", ft)
-	}
-	if ft[0].Labels != (1<<3)|(1<<7) {
-		t.Fatalf("labels = %#x, want union of both sources", ft[0].Labels)
 	}
 }
 

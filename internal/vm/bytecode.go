@@ -178,8 +178,8 @@ type mcInstr struct {
 //	st         struct type for typed allocations
 //	irIn       the source instruction — kept for calls (builtin name and
 //	           raw operands for the Call ABI), diagnostics and, in the
-//	           unfused lowering, the observers (Hooks, instruction log);
-//	           never consulted by the fused straight-line hot path
+//	           unfused lowering, the instruction log; never consulted by
+//	           the fused straight-line hot path
 //	args       call arguments
 type bcInstr struct {
 	op        bcOp

@@ -256,13 +256,15 @@ func TestFusedIntermediateRegisterVisible(t *testing.T) {
 	}
 }
 
-// TestObserversRunOnBytecode: hooks and the instruction log run the
-// bytecode engine's unfused lowering (and still produce their events);
-// an instance without them, or with only an execution trace, keeps the
-// fused code and never builds the unfused form.
+// TestObserversRunOnBytecode: a taint sink and the instruction log run
+// the bytecode engine's unfused lowering (and still produce their
+// events); an instance without them, or with only an execution trace,
+// keeps the fused code and never builds the unfused form.
 func TestObserversRunOnBytecode(t *testing.T) {
 	m := ir.NewModule("observed")
+	st := m.MustStruct(ir.NewStruct("S", ir.Field{Name: "x", Type: ir.I64}))
 	b := ir.NewFunc(m, "main", ir.I64)
+	b.Store(ir.I64, b.Call("input_byte", ir.Const(0)), b.FieldPtr(st, b.Alloc(st), 0))
 	b.Ret(b.Bin(ir.BinAdd, ir.Const(1), ir.Const(2)))
 	p, err := Compile(m)
 	if err != nil {
@@ -292,40 +294,20 @@ func TestObserversRunOnBytecode(t *testing.T) {
 		t.Fatalf("trace empty on an observed run: %q", tr.String())
 	}
 
-	h := &countingHooks{}
-	v2, err := p.NewInstance(WithHooks(h))
+	sink := &RecordingSink{}
+	v2, err := p.NewInstance(WithTaint(sink), WithInput([]byte{1}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v2.obsFuncs == nil || &v2.obsFuncs[0] != &v.obsFuncs[0] {
-		t.Fatal("hooked instance must share the Program's one unfused lowering")
+		t.Fatal("a taint instance must share the Program's one unfused lowering")
 	}
-	if _, err := v2.Run(); err != nil {
-		t.Fatal(err)
+	if got, err := v2.Run(); err != nil || got != 3 {
+		t.Fatalf("taint run: got %d, %v; want 3", got, err)
 	}
-	if h.enters == 0 || h.bins == 0 {
-		t.Fatalf("hooks not fired on an observed run: %+v", h)
+	if !reflect.DeepEqual(sink.Log, []string{"content S 0 8"}) {
+		t.Fatalf("taint sink log on an observed run: %q", sink.Log)
 	}
-}
-
-type countingHooks struct {
-	enters, bins int
-}
-
-func (h *countingHooks) Enter(fn *ir.Func, args []ir.Value)      { h.enters++ }
-func (h *countingHooks) Exit(retArg *ir.Value, callerDest int)   {}
-func (h *countingHooks) Load(dest int, addr uint64, size int)    {}
-func (h *countingHooks) Store(src *ir.Value, addr uint64, n int) {}
-func (h *countingHooks) Bin(dest int, a, b *ir.Value)            { h.bins++ }
-func (h *countingHooks) Un(dest int, a *ir.Value)                {}
-func (h *countingHooks) PtrDerive(dest int, base *ir.Value)      {}
-func (h *countingHooks) Memcpy(dst, src uint64, n int)           {}
-func (h *countingHooks) Memset(dst uint64, n int)                {}
-func (h *countingHooks) CondBr(cond *ir.Value)                   {}
-func (h *countingHooks) Alloc(dest int, addr uint64, size int, st *ir.StructType) {
-}
-func (h *countingHooks) Free(addr uint64) {}
-func (h *countingHooks) Builtin(name string, args []ir.Value, argVals []int64, ret int64, dest int) {
 }
 
 // TestProfilerAttributionConservation: with per-instruction

@@ -81,8 +81,8 @@ func traceBoth(t *testing.T, s hardenedSetup, prog *vm.Program, cfg core.Config,
 // merely the same outputs and stats, but the same runtime events in the
 // same order with the same resolved offsets. Observed runs are held to
 // it too: with the instruction log attached the bytecode trace must not
-// change, and a hooked run (no inline-cache hits) must trace exactly as
-// a hooked reference run.
+// change, and a taint run (no inline-cache hits) must trace exactly as
+// a reference taint run.
 func TestEngineDifferentialTraces(t *testing.T) {
 	for _, cs := range exploit.CaseStudies() {
 		cs := cs
@@ -93,10 +93,10 @@ func TestEngineDifferentialTraces(t *testing.T) {
 			bc := traceBoth(t, s, s.prog, cfg, nil, cs.AttackArgs)
 			var log strings.Builder
 			requireSameTrace(t, traceRun(t, s, s.prog, cfg, nil, cs.AttackArgs, engines[0], vm.WithTrace(&log, 0)), bc)
-			hooked := func(e engine) []byte {
-				return traceRun(t, s, s.prog, cfg, nil, cs.AttackArgs, e, vm.WithHooks(&vm.RecordingHooks{}))
+			tainted := func(e engine) []byte {
+				return traceRun(t, s, s.prog, cfg, nil, cs.AttackArgs, e, vm.WithTaint(&vm.RecordingSink{}))
 			}
-			requireSameTrace(t, hooked(engines[0]), hooked(engines[1]))
+			requireSameTrace(t, tainted(engines[0]), tainted(engines[1]))
 		})
 	}
 }

@@ -9,8 +9,9 @@ import (
 
 // TestExecTraceStaysOnBytecode pins the structural-zero contract: an
 // execution-trace writer is NOT an observer, so attaching one must keep
-// the instance on the fused lowering (unlike hooks and the instruction
-// log), and an instance without one carries no trace state at all.
+// the instance on the fused lowering (unlike a taint sink and the
+// instruction log), and an instance without one carries no trace state
+// at all.
 func TestExecTraceStaysOnBytecode(t *testing.T) {
 	p, err := Compile(richModule(t))
 	if err != nil {
@@ -73,7 +74,7 @@ func TestExecTraceEngineIdentity(t *testing.T) {
 	ref := trace(reference)
 	for name, got := range map[string][]byte{
 		"bytecode": trace(bytecode),
-		"observed": trace(bytecode, WithHooks(&countingHooks{})),
+		"observed": trace(bytecode, WithTaint(&RecordingSink{})),
 	} {
 		if bytes.Equal(got, ref) {
 			continue

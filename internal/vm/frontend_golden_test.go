@@ -86,7 +86,7 @@ func renderFrontEnd(t *testing.T, w *workload.Workload) string {
 // TestFrontEndGolden pins what the front end makes of every workload:
 // coverage edges, the fuzz campaign's corpus and crashers, and the
 // tainted classes and fields. A rewrite of the coverage hashing, the
-// taint hooks or the shadow memory must leave every line unchanged.
+// taint propagation or the shadow memory must leave every line unchanged.
 // The engine differential cannot catch a hash change made in both the
 // engine and its reference; this can. Regenerate with:
 // go test ./internal/vm -run TestFrontEndGolden -update

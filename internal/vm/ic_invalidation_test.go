@@ -248,37 +248,32 @@ func TestInlineCacheConcurrentInstances(t *testing.T) {
 	}
 }
 
-// TestInlineCacheColdUnderHooks: a hooked run never serves an inline
-// layout-cache hit, so Hooks.Builtin sees every olr_getptr resolution,
-// and the bytecode engine's hooked run makes the reference's Hooks calls
-// exactly. An instruction log alone is no hook: the caches stay in use
-// and the log is the reference's, line for line.
-func TestInlineCacheColdUnderHooks(t *testing.T) {
+// TestInlineCacheColdUnderTaint: a taint run never reads the inline
+// layout cache, so every olr_getptr the instruction log shows runs the
+// builtin, and the bytecode engine's taint run makes the reference's
+// sink calls exactly. An instruction log alone is no taint run: the
+// caches stay in use and the log is the reference's, line for line.
+func TestInlineCacheColdUnderTaint(t *testing.T) {
 	const n = 12
 	s := newICChurnSetup(t, 4, false)
 	var logs [2][]string
 	for i, e := range engines {
-		h := &vm.RecordingHooks{}
-		v, _, got := runICChurn(t, s, e, core.LayoutModeMetadata, 0, 7, n, vm.WithHooks(h))
+		sink := &vm.RecordingSink{}
+		var log strings.Builder
+		v, _, got := runICChurn(t, s, e, core.LayoutModeMetadata, 0, 7, n, vm.WithTaint(sink), vm.WithTrace(&log, 0))
 		if want := icChurnExpected(n); got != want {
 			t.Fatalf("%s: checksum %d, want %d", e.name, got, want)
 		}
 		if v.Perf.InlineHits != 0 || v.Perf.InlineMisses != 0 {
-			t.Fatalf("%s: hooked run consulted the inline cache: %+v", e.name, v.Perf)
+			t.Fatalf("%s: taint run consulted the inline cache: %+v", e.name, v.Perf)
 		}
-		resolutions := 0
-		for _, l := range h.Log {
-			if strings.HasPrefix(l, "builtin olr_getptr ") {
-				resolutions++
-			}
+		if got := strings.Count(log.String(), "call @olr_getptr("); got != 25*n {
+			t.Fatalf("%s: the taint run executed %d olr_getptr calls, want %d", e.name, got, 25*n)
 		}
-		if resolutions != 25*n {
-			t.Fatalf("%s: Hooks.Builtin saw %d olr_getptr calls, want %d", e.name, resolutions, 25*n)
-		}
-		logs[i] = h.Log
+		logs[i] = sink.Log
 	}
 	if !reflect.DeepEqual(logs[0], logs[1]) {
-		t.Fatal("hooked runs make different Hooks calls on the two engines")
+		t.Fatal("taint runs make different sink calls on the two engines")
 	}
 
 	var traces [2]strings.Builder

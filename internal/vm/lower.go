@@ -24,11 +24,11 @@ import (
 //     the per-call frame the interpreter must zero and keeping hot
 //     registers on the same cache lines.
 //
-// Observed runs (Hooks or the instruction log attached) execute a
-// second, unfused lowering: phase 2 is skipped, so every lowered
-// instruction is exactly one source instruction and its irIn is what
-// the observers see. Registers are still allocated; the observers
-// speak source register numbers, read off irIn.
+// Observed runs (taint runs, and runs with the instruction log
+// attached) execute a second, unfused lowering: phase 2 is skipped, so
+// every lowered instruction is exactly one source instruction, which
+// the log prints from irIn. Registers are still allocated, and a taint
+// run's register labels use the allocated numbers too.
 
 // observedFuncs returns the unfused lowering observed runs execute,
 // building it on first use: a Program that never runs observed never

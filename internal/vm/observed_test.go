@@ -11,71 +11,129 @@ import (
 	"polar/internal/telemetry/profile"
 )
 
-// RecordingHooks logs every Hooks call with its arguments, one line per
-// call, so two runs can be compared call for call. Exported for the
-// external differential tests.
-type RecordingHooks struct {
+// RecordingSink logs every TaintSink call with its arguments, one line
+// per call, so two taint runs can be compared call for call. Exported
+// for the external differential tests.
+type RecordingSink struct {
 	Log []string
 }
 
-func (h *RecordingHooks) add(format string, args ...any) {
-	h.Log = append(h.Log, fmt.Sprintf(format, args...))
+func (s *RecordingSink) Content(st *ir.StructType, off, n int) {
+	s.Log = append(s.Log, fmt.Sprintf("content %s %d %d", st.Name, off, n))
+}
+func (s *RecordingSink) Alloc(st *ir.StructType) { s.Log = append(s.Log, "alloc "+st.Name) }
+func (s *RecordingSink) Free(st *ir.StructType)  { s.Log = append(s.Log, "free "+st.Name) }
+
+// taintModule exercises every taint rule on input {9, 8, 7} so that
+// dropping any one of them changes the sink log (taintModuleLog).
+func taintModule(t *testing.T) *ir.Module {
+	t.Helper()
+	m := ir.NewModule("taint")
+	obj := m.MustStruct(ir.NewStruct("Obj",
+		ir.Field{Name: "a", Type: ir.I64},
+		ir.Field{Name: "b", Type: ir.I64},
+		ir.Field{Name: "c", Type: ir.I8},
+		ir.Field{Name: "p", Type: ir.Raw},
+	))
+	life := m.MustStruct(ir.NewStruct("Life", ir.Field{Name: "x", Type: ir.I64}))
+	for _, g := range []string{"buf", "raw"} {
+		if _, err := m.AddGlobal(g, 64, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// pass(x) = x: the argument's label goes in, the return's comes out.
+	pb := ir.NewFunc(m, "pass", ir.I64, ir.Param{Name: "x", Type: ir.I64})
+	pb.Ret(pb.ParamReg(0))
+	// renew(p) frees p and allocates a Life under its caller's control.
+	rb := ir.NewFunc(m, "renew", ir.Raw, ir.Param{Name: "p", Type: ir.Raw})
+	rb.Free(rb.ParamReg(0))
+	rb.Ret(rb.Alloc(life))
+
+	b := ir.NewFunc(m, "main", ir.I64, ir.Param{Name: "n", Type: ir.I64})
+	o := b.Alloc(obj)
+	o2 := b.Alloc(obj)
+	l := b.Alloc(life)
+	b.CallVoid("input_read", ir.Global("buf"), ir.Const(0), ir.Const(16)) // buf[0,3) tainted
+	x := b.Load(ir.I64, ir.Global("buf"))
+	b.Store(ir.I64, x, b.FieldPtr(obj, o, 0)) // content Obj 0 8
+	// A clean store clears the labels it overwrites.
+	b.Store(ir.I64, ir.Const(0), ir.Global("buf"))
+	b.Store(ir.I64, b.Load(ir.I64, ir.Global("buf")), b.FieldPtr(obj, o, 1))
+	// Labels ride through arithmetic, a call and its return.
+	y := b.Call("pass", b.Bin(ir.BinMul, x, ir.Const(3)))
+	b.Store(ir.I8, y, b.FieldPtr(obj, o, 2)) // content Obj 16 1
+	// Pointer derivation keeps the base's label.
+	b.Store(ir.Raw, b.PtrAdd(x, ir.Const(8)), b.FieldPtr(obj, o2, 3)) // content Obj 24 8
+	b.Store(ir.I64, b.ElemPtr(ir.I64, x, ir.Const(2)), b.FieldPtr(obj, o2, 0))
+	// memcpy copies labels (and reports a tainted copy into an object);
+	// memset clears them.
+	b.CallVoid("input_read", b.PtrAdd(ir.Global("buf"), ir.Const(8)), ir.Const(0), ir.Const(8))
+	b.Memcpy(ir.Global("raw"), b.PtrAdd(ir.Global("buf"), ir.Const(8)), ir.Const(8))
+	b.Store(ir.I64, b.Load(ir.I64, ir.Global("raw")), b.FieldPtr(obj, o2, 1)) // content Obj 8 8
+	b.Memcpy(b.FieldPtr(obj, o2, 0), ir.Global("raw"), ir.Const(4))           // content Obj 0 4
+	b.Memset(ir.Global("raw"), ir.Const(0), ir.Const(8))
+	b.Store(ir.I64, b.Load(ir.I64, ir.Global("raw")), b.FieldPtr(obj, o, 1))
+	// Builtin results: the sources taint theirs, the rest take the OR
+	// of their arguments'.
+	b.Store(ir.I8, b.Call("input_len"), b.FieldPtr(obj, o2, 2)) // content Obj 16 1
+	b.Store(ir.I64, b.Call("rt_sqrt", ir.Const(4)), b.FieldPtr(obj, o, 1))
+	b.Store(ir.I64, b.Call("rt_sqrt", b.ItoF(x)), b.FieldPtr(obj, o, 1)) // content Obj 8 8
+	// A freed object's chunk comes back clean.
+	b.Free(o)
+	o3 := b.Alloc(obj)
+	b.Store(ir.I64, b.Load(ir.I64, b.FieldPtr(obj, o3, 0)), b.FieldPtr(obj, o2, 1))
+	// Under clean control, life-cycle events are not reported; under a
+	// tainted branch they are, in callees too.
+	b.If("clean", b.Cmp(ir.CmpGt, b.ParamReg(0), ir.Const(0)), func() {
+		b.Free(l)
+		b.Store(ir.Raw, b.Alloc(life), b.FieldPtr(obj, o3, 3))
+	}, nil)
+	b.If("tainted", b.Cmp(ir.CmpGt, x, ir.Const(0)), func() {
+		b.Free(b.Call("renew", b.Alloc(life))) // free Life, alloc Life, alloc Life, free Life
+	}, nil)
+	b.Ret(b.Call("pass", ir.Const(1)))
+	return m
 }
 
-func (h *RecordingHooks) Enter(fn *ir.Func, args []ir.Value) { h.add("enter @%s %v", fn.Name, args) }
-func (h *RecordingHooks) Exit(retArg *ir.Value, callerDest int) {
-	if retArg == nil {
-		h.add("exit void %d", callerDest)
-		return
-	}
-	h.add("exit %v %d", *retArg, callerDest)
-}
-func (h *RecordingHooks) Load(dest int, addr uint64, size int) {
-	h.add("load %d %#x %d", dest, addr, size)
-}
-func (h *RecordingHooks) Store(src *ir.Value, addr uint64, size int) {
-	h.add("store %v %#x %d", *src, addr, size)
-}
-func (h *RecordingHooks) Bin(dest int, a, b *ir.Value)       { h.add("bin %d %v %v", dest, *a, *b) }
-func (h *RecordingHooks) Un(dest int, a *ir.Value)           { h.add("un %d %v", dest, *a) }
-func (h *RecordingHooks) PtrDerive(dest int, base *ir.Value) { h.add("ptr %d %v", dest, *base) }
-func (h *RecordingHooks) Memcpy(dst, src uint64, n int)      { h.add("memcpy %#x %#x %d", dst, src, n) }
-func (h *RecordingHooks) Memset(dst uint64, n int)           { h.add("memset %#x %d", dst, n) }
-func (h *RecordingHooks) CondBr(cond *ir.Value)              { h.add("condbr %v", *cond) }
-func (h *RecordingHooks) Alloc(dest int, addr uint64, size int, st *ir.StructType) {
-	name := "<raw>"
-	if st != nil {
-		name = st.Name
-	}
-	h.add("alloc %d %#x %d %s", dest, addr, size, name)
-}
-func (h *RecordingHooks) Free(addr uint64) { h.add("free %#x", addr) }
-func (h *RecordingHooks) Builtin(name string, args []ir.Value, argVals []int64, ret int64, dest int) {
-	h.add("builtin %s %v %v %d %d", name, args, argVals, ret, dest)
+// taintModuleLog is the sink log taintModule must produce.
+var taintModuleLog = []string{
+	"content Obj 0 8",
+	"content Obj 16 1",
+	"content Obj 24 8",
+	"content Obj 0 8",
+	"content Obj 8 8",
+	"content Obj 0 4",
+	"content Obj 16 1",
+	"content Obj 8 8",
+	"alloc Life",
+	"free Life",
+	"alloc Life",
+	"free Life",
 }
 
 // observedOutcome is everything an observed run exposes: result, error
-// text, Stats, the Hooks log, the instruction log and the per-site
-// profile.
+// text, Stats, the taint sink's log, the instruction log and the
+// per-site profile.
 type observedOutcome struct {
 	ret     int64
 	err     string
 	stats   Stats
-	hooks   []string
+	sink    []string
 	trace   string
 	profile []profile.SiteSample
 }
 
-// runObserved runs m on e with a recording hook and/or the instruction
+// runObserved runs m on e as a taint run and/or with the instruction
 // log attached, under the site profiler.
-func runObserved(t *testing.T, m *ir.Module, e engine, hooked, traced bool, opts []Option, args ...int64) observedOutcome {
+func runObserved(t *testing.T, m *ir.Module, e engine, tainted, traced bool, opts []Option, args ...int64) observedOutcome {
 	t.Helper()
-	h := &RecordingHooks{}
+	sink := &RecordingSink{}
 	var tr strings.Builder
 	prof := profile.NewSiteProfiler()
 	opts = append(opts, WithProfiler(prof))
-	if hooked {
-		opts = append(opts, WithHooks(h))
+	if tainted {
+		opts = append(opts, WithTaint(sink))
 	}
 	if traced {
 		opts = append(opts, WithTrace(&tr, 0))
@@ -84,33 +142,33 @@ func runObserved(t *testing.T, m *ir.Module, e engine, hooked, traced bool, opts
 	if cycles, _, _ := prof.Totals(); cycles != v.Stats.Instructions {
 		t.Fatalf("%s: profiled cycles %d != executed instructions %d", e, cycles, v.Stats.Instructions)
 	}
-	out := observedOutcome{ret: ret, stats: v.Stats, hooks: h.Log, trace: tr.String(), profile: prof.Snapshot()}
+	out := observedOutcome{ret: ret, stats: v.Stats, sink: sink.Log, trace: tr.String(), profile: prof.Snapshot()}
 	if err != nil {
 		out.err = err.Error()
 	}
 	return out
 }
 
-// TestObservedRunsMatchReference: on the all-opcode program and on every
-// fault class, an observed bytecode run makes exactly the reference
-// tree-walker's Hooks calls with the same arguments in the same order,
-// writes the same instruction log, charges the same per-site profile,
-// and ends with the same result, error and Stats — hooked, traced, and
-// both at once.
+// TestObservedRunsMatchReference: on the all-opcode program, the
+// taint-rule program and every fault class, an observed bytecode run
+// makes exactly the reference tree-walker's sink calls with the same
+// arguments in the same order, writes the same instruction log, charges
+// the same per-site profile, and ends with the same result, error and
+// Stats — as a taint run, traced, and both at once. The two engines
+// propagate labels independently (inline over allocated registers,
+// and over source registers with a map of tainted bytes).
 func TestObservedRunsMatchReference(t *testing.T) {
 	mods := faultModules()
 	mods["rich"] = richModule(t)
+	mods["taint"] = taintModule(t)
 	for name, m := range mods {
-		for _, mode := range []struct{ hooked, traced bool }{{true, false}, {false, true}, {true, true}} {
+		for _, mode := range []struct{ tainted, traced bool }{{true, false}, {false, true}, {true, true}} {
 			opts := []Option{WithInput([]byte{9, 8, 7})}
-			bc := runObserved(t, m, bytecode, mode.hooked, mode.traced, opts, 5)
-			ref := runObserved(t, m, reference, mode.hooked, mode.traced, opts, 5)
+			bc := runObserved(t, m, bytecode, mode.tainted, mode.traced, opts, 5)
+			ref := runObserved(t, m, reference, mode.tainted, mode.traced, opts, 5)
 			if !reflect.DeepEqual(bc, ref) {
-				t.Fatalf("%s (hooked=%v traced=%v): observed run differs from the reference:\nbytecode  %+v\nreference %+v",
-					name, mode.hooked, mode.traced, bc, ref)
-			}
-			if mode.hooked && len(bc.hooks) == 0 {
-				t.Fatalf("%s: no Hooks calls recorded", name)
+				t.Fatalf("%s (tainted=%v traced=%v): observed run differs from the reference:\nbytecode  %+v\nreference %+v",
+					name, mode.tainted, mode.traced, bc, ref)
 			}
 			if mode.traced && bc.trace == "" {
 				t.Fatalf("%s: empty instruction log", name)
@@ -119,21 +177,37 @@ func TestObservedRunsMatchReference(t *testing.T) {
 	}
 }
 
-// TestObservedFuelSweep holds the Hooks log to the reference at every
-// fuel value of the all-opcode program: exhaustion must cut both
-// engines' observer streams after the same call.
-func TestObservedFuelSweep(t *testing.T) {
-	m := richModule(t)
-	full := runObserved(t, m, reference, true, false, nil, 5)
-	if full.err != "" {
-		t.Fatal(full.err)
+// TestTaintRules pins the sink log of the taint-rule program on both
+// engines, so a rule dropped from both at once still fails.
+func TestTaintRules(t *testing.T) {
+	for _, e := range engines {
+		got := runObserved(t, taintModule(t), e, true, false, []Option{WithInput([]byte{9, 8, 7})}, 5)
+		if got.err != "" {
+			t.Fatalf("%s: %s", e, got.err)
+		}
+		if !reflect.DeepEqual(got.sink, taintModuleLog) {
+			t.Fatalf("%s: sink log\n%s\nwant\n%s", e, strings.Join(got.sink, "\n"), strings.Join(taintModuleLog, "\n"))
+		}
 	}
-	for fuel := uint64(0); fuel <= full.stats.Instructions+1; fuel++ {
-		opts := []Option{WithFuel(fuel), WithInput([]byte{9, 8, 7})}
-		bc := runObserved(t, m, bytecode, true, false, opts, 5)
-		ref := runObserved(t, m, reference, true, false, opts, 5)
-		if !reflect.DeepEqual(bc, ref) {
-			t.Fatalf("fuel=%d: observed run differs from the reference:\nbytecode  %+v\nreference %+v", fuel, bc, ref)
+}
+
+// TestObservedFuelSweep holds taint runs to the reference at every
+// fuel value of the all-opcode and taint-rule programs: exhaustion must
+// cut both engines' sink logs after the same call.
+func TestObservedFuelSweep(t *testing.T) {
+	for _, m := range []*ir.Module{richModule(t), taintModule(t)} {
+		in := []Option{WithInput([]byte{9, 8, 7})}
+		full := runObserved(t, m, reference, true, false, in, 5)
+		if full.err != "" {
+			t.Fatal(full.err)
+		}
+		for fuel := uint64(0); fuel <= full.stats.Instructions+1; fuel++ {
+			opts := []Option{WithFuel(fuel), WithInput([]byte{9, 8, 7})}
+			bc := runObserved(t, m, bytecode, true, false, opts, 5)
+			ref := runObserved(t, m, reference, true, false, opts, 5)
+			if !reflect.DeepEqual(bc, ref) {
+				t.Fatalf("%s fuel=%d: observed run differs from the reference:\nbytecode  %+v\nreference %+v", m.Name, fuel, bc, ref)
+			}
 		}
 	}
 }
@@ -169,7 +243,7 @@ func TestObservedLoweringUnfused(t *testing.T) {
 	}
 }
 
-// TestObservedFormBuiltOnce: eight goroutines stamp hooked and traced
+// TestObservedFormBuiltOnce: eight goroutines stamp taint and traced
 // instances from one Program at once (run under -race). Every instance
 // must share the one unfused lowering and match the reference result.
 func TestObservedFormBuiltOnce(t *testing.T) {
@@ -196,7 +270,7 @@ func TestObservedFormBuiltOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			opt := WithHooks(&RecordingHooks{})
+			opt := WithTaint(&RecordingSink{})
 			if i%2 == 1 {
 				opt = WithTrace(&strings.Builder{}, 0)
 			}

@@ -54,8 +54,8 @@ type Program struct {
 	getptrSites map[*ir.Instr]int32
 
 	// observed is the unfused lowering (index-aligned with bcFuncs) that
-	// runs with Hooks or the instruction log attached execute; built at
-	// most once, on first use (observedFuncs).
+	// taint runs and runs with the instruction log attached execute;
+	// built at most once, on first use (observedFuncs).
 	observedOnce sync.Once
 	observed     []*bcFunc
 }
@@ -265,7 +265,7 @@ func (p *Program) NewInstance(opts ...Option) (*VM, error) {
 	for _, o := range opts {
 		o(v)
 	}
-	if v.hooks != nil || v.instrLog != nil {
+	if v.taint != nil || v.instrLog != nil {
 		v.obsFuncs = p.observedFuncs()
 	}
 	// The slot table must exist before any RegisterBuiltin call (the

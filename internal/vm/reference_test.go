@@ -15,13 +15,17 @@ import (
 // and callee by name as it goes. It is test-only. Shipped code runs the
 // bytecode engine (exec_fast.go, exec_observed.go); the differential
 // suites run the same instances here and demand identical results,
-// Stats, outputs, coverage, profiles, Hooks calls, instruction logs,
+// Stats, outputs, coverage, profiles, taint reports, instruction logs,
 // execution traces and runtime records.
 //
 // The reference shares the instance's state (memory, heap, fuel, Stats,
-// layout cache, observers) with the bytecode engine, so a test
-// stamps an instance and picks the engine at the call: VM.Run for
+// layout cache, observers, taint sink) with the bytecode engine, so a
+// test stamps an instance and picks the engine at the call: VM.Run for
 // bytecode, RunReference (export_test.go) for the tree-walker.
+//
+// A taint run propagates labels here independently of the engine's
+// inline rules: labels over source registers, one frame of them per
+// call, and a plain map of tainted byte addresses for shadow memory.
 
 // edgeHash is the coverage-bitmap slot of the edge prev -> cur in fn,
 // computed from scratch on every block entry: FNV-1a over the name's
@@ -38,11 +42,54 @@ func edgeHash(fn *ir.Func, prev, cur int) uint16 {
 	return uint16(h)
 }
 
-// refEngine is one reference execution of an instance: the VM plus the
-// per-run callee-binding cache.
+// refEngine is one reference execution of an instance: the VM, the
+// per-run callee-binding cache and, in a taint run, the set of tainted
+// byte addresses.
 type refEngine struct {
-	v     *VM
-	binds map[*ir.Instr]boundCallee
+	v       *VM
+	binds   map[*ir.Instr]boundCallee
+	tainted map[uint64]bool
+}
+
+// refLabel is an operand's label in a frame of source-register labels.
+func refLabel(lbl []byte, val ir.Value) byte {
+	if val.Kind == ir.ValReg {
+		return lbl[val.Reg]
+	}
+	return 0
+}
+
+// rangeLabel is the OR of the labels of [addr, addr+n).
+func (r *refEngine) rangeLabel(addr uint64, n int) byte {
+	for i := 0; i < n; i++ {
+		if r.tainted[addr+uint64(i)] {
+			return 1
+		}
+	}
+	return 0
+}
+
+// label sets the labels of [addr, addr+n) to l.
+func (r *refEngine) label(addr uint64, n int, l byte) {
+	for i := 0; i < n; i++ {
+		if l != 0 {
+			r.tainted[addr+uint64(i)] = true
+		} else {
+			delete(r.tainted, addr+uint64(i))
+		}
+	}
+}
+
+// content reports tainted bytes at [addr, addr+n) to the sink when they
+// lie in a live heap object of known class.
+func (r *refEngine) content(addr uint64, n int) {
+	base, _, live, ok := r.v.Heap.FindChunk(addr)
+	if !ok || !live {
+		return
+	}
+	if st, ok := r.v.objects[base]; ok {
+		r.v.taint.Content(st, int(addr-base), n)
+	}
 }
 
 // runReference executes function name on the tree-walker, bracketed by
@@ -70,16 +117,20 @@ func (v *VM) referenceEntry(name string, args []int64) (int64, error) {
 	for i, a := range args {
 		ops[i] = ir.Const(a)
 	}
-	r := &refEngine{v: v, binds: make(map[*ir.Instr]boundCallee)}
-	return r.call(f, ops, nil, -1)
+	r := &refEngine{v: v, binds: make(map[*ir.Instr]boundCallee), tainted: make(map[uint64]bool)}
+	ret, _, err := r.call(f, ops, nil, nil, 0)
+	return ret, err
 }
 
-// call runs fn to completion. callerRegs/callerDest link results back;
-// callerRegs is nil for top-level entries.
-func (r *refEngine) call(fn *ir.Func, args []ir.Value, callerRegs []int64, callerDest int) (int64, error) {
+// call runs fn to completion and returns its result with the result's
+// label. args are operands of the caller's frame (callerRegs, and in a
+// taint run callerLbl), ctl the caller's control label; callerRegs is
+// nil for top-level entries.
+func (r *refEngine) call(fn *ir.Func, args []ir.Value, callerRegs []int64, callerLbl []byte, ctl byte) (int64, byte, error) {
 	v := r.v
+	sink := v.taint
 	if v.depth >= maxCallDepth {
-		return 0, fmt.Errorf("%w in @%s", ErrStackOverflow, fn.Name)
+		return 0, 0, fmt.Errorf("%w in @%s", ErrStackOverflow, fn.Name)
 	}
 	v.depth++
 	if v.depth > v.Stats.MaxDepth {
@@ -97,14 +148,18 @@ func (r *refEngine) call(fn *ir.Func, args []ir.Value, callerRegs []int64, calle
 		v.stackTop = savedStack
 		v.depth--
 	}()
+	var lbl []byte
+	if sink != nil {
+		lbl = make([]byte, fn.NumRegs)
+	}
 	for i := range args {
 		if i >= len(fn.Params) {
 			break
 		}
 		regs[i] = v.resolve(callerRegs, args[i])
-	}
-	if v.hooks != nil {
-		v.hooks.Enter(fn, args)
+		if sink != nil {
+			lbl[i] = refLabel(callerLbl, args[i])
+		}
 	}
 
 	// Per-instruction profiler attribution: instead of charging a whole
@@ -159,7 +214,7 @@ func (r *refEngine) call(fn *ir.Func, args []ir.Value, callerRegs []int64, calle
 		for ii := range b.Instrs {
 			in := &b.Instrs[ii]
 			if v.fuelLeft == 0 {
-				return 0, fmt.Errorf("%w in @%s.%s", ErrFuelExhausted, fn.Name, b.Name)
+				return 0, 0, fmt.Errorf("%w in @%s.%s", ErrFuelExhausted, fn.Name, b.Name)
 			}
 			v.fuelLeft--
 			v.Stats.Instructions++
@@ -179,15 +234,19 @@ func (r *refEngine) call(fn *ir.Func, args []ir.Value, callerRegs []int64, calle
 				size := in.Type.Size() * count
 				addr, err := v.Heap.Alloc(size)
 				if err != nil {
-					return 0, v.fault(fn, b, err)
+					return 0, 0, v.fault(fn, b, err)
 				}
 				v.Stats.Allocs++
 				regs[in.Dest] = int64(addr)
 				if in.Struct != nil && count == 1 {
 					v.objects[addr] = in.Struct
 				}
-				if v.hooks != nil {
-					v.hooks.Alloc(in.Dest, addr, size, in.Struct)
+				if sink != nil {
+					r.label(addr, size, 0)
+					lbl[in.Dest] = 0
+					if in.Struct != nil && ctl != 0 {
+						sink.Alloc(in.Struct)
+					}
 				}
 				if v.tel != nil {
 					name := ""
@@ -199,26 +258,30 @@ func (r *refEngine) call(fn *ir.Func, args []ir.Value, callerRegs []int64, calle
 			case ir.OpLocal:
 				size := uint64((in.Type.Size() + 15) &^ 15)
 				if v.stackTop+size > StackLimit {
-					return 0, v.fault(fn, b, ErrStackOverflow)
+					return 0, 0, v.fault(fn, b, ErrStackOverflow)
 				}
 				addr := v.stackTop
 				v.stackTop += size
 				// Locals are zeroed (Go/C++ stack reuse would not be, but
 				// deterministic init keeps workloads reproducible).
 				if err := v.Mem.Set(addr, 0, in.Type.Size()); err != nil {
-					return 0, v.fault(fn, b, err)
+					return 0, 0, v.fault(fn, b, err)
 				}
 				regs[in.Dest] = int64(addr)
+				if sink != nil {
+					lbl[in.Dest] = 0
+				}
 			case ir.OpFree:
 				addr := uint64(v.resolve(regs, in.Args[0]))
 				if err := v.Heap.Free(addr); err != nil {
-					return 0, v.fault(fn, b, err)
+					return 0, 0, v.fault(fn, b, err)
 				}
 				v.Stats.Frees++
-				// Hook first: the taint engine attributes the free via
-				// the object-type tracking this delete removes.
-				if v.hooks != nil {
-					v.hooks.Free(addr)
+				// Report before the delete below drops the object's type.
+				if sink != nil && ctl != 0 {
+					if st, ok := v.objects[addr]; ok {
+						sink.Free(st)
+					}
 				}
 				if v.tel != nil {
 					v.tel.Emit(telemetry.Event{Kind: telemetry.EvFree, Addr: addr})
@@ -228,20 +291,24 @@ func (r *refEngine) call(fn *ir.Func, args []ir.Value, callerRegs []int64, calle
 				addr := uint64(v.resolve(regs, in.Args[0]))
 				val, err := v.loadTyped(addr, in.Type)
 				if err != nil {
-					return 0, v.fault(fn, b, err)
+					return 0, 0, v.fault(fn, b, err)
 				}
 				regs[in.Dest] = val
-				if v.hooks != nil {
-					v.hooks.Load(in.Dest, addr, in.Type.Size())
+				if sink != nil {
+					lbl[in.Dest] = r.rangeLabel(addr, in.Type.Size())
 				}
 			case ir.OpStore:
 				addr := uint64(v.resolve(regs, in.Args[1]))
 				val := v.resolve(regs, in.Args[0])
 				if err := v.storeTyped(addr, in.Type, val); err != nil {
-					return 0, v.fault(fn, b, err)
+					return 0, 0, v.fault(fn, b, err)
 				}
-				if v.hooks != nil {
-					v.hooks.Store(&in.Args[0], addr, in.Type.Size())
+				if sink != nil {
+					l := refLabel(lbl, in.Args[0])
+					r.label(addr, in.Type.Size(), l)
+					if l != 0 {
+						r.content(addr, in.Type.Size())
+					}
 				}
 			case ir.OpMemcpy:
 				dst := uint64(v.resolve(regs, in.Args[0]))
@@ -251,11 +318,25 @@ func (r *refEngine) call(fn *ir.Func, args []ir.Value, callerRegs []int64, calle
 					n = 0
 				}
 				if err := v.Mem.Copy(dst, src, n); err != nil {
-					return 0, v.fault(fn, b, err)
+					return 0, 0, v.fault(fn, b, err)
 				}
 				v.Stats.Memcpys++
-				if v.hooks != nil {
-					v.hooks.Memcpy(dst, src, n)
+				if sink != nil {
+					// memmove: read every source label before writing.
+					ls := make([]bool, n)
+					for i := range ls {
+						ls[i] = r.tainted[src+uint64(i)]
+					}
+					for i, l := range ls {
+						if l {
+							r.tainted[dst+uint64(i)] = true
+						} else {
+							delete(r.tainted, dst+uint64(i))
+						}
+					}
+					if r.rangeLabel(dst, n) != 0 {
+						r.content(dst, n)
+					}
 				}
 			case ir.OpMemset:
 				dst := uint64(v.resolve(regs, in.Args[0]))
@@ -265,86 +346,86 @@ func (r *refEngine) call(fn *ir.Func, args []ir.Value, callerRegs []int64, calle
 					n = 0
 				}
 				if err := v.Mem.Set(dst, val, n); err != nil {
-					return 0, v.fault(fn, b, err)
+					return 0, 0, v.fault(fn, b, err)
 				}
-				if v.hooks != nil {
-					v.hooks.Memset(dst, n)
+				if sink != nil {
+					r.label(dst, n, 0)
 				}
 			case ir.OpFieldPtr:
 				base := uint64(v.resolve(regs, in.Args[0]))
 				regs[in.Dest] = int64(base + uint64(in.Struct.Offset(in.Field)))
 				v.Stats.FieldAccess++
-				if v.hooks != nil {
-					v.hooks.PtrDerive(in.Dest, &in.Args[0])
+				if sink != nil {
+					lbl[in.Dest] = refLabel(lbl, in.Args[0])
 				}
 			case ir.OpElemPtr:
 				base := uint64(v.resolve(regs, in.Args[0]))
 				idx := v.resolve(regs, in.Args[1])
 				regs[in.Dest] = int64(base + uint64(idx)*uint64(in.Type.Size()))
-				if v.hooks != nil {
-					v.hooks.PtrDerive(in.Dest, &in.Args[0])
+				if sink != nil {
+					lbl[in.Dest] = refLabel(lbl, in.Args[0])
 				}
 			case ir.OpPtrAdd:
 				base := uint64(v.resolve(regs, in.Args[0]))
 				off := v.resolve(regs, in.Args[1])
 				regs[in.Dest] = int64(base + uint64(off))
-				if v.hooks != nil {
-					v.hooks.PtrDerive(in.Dest, &in.Args[0])
+				if sink != nil {
+					lbl[in.Dest] = refLabel(lbl, in.Args[0])
 				}
 			case ir.OpBin:
 				a := v.resolve(regs, in.Args[0])
 				bb := v.resolve(regs, in.Args[1])
 				r, err := evalBin(in.Bin, a, bb)
 				if err != nil {
-					return 0, v.fault(fn, b, err)
+					return 0, 0, v.fault(fn, b, err)
 				}
 				regs[in.Dest] = r
-				if v.hooks != nil {
-					v.hooks.Bin(in.Dest, &in.Args[0], &in.Args[1])
+				if sink != nil {
+					lbl[in.Dest] = refLabel(lbl, in.Args[0]) | refLabel(lbl, in.Args[1])
 				}
 			case ir.OpFBin:
 				a := math.Float64frombits(uint64(v.resolve(regs, in.Args[0])))
 				bb := math.Float64frombits(uint64(v.resolve(regs, in.Args[1])))
 				regs[in.Dest] = int64(math.Float64bits(evalFBin(in.Bin, a, bb)))
-				if v.hooks != nil {
-					v.hooks.Bin(in.Dest, &in.Args[0], &in.Args[1])
+				if sink != nil {
+					lbl[in.Dest] = refLabel(lbl, in.Args[0]) | refLabel(lbl, in.Args[1])
 				}
 			case ir.OpCmp:
 				a := v.resolve(regs, in.Args[0])
 				bb := v.resolve(regs, in.Args[1])
 				regs[in.Dest] = evalCmp(in.Cmp, a, bb)
-				if v.hooks != nil {
-					v.hooks.Bin(in.Dest, &in.Args[0], &in.Args[1])
+				if sink != nil {
+					lbl[in.Dest] = refLabel(lbl, in.Args[0]) | refLabel(lbl, in.Args[1])
 				}
 			case ir.OpFCmp:
 				a := math.Float64frombits(uint64(v.resolve(regs, in.Args[0])))
 				bb := math.Float64frombits(uint64(v.resolve(regs, in.Args[1])))
 				regs[in.Dest] = evalFCmp(in.Cmp, a, bb)
-				if v.hooks != nil {
-					v.hooks.Bin(in.Dest, &in.Args[0], &in.Args[1])
+				if sink != nil {
+					lbl[in.Dest] = refLabel(lbl, in.Args[0]) | refLabel(lbl, in.Args[1])
 				}
 			case ir.OpItoF:
 				regs[in.Dest] = int64(math.Float64bits(float64(v.resolve(regs, in.Args[0]))))
-				if v.hooks != nil {
-					v.hooks.Un(in.Dest, &in.Args[0])
+				if sink != nil {
+					lbl[in.Dest] = refLabel(lbl, in.Args[0])
 				}
 			case ir.OpFtoI:
 				f := math.Float64frombits(uint64(v.resolve(regs, in.Args[0])))
 				regs[in.Dest] = int64(f)
-				if v.hooks != nil {
-					v.hooks.Un(in.Dest, &in.Args[0])
+				if sink != nil {
+					lbl[in.Dest] = refLabel(lbl, in.Args[0])
 				}
 			case ir.OpMov:
 				regs[in.Dest] = v.resolve(regs, in.Args[0])
-				if v.hooks != nil {
-					v.hooks.Un(in.Dest, &in.Args[0])
+				if sink != nil {
+					lbl[in.Dest] = refLabel(lbl, in.Args[0])
 				}
 			case ir.OpBr:
 				prevBlk, blk = blk, in.Blocks[0]
 			case ir.OpCondBr:
 				c := v.resolve(regs, in.Args[0])
-				if v.hooks != nil {
-					v.hooks.CondBr(&in.Args[0])
+				if sink != nil {
+					ctl |= refLabel(lbl, in.Args[0])
 				}
 				if c != 0 {
 					prevBlk, blk = blk, in.Blocks[0]
@@ -360,29 +441,31 @@ func (r *refEngine) call(fn *ir.Func, args []ir.Value, callerRegs []int64, calle
 						psc.AddCycles(d)
 					}
 				}
-				ret, err := r.dispatchCall(fn, b, regs, in)
+				ret, rl, err := r.dispatchCall(fn, b, regs, lbl, ctl, in)
 				if profiling {
 					profBase = v.Stats.Instructions
 				}
 				if err != nil {
-					return 0, err
+					return 0, 0, err
 				}
 				if in.Dest >= 0 {
 					regs[in.Dest] = ret
+					if sink != nil {
+						lbl[in.Dest] = rl
+					}
 				}
 			case ir.OpRet:
 				var rv int64
-				var retArg *ir.Value
+				var rl byte
 				if len(in.Args) == 1 {
 					rv = v.resolve(regs, in.Args[0])
-					retArg = &in.Args[0]
+					if sink != nil {
+						rl = refLabel(lbl, in.Args[0])
+					}
 				}
-				if v.hooks != nil {
-					v.hooks.Exit(retArg, callerDest)
-				}
-				return rv, nil
+				return rv, rl, nil
 			default:
-				return 0, v.fault(fn, b, fmt.Errorf("vm: bad opcode %d", in.Op))
+				return 0, 0, v.fault(fn, b, fmt.Errorf("vm: bad opcode %d", in.Op))
 			}
 			if in.Op == ir.OpBr || in.Op == ir.OpCondBr {
 				break
@@ -390,7 +473,7 @@ func (r *refEngine) call(fn *ir.Func, args []ir.Value, callerRegs []int64, calle
 		}
 		if last := b.Instrs[len(b.Instrs)-1]; last.Op != ir.OpBr && last.Op != ir.OpCondBr {
 			// Ret already returned; anything else is a validator bug.
-			return 0, v.fault(fn, b, errors.New("vm: fell off block end"))
+			return 0, 0, v.fault(fn, b, errors.New("vm: fell off block end"))
 		}
 	}
 }
@@ -405,7 +488,9 @@ type boundCallee struct {
 	getptr bool
 }
 
-func (r *refEngine) dispatchCall(fn *ir.Func, b *ir.Block, regs []int64, in *ir.Instr) (int64, error) {
+// dispatchCall runs one call instruction and returns the result with its
+// label.
+func (r *refEngine) dispatchCall(fn *ir.Func, b *ir.Block, regs []int64, lbl []byte, ctl byte, in *ir.Instr) (int64, byte, error) {
 	v := r.v
 	// Callee binding is stable per call site for the length of a run
 	// (module functions are fixed at Compile; builtins are registered
@@ -421,18 +506,17 @@ func (r *refEngine) dispatchCall(fn *ir.Func, b *ir.Block, regs []int64, in *ir.
 		r.binds[in] = bound
 	}
 	if bound.fn != nil {
-		return r.call(bound.fn, in.Args, regs, in.Dest)
+		return r.call(bound.fn, in.Args, regs, lbl, ctl)
 	}
 	if bound.bi == nil {
-		return 0, v.fault(fn, b, fmt.Errorf("%w: @%s", ErrUnknownFunc, in.Callee))
+		return 0, 0, v.fault(fn, b, fmt.Errorf("%w: @%s", ErrUnknownFunc, in.Callee))
 	}
 	// Layout-cache fast path, shared with the bytecode engine (same
 	// cache, same hit callback — that is what keeps the engines' event
-	// and trace streams identical). Hooks disable it: Hooks.Builtin must
-	// observe every call.
-	if bound.getptr && v.lc != nil && v.hooks == nil {
+	// and trace streams identical). A taint run never takes it.
+	if bound.getptr && v.lc != nil && v.taint == nil {
 		if addr, ok := v.cachedGetptr(b, uint64(v.resolve(regs, in.Args[0])), v.resolve(regs, in.Args[1]), uint64(v.resolve(regs, in.Args[2]))); ok {
-			return addr, nil
+			return addr, 0, nil
 		}
 	}
 	// Builtins never re-enter the interpreter, so one scratch argument
@@ -446,12 +530,26 @@ func (r *refEngine) dispatchCall(fn *ir.Func, b *ir.Block, regs []int64, in *ir.
 	v.callScratch = Call{VM: v, Name: in.Callee, Args: argv, RawArgs: in.Args, fn: fn, blk: b, getptr: bound.getptr}
 	ret, err := bound.bi(&v.callScratch)
 	if err != nil {
-		return 0, v.fault(fn, b, err)
+		return 0, 0, v.fault(fn, b, err)
 	}
-	if v.hooks != nil {
-		v.hooks.Builtin(in.Callee, in.Args, argv, ret, in.Dest)
+	if v.taint == nil {
+		return ret, 0, nil
 	}
-	return ret, nil
+	switch in.Callee {
+	case "input_read":
+		if n := int(ret); n > 0 {
+			r.label(uint64(argv[0]), n, 1)
+			r.content(uint64(argv[0]), n)
+		}
+		return ret, 1, nil
+	case "input_byte", "input_len":
+		return ret, 1, nil
+	}
+	var l byte
+	for _, a := range in.Args {
+		l |= refLabel(lbl, a)
+	}
+	return ret, l, nil
 }
 
 // resolve evaluates an operand against a register frame.

@@ -49,7 +49,7 @@ func (s Stats) Publish(reg *telemetry.Registry) {
 // They are deliberately NOT part of Stats — the engine differential
 // suite holds Stats to struct equality across engines, while these
 // legitimately differ (the tree-walker never dispatches fused runs; a
-// hooked run never reads the layout cache).
+// taint run never reads the layout cache).
 type Perf struct {
 	// InlineHits/InlineMisses count the dispatch loops' layout-cache
 	// lookups at olr_getptr sites (a hit skips the builtin; a miss calls

@@ -33,45 +33,6 @@ type Stats struct {
 	MaxDepth     int
 }
 
-// Hooks receives fine-grained execution events; the taint engine
-// implements it. All methods are invoked after the VM has performed the
-// operation. A nil Hooks disables tracing with no overhead beyond a nil
-// check. Operands arrive by reference into the executing source
-// instruction: a hook may read them during the call but must neither
-// modify nor retain them.
-type Hooks interface {
-	// Enter is called when a frame is pushed; args are the caller-frame
-	// operands (so the hook can transfer operand taints to parameters).
-	Enter(fn *ir.Func, args []ir.Value)
-	// Exit is called when a frame is popped. retArg is the callee-frame
-	// return operand (nil for void) and callerDest the caller register
-	// receiving the result (-1 if discarded).
-	Exit(retArg *ir.Value, callerDest int)
-	// Load: dest register received size bytes from addr.
-	Load(dest int, addr uint64, size int)
-	// Store: operand src was written to addr (size bytes).
-	Store(src *ir.Value, addr uint64, size int)
-	// Bin: dest = a op b (integer or float).
-	Bin(dest int, a, b *ir.Value)
-	// Un: dest = f(a) for mov/itof/ftoi.
-	Un(dest int, a *ir.Value)
-	// FieldPtr/ElemPtr/PtrAdd: dest derives from pointer operand base.
-	PtrDerive(dest int, base *ir.Value)
-	// Memcpy after the copy; Memset after the fill.
-	Memcpy(dst, src uint64, n int)
-	Memset(dst uint64, n int)
-	// CondBr observes the branch condition (for control-taint).
-	CondBr(cond *ir.Value)
-	// Alloc observes a heap object birth (st may be nil for raw buffers).
-	Alloc(dest int, addr uint64, size int, st *ir.StructType)
-	// Free observes a heap object death.
-	Free(addr uint64)
-	// Builtin is called after a VM builtin ran; argVals are the resolved
-	// integer arguments, ret the result, dest the receiving register
-	// (-1 if none).
-	Builtin(name string, args []ir.Value, argVals []int64, ret int64, dest int)
-}
-
 // Builtin is a native function callable from IR. Args arrive as resolved
 // 64-bit values.
 type Builtin func(c *Call) (int64, error)
@@ -82,8 +43,7 @@ type Call struct {
 	Name string
 	Args []int64
 	// RawArgs are the unresolved operands (register identity matters to
-	// the POLaR runtime for type info recovery; the taint engine also
-	// sees them via Hooks.Builtin).
+	// the POLaR runtime for type info recovery).
 	RawArgs []ir.Value
 
 	// fn/blk locate the call instruction for diagnostics (see Site).
@@ -158,13 +118,20 @@ type VM struct {
 	// prog is the shared immutable Program this instance executes.
 	prog *Program
 
-	hooks    Hooks
 	builtins map[string]Builtin
 
 	// obsFuncs is the Program's unfused lowering when this instance is
-	// observed (Hooks or the instruction log attached) and nil
+	// observed (a taint sink or the instruction log attached) and nil
 	// otherwise; observed runs execute it through callObserved.
 	obsFuncs []*bcFunc
+
+	// taint is the sink of a taint run (nil = not one); shadow holds
+	// its memory labels, labelPool its register label frames and
+	// argLabels the argument labels a call hands its callee (taint.go).
+	taint     TaintSink
+	shadow    shadowMem
+	labelPool [][]byte
+	argLabels []byte
 
 	// builtinSlots is the bytecode engine's callee table: index = the
 	// Program's compile-time slot for a builtin name, value = the
@@ -272,14 +239,6 @@ func WithFuel(n uint64) Option {
 	return func(v *VM) { v.fuel = n }
 }
 
-// WithHooks attaches a tracer (taint engine). The instance then runs
-// observed: the Program's unfused lowering, with every Hooks call made
-// from the source instruction, and no layout-cache reads, so
-// Hooks.Builtin sees every call.
-func WithHooks(h Hooks) Option {
-	return func(v *VM) { v.hooks = h }
-}
-
 // WithCoverage enables the edge-coverage bitmap (used by the fuzzer).
 func WithCoverage() Option {
 	return func(v *VM) { v.covOn = true }
@@ -299,8 +258,8 @@ func WithHeapRand(seed int64) Option {
 // WithTrace streams every executed instruction to w as
 // "@fn.block\tinstr" lines, stopping after maxLines (0 = unlimited).
 // Tracing is a debugging facility; it slows execution substantially.
-// The instance runs observed (see WithHooks), one line per source
-// instruction. The stream is produced by a telemetry.InstrLog; the
+// The instance runs observed (the Program's unfused lowering), one line
+// per source instruction. The stream is produced by a telemetry.InstrLog; the
 // text format and this option's signature are stable.
 func WithTrace(w io.Writer, maxLines int) Option {
 	return func(v *VM) { v.instrLog = telemetry.NewInstrLog(w, maxLines) }
@@ -388,9 +347,8 @@ func (v *VM) InstallLayoutCache(gen *uint64, onHit func(site string, base uint64
 
 // UseLayoutCache hands the dispatch loops a layout runtime's own
 // cache: at every olr_getptr site they probe c first and, on a hit,
-// call onHit instead of the builtin. With hooks attached the loops
-// never read it, so Hooks.Builtin still observes every call. A nil c
-// or onHit detaches the cache.
+// call onHit instead of the builtin. A taint run never reads it, so
+// every call runs the builtin. A nil c or onHit detaches the cache.
 func (v *VM) UseLayoutCache(c *LayoutCache, onHit func(site string, base uint64, field int64, class uint64, off int64)) {
 	if c == nil || onHit == nil {
 		c, onHit = nil, nil
@@ -489,16 +447,9 @@ func (v *VM) dispatchEntry(name string, args []int64) (int64, error) {
 	if v.obsFuncs == nil {
 		return v.callBC(v.prog.bcFuncs[idx], args)
 	}
-	var ops []ir.Value
-	if v.hooks != nil {
-		// Hooks.Enter speaks source operands; a top-level entry's are
-		// the integer arguments as constants.
-		ops = make([]ir.Value, len(args))
-		for i, a := range args {
-			ops[i] = ir.Const(a)
-		}
-	}
-	return v.callObserved(v.obsFuncs[idx], args, ops, -1)
+	// Top-level arguments carry no taint, and no branch has been taken.
+	ret, _, err := v.callObserved(v.obsFuncs[idx], args, nil, 0)
+	return ret, err
 }
 
 func (v *VM) getFrame(n int) []int64 {
