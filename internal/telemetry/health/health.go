@@ -234,9 +234,16 @@ func entropyBits(live map[uint64]uint64) float64 {
 	if total == 0 {
 		return 0
 	}
+	// Summed in layout-hash order: map order would make the last bits
+	// of the report differ between identical runs.
+	layouts := make([]uint64, 0, len(live))
+	for l := range live {
+		layouts = append(layouts, l)
+	}
+	sort.Slice(layouts, func(i, j int) bool { return layouts[i] < layouts[j] })
 	var h float64
-	for _, n := range live {
-		p := float64(n) / total
+	for _, l := range layouts {
+		p := float64(live[l]) / total
 		h -= p * math.Log2(p)
 	}
 	return h

@@ -15,7 +15,7 @@ import (
 	"polar/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite the committed trace-digest golden")
+var update = flag.Bool("update", false, "rewrite the committed trace-digest and observer goldens")
 
 // digestCells are the runtime settings the trace-digest golden runs
 // every module under: the metadata strategy at the default offset
