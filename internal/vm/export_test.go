@@ -6,3 +6,7 @@ package vm
 // way, so a differential test stamps two instances from one Program
 // and runs one with VM.Run and the other with RunReference.
 func RunReference(v *VM, args ...int64) (int64, error) { return v.runReference("main", args) }
+
+// Pages reports how many pages of simulated memory exist, that is, how
+// many were ever written.
+func (m *Memory) Pages() int { return len(m.pages) }

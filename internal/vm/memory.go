@@ -62,7 +62,14 @@ func newMemory() *Memory {
 	return &Memory{pages: make(map[uint64][]byte), lastIdx: ^uint64(0), last2Idx: ^uint64(0)}
 }
 
-func (m *Memory) page(idx uint64) []byte {
+// zeroPage is what a page that was never written reads as. It never
+// enters the page cache, so the store fast path cannot write into it.
+var zeroPage [pageSize]byte
+
+// page returns page idx through the two-entry cache. A missing page is
+// created for a write; a read gets the shared zero page instead, so
+// reading untouched memory costs no Go memory.
+func (m *Memory) page(idx uint64, write bool) []byte {
 	if idx == m.lastIdx {
 		return m.lastPage
 	}
@@ -75,6 +82,9 @@ func (m *Memory) page(idx uint64) []byte {
 	}
 	p, ok := m.pages[idx]
 	if !ok {
+		if !write {
+			return zeroPage[:]
+		}
 		p = make([]byte, pageSize)
 		m.pages[idx] = p
 	}
@@ -152,7 +162,7 @@ func (m *Memory) ReadU(addr uint64, n int) (uint64, error) {
 	}
 	off := addr & (pageSize - 1)
 	if off+uint64(n) <= pageSize {
-		p := m.page(addr >> pageBits)
+		p := m.page(addr>>pageBits, false)
 		switch n {
 		case 1:
 			return uint64(p[off]), nil
@@ -167,7 +177,7 @@ func (m *Memory) ReadU(addr uint64, n int) (uint64, error) {
 	// Straddles a page boundary: byte-at-a-time.
 	var v uint64
 	for i := 0; i < n; i++ {
-		b := m.page((addr + uint64(i)) >> pageBits)[(addr+uint64(i))&(pageSize-1)]
+		b := m.page((addr+uint64(i))>>pageBits, false)[(addr+uint64(i))&(pageSize-1)]
 		v |= uint64(b) << (8 * i)
 	}
 	return v, nil
@@ -180,7 +190,7 @@ func (m *Memory) WriteU(addr uint64, n int, v uint64) error {
 	}
 	off := addr & (pageSize - 1)
 	if off+uint64(n) <= pageSize {
-		p := m.page(addr >> pageBits)
+		p := m.page(addr>>pageBits, true)
 		switch n {
 		case 1:
 			p[off] = byte(v)
@@ -197,7 +207,7 @@ func (m *Memory) WriteU(addr uint64, n int, v uint64) error {
 		}
 	}
 	for i := 0; i < n; i++ {
-		m.page((addr + uint64(i)) >> pageBits)[(addr+uint64(i))&(pageSize-1)] = byte(v >> (8 * i))
+		m.page((addr+uint64(i))>>pageBits, true)[(addr+uint64(i))&(pageSize-1)] = byte(v >> (8 * i))
 	}
 	return nil
 }
@@ -218,7 +228,7 @@ func (m *Memory) readInto(b []byte, addr uint64) {
 	i := 0
 	for i < len(b) {
 		off := (addr + uint64(i)) & (pageSize - 1)
-		p := m.page((addr + uint64(i)) >> pageBits)
+		p := m.page((addr+uint64(i))>>pageBits, false)
 		i += copy(b[i:], p[off:])
 	}
 }
@@ -233,7 +243,7 @@ func (m *Memory) WriteBytes(addr uint64, b []byte) error {
 	i := 0
 	for i < len(b) {
 		off := (addr + uint64(i)) & (pageSize - 1)
-		p := m.page((addr + uint64(i)) >> pageBits)
+		p := m.page((addr+uint64(i))>>pageBits, true)
 		c := copy(p[off:], b[i:])
 		i += c
 	}
@@ -265,7 +275,8 @@ func (m *Memory) Copy(dst, src uint64, n int) error {
 	return m.WriteBytes(dst, b)
 }
 
-// Set fills n bytes at dst with v.
+// Set fills n bytes at dst with v. A zero fill of a page that was never
+// written leaves it missing: it reads as zero already.
 func (m *Memory) Set(dst uint64, v byte, n int) error {
 	if err := m.check(dst, n); err != nil {
 		return err
@@ -273,14 +284,16 @@ func (m *Memory) Set(dst uint64, v byte, n int) error {
 	i := 0
 	for i < n {
 		off := (dst + uint64(i)) & (pageSize - 1)
-		p := m.page((dst + uint64(i)) >> pageBits)
+		p := m.page((dst+uint64(i))>>pageBits, v != 0)
 		end := int(pageSize - off)
 		if end > n-i {
 			end = n - i
 		}
-		seg := p[off : int(off)+end]
-		for j := range seg {
-			seg[j] = v
+		if &p[0] != &zeroPage[0] {
+			seg := p[off : int(off)+end]
+			for j := range seg {
+				seg[j] = v
+			}
 		}
 		i += end
 	}
