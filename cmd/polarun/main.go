@@ -4,8 +4,7 @@
 //
 //	polarun [-hardened|-harden] [-input file] [-seed n] [-stats]
 //	        [-runs n] [-parallel n] [-metrics] [-trace-json file]
-//	        [-profile file] [-http addr]
-//	        program.ir [args...]
+//	        [-profile file] program.ir [args...]
 //
 // Programs run on the bytecode engine (compile-time lowering with fused
 // superinstructions, DESIGN.md §8). With -trace the run executes the
@@ -48,12 +47,6 @@
 //	-profile-top  rows in the text report (default 15)
 //	-cpuprofile   Go-level CPU profile of the interpreter itself
 //	-memprofile   Go-level allocation profile, written after the run
-//	-http         serve /debug/polar/{metrics,events,hotsites,
-//	              violations,reservoir} and /debug/pprof/* on this
-//	              address while the program runs
-//	-http-hold    keep serving after the run until interrupted
-//	-reservoir    capacity of the event sample behind
-//	              /debug/polar/reservoir (with -http; default 256)
 //
 // Forensics & health (DESIGN.md §10):
 //
@@ -64,10 +57,9 @@
 //	              snapshots a deterministic forensic dump
 //	-flight-dump  write the forensic report JSON to this file after the
 //	              run ("-" = stdout); implies -flight 256 if unset
-//	-health       attach the live health monitor (entropy gauges,
+//	-health       attach the health monitor (entropy gauges,
 //	              offset-probe-scan and entropy-depletion detectors);
-//	              report JSON on stderr after the run, and
-//	              /debug/polar/health with -http
+//	              report JSON on stderr after the run
 //	-log          structured slog JSON for violations and health
 //	              transitions appended to this file ("-" = stderr)
 package main
@@ -78,10 +70,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 
 	"log/slog"
@@ -90,9 +79,7 @@ import (
 	"polar/internal/evalrun"
 	"polar/internal/telemetry"
 	"polar/internal/telemetry/health"
-	"polar/internal/telemetry/introspect"
 	"polar/internal/telemetry/profile"
-	"polar/internal/telemetry/sample"
 )
 
 // runConfig carries the parsed flags.
@@ -111,9 +98,6 @@ type runConfig struct {
 	profileTop       int
 	cpuProfile       string
 	memProfile       string
-	httpAddr         string
-	httpHold         bool
-	reservoirCap     int
 	prom             string
 	flightCap        int
 	flightDump       string
@@ -173,13 +157,10 @@ func main() {
 	flag.IntVar(&c.profileTop, "profile-top", 15, "rows in the hot-site text report")
 	flag.StringVar(&c.cpuProfile, "cpuprofile", "", "write a Go CPU profile of the interpreter to this file")
 	flag.StringVar(&c.memProfile, "memprofile", "", "write a Go allocation profile to this file after the run")
-	flag.StringVar(&c.httpAddr, "http", "", "serve the live introspection endpoint on this address (e.g. :6070)")
-	flag.BoolVar(&c.httpHold, "http-hold", false, "with -http: keep serving after the run until interrupted")
-	flag.IntVar(&c.reservoirCap, "reservoir", 256, "event-sample capacity behind /debug/polar/reservoir (with -http)")
 	flag.StringVar(&c.prom, "prom", "", "write an OpenMetrics text exposition to this file after the run (\"-\" = stdout)")
 	flag.IntVar(&c.flightCap, "flight", 0, "attach the security flight recorder with a ring of N events (0 = off)")
 	flag.StringVar(&c.flightDump, "flight-dump", "", "write the forensic report JSON to this file (\"-\" = stdout; implies -flight)")
-	flag.BoolVar(&c.health, "health", false, "attach the live health monitor (report on stderr; /debug/polar/health with -http)")
+	flag.BoolVar(&c.health, "health", false, "attach the health monitor (report JSON on stderr after the run)")
 	flag.StringVar(&c.logPath, "log", "", "append slog JSON records for violations and health transitions to this file (\"-\" = stderr)")
 	flag.StringVar(&c.exectrace, "exectrace", "", "write the deterministic binary execution trace (polar-exectrace/v1) to this file")
 	flag.Uint64Var(&c.exectraceLimit, "exectrace-limit", 0, "stop recording execution-trace events after N records (0 = unbounded; overflow is counted)")
@@ -206,15 +187,13 @@ func main() {
 
 func run(c runConfig) error {
 	// The observability layer is created up front so the parse phase is
-	// already on the trace timeline. The live endpoint needs a bus and
-	// registry even when -metrics wasn't asked for.
+	// already on the trace timeline.
 	if c.flightDump != "" && c.flightCap <= 0 {
 		c.flightCap = 256
 	}
 	var tel *polar.Telemetry
-	if c.metrics || c.traceJSON != "" || c.httpAddr != "" ||
-		c.prom != "" || c.flightCap > 0 || c.health || c.logPath != "" ||
-		c.exectrace != "" {
+	if c.metrics || c.traceJSON != "" || c.prom != "" || c.flightCap > 0 ||
+		c.health || c.logPath != "" || c.exectrace != "" {
 		tel = polar.NewTelemetry()
 	}
 	var logger *slog.Logger
@@ -289,37 +268,8 @@ func run(c runConfig) error {
 		}()
 	}
 	var prof *polar.SiteProfiler
-	if c.profilePath != "" || c.httpAddr != "" {
+	if c.profilePath != "" {
 		prof = polar.NewSiteProfiler()
-	}
-	var ih *introspect.Handler
-	if c.httpAddr != "" {
-		// Listen before the run so address errors surface immediately,
-		// then serve in the background for the program's lifetime.
-		ln, err := net.Listen("tcp", c.httpAddr)
-		if err != nil {
-			return fmt.Errorf("introspection endpoint: %w", err)
-		}
-		defer ln.Close()
-		fmt.Fprintf(os.Stderr, "polarun: introspection at http://%s/debug/polar/metrics\n", ln.Addr())
-		ih = introspect.New(tel, prof)
-		if hmon != nil {
-			ih.SetHealth(hmon)
-		}
-		if rec != nil {
-			ih.SetFlight(rec)
-		}
-		if xw != nil {
-			ih.SetExecTrace(xw)
-		}
-		// A reservoir sample of the event stream backs the
-		// /debug/polar/reservoir download; the bus fans every event into
-		// it alongside the live subscribers.
-		rsv := sample.NewReservoir(c.reservoirCap, c.seed)
-		tel.Bus.Attach(rsv)
-		ih.SetReservoir(rsv)
-		srv := &http.Server{Handler: ih.Mux()}
-		go srv.Serve(ln)
 	}
 	if c.cpuProfile != "" {
 		f, err := os.Create(c.cpuProfile)
@@ -443,9 +393,6 @@ func run(c runConfig) error {
 		if pol != nil {
 			opts = append(opts, polar.WithPolicy(pol))
 		}
-		if ih != nil && (c.hardened || c.harden) {
-			opts = append(opts, polar.WithRuntimeObserver(func(rt polar.LiveRuntime) { ih.SetViolations(rt) }))
-		}
 		return opts
 	}
 	runErr := evalrun.ForEach(runs, c.parallel, func(i int) error {
@@ -481,17 +428,9 @@ func run(c runConfig) error {
 			runErr = err
 		}
 	}
-	if c.httpAddr != "" && c.httpHold {
-		fmt.Fprintln(os.Stderr, "polarun: run finished; holding introspection endpoint open (interrupt to exit)")
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt)
-		<-ch
-	}
 	if runErr != nil {
 		return runErr
 	}
-	// Checked last so -http-hold keeps the introspection endpoint up for
-	// incident inspection before the process reports the failure.
 	if hmon != nil && hmon.Status() == health.StatusCritical {
 		return fmt.Errorf("health monitor CRITICAL: %v", hmon.Report().Reasons)
 	}

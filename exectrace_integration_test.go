@@ -2,6 +2,7 @@ package polar
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"testing"
@@ -119,38 +120,61 @@ func TestExecTraceLocalizesSeedPerturbation(t *testing.T) {
 
 // TestExecTraceCrossCheckBothModes runs the quickstart hardened with an
 // execution trace and a metrics registry attached — metadata mode, and
-// stateless mode with and without a rekey every 4 frees — and requires
-// the trace rollups to agree with the registry's event counters
-// exactly, as `polartrace stats -metrics` checks them.
+// stateless mode with and without a rekey every 4 frees — and every
+// case study in both modes under the warn and the abort policy, and
+// requires the trace rollups to agree with the registry's event
+// counters exactly, as `polartrace stats -metrics` checks them. Every
+// observer reads the same event, so a run a violation aborts agrees as
+// much as a completed one.
 func TestExecTraceCrossCheckBothModes(t *testing.T) {
 	src, err := os.ReadFile("examples/quickstart/quickstart.ir")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
+	quickstart, err := Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type cell struct {
 		name  string
+		mod   *ir.Module
+		args  []int64
 		mode  LayoutMode
 		rekey int
-	}{
-		{"metadata", LayoutModeMetadata, 0},
-		{"stateless", LayoutModeStateless, 0},
-		{"stateless-rekey-4", LayoutModeStateless, 4},
+		warn  bool
 	}
-	for _, tc := range cases {
-		m, err := Parse(string(src))
-		if err != nil {
-			t.Fatal(err)
+	cells := []cell{
+		{"quickstart/metadata", quickstart, nil, LayoutModeMetadata, 0, false},
+		{"quickstart/stateless", quickstart, nil, LayoutModeStateless, 0, false},
+		{"quickstart/stateless-rekey-4", quickstart, nil, LayoutModeStateless, 4, false},
+	}
+	for _, cs := range exploit.CaseStudies() {
+		for _, mode := range []LayoutMode{LayoutModeMetadata, LayoutModeStateless} {
+			for _, warn := range []bool{true, false} {
+				policy := "abort"
+				if warn {
+					policy = "warn"
+				}
+				cells = append(cells, cell{fmt.Sprintf("%s/%s/%s", cs.Name, mode, policy), cs.Build(), cs.AttackArgs, mode, 0, warn})
+			}
 		}
-		h, err := Harden(m, nil)
+	}
+	for _, c := range cells {
+		h, err := Harden(ir.Clone(c.mod), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
 		xw := NewExecTrace(&buf)
 		tel := NewTelemetry()
-		if _, err := RunHardened(h, WithSeed(7), WithLayoutMode(tc.mode), WithRekeyEvery(tc.rekey),
-			WithTelemetry(tel), WithExecTrace(xw)); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		opts := []Option{WithSeed(7), WithLayoutMode(c.mode), WithRekeyEvery(c.rekey),
+			WithTelemetry(tel), WithExecTrace(xw), WithArgs(c.args...)}
+		if c.warn {
+			opts = append(opts, WithWarnPolicy())
+		}
+		_, runErr := RunHardened(h, opts...)
+		if runErr != nil && !errors.As(runErr, new(*Violation)) {
+			t.Fatalf("%s: %v", c.name, runErr)
 		}
 		if err := xw.Close(); err != nil {
 			t.Fatal(err)
@@ -161,14 +185,17 @@ func TestExecTraceCrossCheckBothModes(t *testing.T) {
 		}
 		s := exectrace.Compute(tr)
 		if msgs := exectrace.CrossCheck(s, tel.Registry.Snapshot()); len(msgs) != 0 {
-			t.Errorf("%s: trace disagrees with the registry: %v", tc.name, msgs)
+			t.Errorf("%s: trace disagrees with the registry: %v", c.name, msgs)
+		}
+		if c.mod != quickstart {
+			continue
 		}
 		resolved := s.CacheHits + s.Metadata
-		if tc.mode == LayoutModeStateless {
+		if c.mode == LayoutModeStateless {
 			resolved = s.Stateless
 		}
 		if s.Getptrs == 0 || resolved == 0 {
-			t.Errorf("%s: no getptr resolved on the mode's own path: %+v", tc.name, s)
+			t.Errorf("%s: no getptr resolved on the mode's own path: %+v", c.name, s)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"polar/internal/classinfo"
 	"polar/internal/layout"
-	"polar/internal/telemetry"
 	"polar/internal/telemetry/exectrace"
 	"polar/internal/vm"
 )
@@ -54,8 +53,8 @@ func ParseLayoutMode(s string) (LayoutMode, error) {
 // olr_* ABI: one seam owns how (base, classHash, field) maps to a
 // randomized offset and what per-object state, if any, backs that
 // mapping. The Runtime keeps everything strategy-independent — counters,
-// object tracking, canary arming, telemetry/trace emission at the
-// operation exits — and delegates the strategy-specific ladder here.
+// object tracking, canary arming, event emission at the operation exits
+// — and delegates the strategy-specific ladder here.
 // Implementations run on the VM goroutine; none are safe for concurrent
 // use.
 //
@@ -77,9 +76,8 @@ type LayoutResolver interface {
 	// which path found it (the exectrace resolution kind). off 0 with a
 	// nil error can also mean "land on the object base" for degraded
 	// accesses (unknown class under PolicyWarn, confused member index).
-	// Probe-length observations and EvFieldHit/EvFieldMiss events are
-	// emitted here — their classification is strategy-specific — while
-	// the trace record is emitted once at the olrGetptr exit.
+	// The resolution is all observers see of the ladder: the getptr
+	// event is emitted once, at the olrGetptr exit.
 	Resolve(v *vm.VM, base uint64, field int, classHash uint64) (off int, res exectrace.Resolution, err error)
 
 	// Alloc allocates the heap chunk for one instrumented allocation of
@@ -154,27 +152,10 @@ func (m *metaResolver) Mode() LayoutMode { return LayoutModeMetadata }
 func (m *metaResolver) Resolve(v *vm.VM, base uint64, field int, classHash uint64) (int, exectrace.Resolution, error) {
 	r := m.rt
 	if off, hit := r.cache.Get(base, classHash, field); hit {
-		if r.tel != nil {
-			r.histProbe.Observe(1)
-			r.tel.Emit(telemetry.Event{Kind: telemetry.EvFieldHit, Addr: base, Class: classHash, Field: field})
-		}
 		return int(off), exectrace.ResCacheHit, nil
-	}
-	if r.prof != nil {
-		r.profSite().IncProbe()
 	}
 	r.metaProbes++
 	meta, ok := r.store.Lookup(base)
-	if r.tel != nil {
-		// Probe-length vocabulary: telemetry.ProbeLenBuckets is the one
-		// canonical enumeration of these buckets across all strategies.
-		if ok {
-			r.histProbe.Observe(2)
-		} else {
-			r.histProbe.Observe(3)
-		}
-		r.tel.Emit(telemetry.Event{Kind: telemetry.EvFieldMiss, Addr: base, Class: classHash, Field: field})
-	}
 	if ok {
 		if err := r.verifySeal(meta); err != nil {
 			return 0, 0, err
@@ -382,12 +363,7 @@ func (m *metaResolver) Memcpy(v *vm.VM, dst, src uint64, n int, classHash uint64
 			if err := r.armTraps(v, dst, l); err != nil {
 				return err
 			}
-			if r.tel != nil {
-				r.tel.Emit(telemetry.Event{
-					Kind: telemetry.EvMemcpyRerand, Addr: dst, Size: n,
-					Class: srcClass, Layout: l.Hash(), Detail: cls.Name(),
-				})
-			}
+			r.noteRerand(dst, n, cls, l)
 			return r.copyMemberwise(v, dst, l, src, srcL, cls)
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"polar/internal/classinfo"
 	"polar/internal/layout"
@@ -71,10 +70,11 @@ type Config struct {
 	// tunes dummy insertion and booby traps per class accordingly.
 	PerClass map[uint64]layout.Config
 	// Telemetry, when non-nil, attaches the observability layer: olr_*
-	// events go to its bus, and the runtime's histograms (offset-cache
-	// probe length, layout entropy, intern-chain length) feed its
-	// registry. Counters stay native — the member-access path is too hot
-	// for atomics — and are snapshotted into the registry by Stats().
+	// events go to its bus, which also feeds the registry's probe-length
+	// histogram, and layout generation and interning feed its entropy
+	// and intern-chain histograms. Counters stay native — the
+	// member-access path is too hot for atomics — and are snapshotted
+	// into the registry by Stats().
 	// Note: sharing one Telemetry across runtimes aggregates their
 	// metrics; use a fresh Telemetry per runtime for isolation. A
 	// *shared* Interner keeps the first attached registry's chain-length
@@ -83,25 +83,23 @@ type Config struct {
 	// Merge of the registries).
 	Telemetry *telemetry.Telemetry
 	// Flight, when non-nil, is the security flight recorder: the runtime
-	// attaches it to the telemetry bus (requires Telemetry) and, on every
-	// detected violation, snapshots its event ring into a forensic dump
-	// annotated with the victim's heap neighborhood. Off by default; the
-	// violation-free cost is one nil check on the (already rare)
-	// violation path.
+	// attaches it to the run's bus and, on every detected violation,
+	// snapshots its event ring into a forensic dump annotated with the
+	// victim's heap neighborhood. Off by default; the violation-free
+	// cost is one nil check on the (already rare) violation path.
 	Flight *flight.Recorder
 	// Profiler, when non-nil, attributes member resolutions and
-	// metadata-table probes to their instruction sites — the SPAM-style
+	// fast-path misses to their instruction sites — the SPAM-style
 	// per-access-path attribution the aggregate cache counters cannot
-	// give. Share it with the VM (vm.WithProfiler) so sites carry both
-	// interpreted cycles and probe counts.
+	// give — from the run's bus. Share it with the VM (vm.WithProfiler)
+	// so sites carry both interpreted cycles and probe counts.
 	Profiler *profile.SiteProfiler
 	// ExecTrace, when non-nil, is the deterministic execution-trace
-	// writer: the runtime records every olr_malloc/olr_free and every
-	// olr_getptr resolution (with the chosen offset and resolution
-	// path) directly — richer than the bus events, which the writer
-	// skips for these kinds to avoid double-counting. Share the writer
-	// with the VM (vm.WithExecTrace) so block/call records interleave
-	// with the olr_* records in program order.
+	// writer: the runtime attaches it to the run's bus, so every olr_*
+	// event (getptrs with the chosen offset and resolution path) lands
+	// on the trace. Share the writer with the VM (vm.WithExecTrace) so
+	// block/call records interleave with the olr_* records in program
+	// order.
 	ExecTrace *exectrace.Writer
 }
 
@@ -186,10 +184,6 @@ type Runtime struct {
 	violations map[ViolationKind]uint64
 
 	// Structured violation log (capped; see maxViolationRecords).
-	// recMu guards both fields: the run appends on the violation path
-	// while a live observer (WithRuntimeObserver, the introspection
-	// endpoint) may read them from another goroutine.
-	recMu          sync.Mutex
 	records        []ViolationRecord
 	droppedRecords uint64
 	// curCall is the olr_* builtin call currently being dispatched; it
@@ -202,24 +196,14 @@ type Runtime struct {
 	// member offsets.
 	curField int
 
-	// Observability layer (all nil/zero when Config.Telemetry is unset;
-	// the emission points then cost one branch each).
+	// bus is the run's event bus: the Telemetry's, or a private one when
+	// only a trace writer, profiler or flight recorder observes the run;
+	// nil when nothing does. Every olr_* event is emitted once, to it,
+	// behind one nil check.
+	bus *telemetry.Bus
+	// Observability layer (nil when Config.Telemetry is unset).
 	tel         *telemetry.Telemetry
-	histProbe   *telemetry.Histogram // olr_getptr probe length (1=cache hit)
 	histEntropy *telemetry.Histogram // entropy bits of each generated layout
-
-	// Execution-trace writer (nil when Config.ExecTrace is unset; the
-	// emission points then cost one branch each).
-	xt *exectrace.Writer
-
-	// Hot-site profiler (nil when Config.Profiler is unset). profSites
-	// caches the per-site counter cells keyed by the interned site
-	// string, so attribution is one map hit per access.
-	prof      *profile.SiteProfiler
-	profSites map[string]*profile.SiteCounts
-	// profGens caches the per-class layout-generation counter cells
-	// (keyed by class hash), mirroring profSites.
-	profGens map[uint64]*profile.GenCounts
 
 	// inputs caches each class's layout-generation inputs (keyed by
 	// class hash), built on the class's first layout.
@@ -265,46 +249,30 @@ func New(table *classinfo.Table, cfg Config) *Runtime {
 	}
 	if t := cfg.Telemetry; t != nil {
 		r.tel = t
-		r.histProbe = t.Registry.Histogram(telemetry.MetricCacheProbeLen, telemetry.ProbeLenBuckets)
+		r.bus = t.Bus
+		r.bus.AttachOnce(telemetry.ProbeLenSink(t.Registry))
 		r.histEntropy = t.Registry.Histogram(telemetry.MetricLayoutEntropy, telemetry.EntropyBuckets)
 		// Attach-once: a shared interner (Prepared, evalrun) keeps the
 		// first run's histogram for its lifetime; observations from all
 		// runs land in that one registry (merged snapshots stay correct)
 		// instead of racing to re-point the shared field per run.
 		r.store.interner.AttachChainHist(t.Registry.Histogram(telemetry.MetricInternChainLen, telemetry.ChainLenBuckets))
-		// The flight recorder needs the bus for its event window; attach
-		// is idempotent so a recorder surviving across runs of one
-		// Prepared program subscribes once.
-		if cfg.Flight != nil {
-			cfg.Flight.AttachOnce(t.Bus)
-		}
-		// The exectrace writer rides the bus for layout-gen, rerand,
-		// violation and fuel-checkpoint events (its direct records below
-		// cover the hot olr_* operations). Idempotent, like Flight.
-		if cfg.ExecTrace != nil {
-			cfg.ExecTrace.AttachOnce(t.Bus)
-		}
+	} else if cfg.ExecTrace != nil || cfg.Profiler != nil || cfg.Flight != nil {
+		r.bus = telemetry.NewBus()
+	}
+	// Attaching is idempotent, so observers that outlive one run (a
+	// recorder or profiler across runs of one Prepared program, a
+	// writer the VM attached already) subscribe once.
+	if cfg.Flight != nil {
+		cfg.Flight.AttachOnce(r.bus)
 	}
 	if cfg.ExecTrace != nil {
-		r.xt = cfg.ExecTrace
+		r.bus.AttachOnce(cfg.ExecTrace)
 	}
 	if cfg.Profiler != nil {
-		r.prof = cfg.Profiler
-		r.profSites = make(map[string]*profile.SiteCounts)
-		r.profGens = make(map[uint64]*profile.GenCounts)
+		r.bus.AttachOnce(cfg.Profiler)
 	}
 	return r
-}
-
-// profSite returns the profiler cell for the current olr_* call site.
-func (r *Runtime) profSite() *profile.SiteCounts {
-	site := r.curCall.Site()
-	sc, ok := r.profSites[site]
-	if !ok {
-		sc = r.prof.Site(site)
-		r.profSites[site] = sc
-	}
-	return sc
 }
 
 // Telemetry returns the attached observability layer (nil if none).
@@ -356,18 +324,12 @@ func (r *Runtime) ViolationRecords() []ViolationRecord {
 
 // DroppedViolations returns how many violation records were discarded
 // after the log filled.
-func (r *Runtime) DroppedViolations() uint64 {
-	r.recMu.Lock()
-	defer r.recMu.Unlock()
-	return r.droppedRecords
-}
+func (r *Runtime) DroppedViolations() uint64 { return r.droppedRecords }
 
 // ViolationLog returns the structured violation log together with its
 // truncation state, so consumers cannot mistake a capped log for the
-// complete detection history. Safe to call while the run executes.
+// complete detection history.
 func (r *Runtime) ViolationLog() RecordSet {
-	r.recMu.Lock()
-	defer r.recMu.Unlock()
 	out := make([]ViolationRecord, len(r.records))
 	copy(out, r.records)
 	return RecordSet{
@@ -434,7 +396,6 @@ func (r *Runtime) violateWith(kind ViolationKind, addr, classHash, layoutID uint
 	}
 	site := r.curCall.Site()
 	field := r.curField
-	r.recMu.Lock()
 	if len(r.records) < maxViolationRecords {
 		r.records = append(r.records, ViolationRecord{
 			Kind: kind, KindName: kind.String(), Addr: addr, Class: class,
@@ -443,9 +404,8 @@ func (r *Runtime) violateWith(kind ViolationKind, addr, classHash, layoutID uint
 	} else {
 		r.droppedRecords++
 	}
-	r.recMu.Unlock()
-	if r.tel != nil {
-		r.tel.Emit(telemetry.Event{
+	if r.bus != nil {
+		r.bus.Emit(telemetry.Event{
 			Kind: telemetry.EvViolation, Addr: addr, Class: classHash,
 			Layout: layoutID, Field: field, Site: site, Detail: kind.String(),
 		})
@@ -506,47 +466,22 @@ func (r *Runtime) Attach(v *vm.VM) {
 	v.UseLayoutCache(r.cache, r.icFieldHit)
 }
 
-// profSiteFor is profSite for a caller that carries the site string
-// itself (the layout-cache hit callback runs without curCall set — the
-// builtin dispatch was skipped).
-func (r *Runtime) profSiteFor(site string) *profile.SiteCounts {
-	sc, ok := r.profSites[site]
-	if !ok {
-		sc = r.prof.Site(site)
-		r.profSites[site] = sc
-	}
-	return sc
-}
-
 // icFieldHit is the VM's layout-cache hit callback: a dispatch loop
 // found the olr_getptr resolution in r.cache and skipped the builtin.
 // The runtime's observable stream must be indistinguishable from the
 // resolver's own hit — trace identity across engines depends on every
-// dispatch loop calling this at the same points — so it replays exactly
-// what that arm would have done: the metadata strategy's offset-cache
-// hit (probe length 1; the cache counted the hit itself) or the
-// stateless memo hit (probe length 0, no cache counters — the stateless
-// ablation row asserts they stay zero).
+// dispatch loop calling this at the same points — so it emits the
+// getptr event that arm would have: the metadata strategy's offset-cache
+// hit (the cache counted the hit itself) or the stateless memo hit (no
+// cache counters — the stateless ablation row asserts they stay zero).
 func (r *Runtime) icFieldHit(site string, base uint64, field int64, class uint64, off int64) {
 	r.accesses++
-	if r.prof != nil {
-		r.profSiteFor(site).IncGetptr()
-	}
-	stateless := r.resolver.Mode() == LayoutModeStateless
-	if r.tel != nil {
-		if stateless {
-			r.histProbe.Observe(0)
-		} else {
-			r.histProbe.Observe(1)
-		}
-		r.tel.Emit(telemetry.Event{Kind: telemetry.EvFieldHit, Addr: base, Class: class, Field: int(field)})
-	}
-	if r.xt != nil {
+	if r.bus != nil {
 		res := exectrace.ResCacheHit
-		if stateless {
+		if r.resolver.Mode() == LayoutModeStateless {
 			res = exectrace.ResStateless
 		}
-		r.xt.Getptr(r.xt.Intern(site), class, int(field), base, int(off), res)
+		r.emitGetptr(site, class, int(field), base, int(off), res)
 	}
 }
 
@@ -572,14 +507,11 @@ func (r *Runtime) olrMalloc(v *vm.VM, classHash uint64) (int64, error) {
 	if err := r.armTraps(v, base, l); err != nil {
 		return 0, err
 	}
-	if r.tel != nil {
-		r.tel.Emit(telemetry.Event{
-			Kind: telemetry.EvAlloc, Addr: base, Size: l.TotalSize,
-			Class: classHash, Layout: l.Hash(), Detail: cls.Name(),
+	if r.bus != nil {
+		r.bus.Emit(telemetry.Event{
+			Kind: telemetry.EvAlloc, Addr: base, Size: l.TotalSize, Class: classHash,
+			Layout: l.Hash(), Site: r.curCall.Site(), Detail: cls.Name(),
 		})
-	}
-	if r.xt != nil {
-		r.xt.Alloc(r.xt.Intern(r.curCall.Site()), classHash, base, l.TotalSize, l.Hash(), r.xt.Intern(cls.Name()))
 	}
 	return int64(base), nil
 }
@@ -664,11 +596,8 @@ func (r *Runtime) olrFree(v *vm.VM, base uint64) error {
 		if r.liveObjs > 0 {
 			r.liveObjs--
 		}
-		if r.tel != nil {
-			r.tel.Emit(telemetry.Event{Kind: telemetry.EvFree, Addr: base, Class: classHash, Layout: l.Hash()})
-		}
-		if r.xt != nil {
-			r.xt.Free(r.xt.Intern(r.curCall.Site()), classHash, base, l.Hash())
+		if r.bus != nil {
+			r.bus.Emit(telemetry.Event{Kind: telemetry.EvFree, Addr: base, Class: classHash, Layout: l.Hash(), Site: r.curCall.Site()})
 		}
 	}
 	if err := r.resolver.FinishFree(v, base); err != nil {
@@ -683,33 +612,33 @@ func (r *Runtime) olrFree(v *vm.VM, base uint64) error {
 
 // olrGetptr implements the instrumented member access (Fig. 4's
 // olr_getptr(A, 2)): the resolver maps (base, classHash, field) to the
-// randomized offset, and emitGetptr — the single trace exit for every
-// resolution path — records it. Probe lengths observed inside the
-// resolvers use the one canonical bucket vocabulary documented at
-// telemetry.ProbeLenBuckets.
+// randomized offset and says which path found it, and the getptr event
+// goes out once, after resolution.
 func (r *Runtime) olrGetptr(v *vm.VM, base uint64, field int, classHash uint64) (int64, error) {
 	r.accesses++
-	if r.prof != nil {
-		r.profSite().IncGetptr()
-	}
 	off, res, err := r.resolver.Resolve(v, base, field, classHash)
 	if err != nil {
 		// Error exits (abort-policy violations, seal failures,
-		// out-of-range faults) record nothing: the run dies there, and
-		// the bus-level violation record already marks the spot.
+		// out-of-range faults) emit nothing: the run dies there, and the
+		// violation event already marks the spot.
 		return 0, err
 	}
-	r.emitGetptr(classHash, field, base, off, res)
+	if r.bus != nil {
+		r.emitGetptr(r.curCall.Site(), classHash, field, base, off, res)
+	}
 	return int64(base + uint64(off)), nil
 }
 
-// emitGetptr records one completed olr_getptr resolution on the
-// execution trace. Every resolver exit funnels through here, so a new
-// strategy cannot miss (or double-emit) a trace record.
-func (r *Runtime) emitGetptr(classHash uint64, field int, base uint64, off int, res exectrace.Resolution) {
-	if r.xt != nil {
-		r.xt.Getptr(r.xt.Intern(r.curCall.Site()), classHash, field, base, off, res)
+// emitGetptr builds the one event of a completed olr_getptr: the
+// builtin's exit and the dispatch loops' layout-cache hits both end
+// here. Its kind, and what every observer derives from it, follow from
+// the resolution (telemetry.Resolution). Callers check r.bus.
+func (r *Runtime) emitGetptr(site string, classHash uint64, field int, base uint64, off int, res exectrace.Resolution) {
+	kind := telemetry.EvFieldMiss
+	if res.Hit() {
+		kind = telemetry.EvFieldHit
 	}
+	r.bus.Emit(telemetry.Event{Kind: kind, Addr: base, Class: classHash, Field: field, Site: site, Off: off, Res: res})
 }
 
 // olrMemcpy implements the instrumented object copy (§IV.A.2); the
@@ -761,24 +690,30 @@ func (r *Runtime) layoutFitting(cls *classinfo.Class, srcLayout *layout.Layout, 
 	return nil, nil
 }
 
-// noteLayoutGen attributes one layout generation to its class: the
-// hot-site profiler's per-class counter, the entropy histogram, and the
-// EvLayoutGen event. Both strategies funnel through here (the stateless
+// noteLayoutGen emits one layout generation's event and observes the
+// entropy histogram, which measures the generator's inputs rather than
+// the event. Both strategies funnel through here (the stateless
 // resolver also re-derives on memo misses, each a generation).
 func (r *Runtime) noteLayoutGen(cls *classinfo.Class, cfg layout.Config, nFptrs int, l *layout.Layout) {
-	if r.prof != nil {
-		gc, ok := r.profGens[cls.Hash]
-		if !ok {
-			gc = r.prof.ClassGen(cls.Name())
-			r.profGens[cls.Hash] = gc
+	if r.bus != nil {
+		if r.histEntropy != nil {
+			r.histEntropy.Observe(layout.EntropyBits(len(cls.Members), nFptrs, cfg))
 		}
-		gc.Inc()
-	}
-	if r.tel != nil {
-		r.histEntropy.Observe(layout.EntropyBits(len(cls.Members), nFptrs, cfg))
-		r.tel.Emit(telemetry.Event{
+		r.bus.Emit(telemetry.Event{
 			Kind: telemetry.EvLayoutGen, Class: cls.Hash, Layout: l.Hash(),
 			Size: l.TotalSize, Detail: cls.Name(),
+		})
+	}
+}
+
+// noteRerand emits the event of one object given a fresh layout in
+// place: a memcpy destination adopting the source's class, or a live
+// object remapped by a stateless epoch rekey.
+func (r *Runtime) noteRerand(addr uint64, size int, cls *classinfo.Class, l *layout.Layout) {
+	if r.bus != nil {
+		r.bus.Emit(telemetry.Event{
+			Kind: telemetry.EvMemcpyRerand, Addr: addr, Size: size,
+			Class: cls.Hash, Layout: l.Hash(), Detail: cls.Name(),
 		})
 	}
 }

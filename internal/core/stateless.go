@@ -7,7 +7,6 @@ import (
 	"polar/internal/classinfo"
 	"polar/internal/ir"
 	"polar/internal/layout"
-	"polar/internal/telemetry"
 	"polar/internal/telemetry/exectrace"
 	"polar/internal/vm"
 )
@@ -206,18 +205,13 @@ func (s *statelessResolver) managed(v *vm.VM, base uint64) (*classinfo.Class, *l
 	return cls, l, nil
 }
 
-// Resolve recomputes the member offset from the keyed hash — probe
-// length 0: no metadata structure is consulted on any arm of this
-// ladder (the static fallback observes 3, keeping the static-arm bucket
-// meaning consistent across strategies).
+// Resolve recomputes the member offset from the keyed hash: no metadata
+// structure is consulted on any arm of this ladder, and the static
+// fallback reports ResStatic, as the metadata strategy's does.
 func (s *statelessResolver) Resolve(v *vm.VM, base uint64, field int, classHash uint64) (int, exectrace.Resolution, error) {
 	r := s.rt
 	cls, found := r.table.ByHash(classHash)
 	if !found {
-		if r.tel != nil {
-			r.histProbe.Observe(3)
-			r.tel.Emit(telemetry.Event{Kind: telemetry.EvFieldMiss, Addr: base, Class: classHash, Field: field})
-		}
 		if err := r.violate(ViolationBadClass, base, classHash, nil); err != nil {
 			return 0, 0, err
 		}
@@ -227,15 +221,7 @@ func (s *statelessResolver) Resolve(v *vm.VM, base uint64, field int, classHash 
 	// VM type-map lookup, no derivation, just the memoized permutation.
 	if l := s.memoHit(base, classHash); l != nil {
 		if field < 0 || field >= len(l.Offsets) {
-			if r.tel != nil {
-				r.histProbe.Observe(0)
-				r.tel.Emit(telemetry.Event{Kind: telemetry.EvFieldMiss, Addr: base, Class: classHash, Field: field})
-			}
 			return 0, exectrace.ResStatic, nil
-		}
-		if r.tel != nil {
-			r.histProbe.Observe(0)
-			r.tel.Emit(telemetry.Event{Kind: telemetry.EvFieldHit, Addr: base, Class: classHash, Field: field})
 		}
 		// The memo witnessed (base, class) live this epoch — the same
 		// clean-resolution guarantee the layout table needs.
@@ -248,10 +234,6 @@ func (s *statelessResolver) Resolve(v *vm.VM, base uint64, field int, classHash 
 		// metadata strategy's unregistered arm. A dangling pointer also
 		// lands here — stateless mode keeps no ghost records, so this is
 		// where UAF detection degrades (DESIGN.md §12).
-		if r.tel != nil {
-			r.histProbe.Observe(3)
-			r.tel.Emit(telemetry.Event{Kind: telemetry.EvFieldMiss, Addr: base, Class: classHash, Field: field})
-		}
 		if field < 0 || field >= len(cls.Members) {
 			return 0, 0, fmt.Errorf("polar: field %d out of range for %s", field, cls.Name())
 		}
@@ -268,10 +250,6 @@ func (s *statelessResolver) Resolve(v *vm.VM, base uint64, field int, classHash 
 		l, err := s.layoutFor(actual, base)
 		if err != nil {
 			return 0, 0, err
-		}
-		if r.tel != nil {
-			r.histProbe.Observe(0)
-			r.tel.Emit(telemetry.Event{Kind: telemetry.EvFieldMiss, Addr: base, Class: classHash, Field: field})
 		}
 		if err := r.violate(ViolationTypeConfusion, base, actual.Hash, nil); err != nil {
 			return 0, 0, err
@@ -293,15 +271,7 @@ func (s *statelessResolver) Resolve(v *vm.VM, base uint64, field int, classHash 
 	if field < 0 || field >= len(l.Offsets) {
 		// Confused index beyond the member count: land on the base,
 		// mirroring the metadata strategy.
-		if r.tel != nil {
-			r.histProbe.Observe(0)
-			r.tel.Emit(telemetry.Event{Kind: telemetry.EvFieldMiss, Addr: base, Class: classHash, Field: field})
-		}
 		return 0, exectrace.ResStatic, nil
-	}
-	if r.tel != nil {
-		r.histProbe.Observe(0)
-		r.tel.Emit(telemetry.Event{Kind: telemetry.EvFieldHit, Addr: base, Class: classHash, Field: field})
 	}
 	// Clean tracked resolution, now in the memo. Without a memo there
 	// is no table either (the nocache ablation arm).
@@ -452,12 +422,7 @@ func (s *statelessResolver) Rerandomize(v *vm.VM) (bool, error) {
 		if err := r.armTraps(v, base, nl); err != nil {
 			return false, err
 		}
-		if r.tel != nil {
-			r.tel.Emit(telemetry.Event{
-				Kind: telemetry.EvMemcpyRerand, Addr: base, Size: nl.TotalSize,
-				Class: cls.Hash, Layout: nl.Hash(), Detail: cls.Name(),
-			})
-		}
+		r.noteRerand(base, nl.TotalSize, cls, nl)
 	}
 	return true, nil
 }
@@ -533,12 +498,7 @@ func (s *statelessResolver) Memcpy(v *vm.VM, dst, src uint64, n int, classHash u
 		if err := r.armTraps(v, dst, dl); err != nil {
 			return err
 		}
-		if r.tel != nil {
-			r.tel.Emit(telemetry.Event{
-				Kind: telemetry.EvMemcpyRerand, Addr: dst, Size: n,
-				Class: srcCls.Hash, Layout: dl.Hash(), Detail: srcCls.Name(),
-			})
-		}
+		r.noteRerand(dst, n, srcCls, dl)
 		return r.copyMemberwise(v, dst, dl, src, srcL, srcCls)
 	}
 	return r.copyRandomToStatic(v, dst, src, srcL, srcCls)

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"sync"
+	"sync/atomic"
 )
 
 // EventKind enumerates the typed events the stack emits.
@@ -15,9 +16,11 @@ const (
 	EvAlloc EventKind = iota + 1
 	// EvFree: an object was freed.
 	EvFree
-	// EvFieldHit: olr_getptr resolved through the offset cache.
+	// EvFieldHit: olr_getptr resolved on its strategy's fast path (an
+	// offset-cache hit or a stateless derivation; Resolution.Hit).
 	EvFieldHit
-	// EvFieldMiss: olr_getptr took the metadata slow path.
+	// EvFieldMiss: olr_getptr resolved any other way (a metadata probe
+	// or the static arm).
 	EvFieldMiss
 	// EvMemcpyRerand: olr_memcpy gave a duplicate a fresh layout (§IV.A.2).
 	EvMemcpyRerand
@@ -81,6 +84,61 @@ func (k EventKind) String() string {
 	}
 }
 
+// Resolution says how an olr_getptr call found its offset. It is the
+// one mapping every observer of a getptr event reads: the bus kind
+// (Hit), the probe-length bucket (ProbeLen) and whether the fast path
+// missed, which the hot-site profiler counts as a probe (!Hit).
+type Resolution uint8
+
+const (
+	// ResCacheHit: the per-runtime offset cache had (class, layout, field).
+	ResCacheHit Resolution = 1
+	// ResMetadata: the slow path consulted the MetaStore layout record.
+	ResMetadata Resolution = 2
+	// ResStatic: no per-allocation metadata applied (unknown class,
+	// untracked address, or confused member index) — the static or base
+	// offset was returned.
+	ResStatic Resolution = 3
+	// ResStateless: the offset was recomputed from the keyed hash of the
+	// base address (SPAM-style stateless mode) — no metadata probe at all.
+	ResStateless Resolution = 4
+)
+
+// String implements fmt.Stringer.
+func (r Resolution) String() string {
+	switch r {
+	case ResCacheHit:
+		return "cache-hit"
+	case ResMetadata:
+		return "metadata"
+	case ResStatic:
+		return "static"
+	case ResStateless:
+		return "stateless"
+	default:
+		return "?"
+	}
+}
+
+// Hit reports whether the resolution took its strategy's fast path:
+// an offset-cache hit or a stateless derivation. Getptr events are
+// EvFieldHit exactly when it holds.
+func (r Resolution) Hit() bool { return r == ResCacheHit || r == ResStateless }
+
+// ProbeLen is the resolution's probe-length bucket (ProbeLenBuckets).
+func (r Resolution) ProbeLen() float64 {
+	switch r {
+	case ResStateless:
+		return 0
+	case ResCacheHit:
+		return 1
+	case ResMetadata:
+		return 2
+	default:
+		return 3
+	}
+}
+
 // Event is one observation. Fields are a union over kinds; unused
 // fields are zero. No pointers — an Event never retains program state.
 type Event struct {
@@ -96,6 +154,11 @@ type Event struct {
 	Layout uint64 `json:"layout,omitempty"`
 	// Field is the member index (fieldptr events; -1 when n/a).
 	Field int `json:"field,omitempty"`
+	// Off and Res are a getptr's resolved offset from Addr and how it
+	// was found. The execution trace records them; JSON renderings of
+	// the event (flight dumps) leave them out.
+	Off int        `json:"-"`
+	Res Resolution `json:"-"`
 	// Label is the taint label bitmask (taint-union).
 	Label uint64 `json:"label,omitempty"`
 	// Site is the instruction site "@fn.block" that triggered the event,
@@ -113,52 +176,54 @@ type Sink interface {
 }
 
 // Bus fans events out to its sinks. A nil *Bus is a valid no-op, but
-// hot paths should guard with a nil check on the owning *Telemetry so
-// the Event is never constructed when telemetry is disabled — that is
-// the "one branch" cost contract benchmarked in BenchmarkTelemetryOverhead.
+// hot paths should guard with a nil check on the bus (or the owning
+// *Telemetry) so the Event is never constructed when nothing observes
+// the run — that is the "one branch" cost contract benchmarked in
+// BenchmarkTelemetryOverhead.
 type Bus struct {
-	mu    sync.Mutex
-	sinks []Sink
+	mu sync.Mutex // serializes subscriptions
+	// sinks is replaced, never modified, by a subscription, so Emit
+	// reads it without taking mu.
+	sinks atomic.Pointer[[]Sink]
 }
 
 // NewBus returns a bus over the given sinks.
 func NewBus(sinks ...Sink) *Bus {
 	b := &Bus{}
 	for _, s := range sinks {
-		if s != nil {
-			b.sinks = append(b.sinks, s)
-		}
+		b.Attach(s)
 	}
 	return b
 }
 
 // Attach subscribes an additional sink.
 func (b *Bus) Attach(s Sink) {
-	if s == nil {
-		return
+	if s != nil {
+		b.attach(s, false)
 	}
-	b.mu.Lock()
-	b.sinks = append(b.sinks, s)
-	b.mu.Unlock()
 }
 
-// Detach unsubscribes a sink previously passed to Attach (identity
-// comparison). Transient subscribers — the live event-stream endpoint
-// attaches one sink per HTTP client — must detach on disconnect or the
-// bus would deliver into dead streams forever. The sink list is
-// copy-on-write so a concurrent Emit keeps its own snapshot.
-func (b *Bus) Detach(s Sink) {
-	if b == nil || s == nil {
-		return
-	}
+// AttachOnce subscribes s unless an equal sink is already attached,
+// so a runtime may attach its observers to a bus every run shares. s
+// must be comparable (a pointer, or a struct of pointers).
+func (b *Bus) AttachOnce(s Sink) { b.attach(s, true) }
+
+func (b *Bus) attach(s Sink, once bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for i, have := range b.sinks {
-		if have == s {
-			b.sinks = append(append([]Sink(nil), b.sinks[:i]...), b.sinks[i+1:]...)
-			return
+	var sinks []Sink
+	if p := b.sinks.Load(); p != nil {
+		sinks = *p
+	}
+	if once {
+		for _, have := range sinks {
+			if have == s {
+				return
+			}
 		}
 	}
+	sinks = append(sinks[:len(sinks):len(sinks)], s)
+	b.sinks.Store(&sinks)
 }
 
 // Emit delivers e to every sink. Safe on a nil bus.
@@ -166,11 +231,10 @@ func (b *Bus) Emit(e Event) {
 	if b == nil {
 		return
 	}
-	b.mu.Lock()
-	sinks := b.sinks
-	b.mu.Unlock()
-	for _, s := range sinks {
-		s.Event(e)
+	if p := b.sinks.Load(); p != nil {
+		for _, s := range *p {
+			s.Event(e)
+		}
 	}
 }
 
@@ -202,6 +266,23 @@ func CountingSink(reg *Registry) Sink {
 func (s *countingSink) Event(e Event) {
 	if int(e.Kind) < len(s.counters) && s.counters[e.Kind] != nil {
 		s.counters[e.Kind].Inc()
+	}
+}
+
+// probeLenSink observes each getptr event's probe-length bucket.
+type probeLenSink struct{ h *Histogram }
+
+// ProbeLenSink returns the sink that feeds reg's probe-length histogram
+// (MetricCacheProbeLen) from getptr events. Sinks for one registry are
+// equal, so Bus.AttachOnce attaches it once per bus.
+func ProbeLenSink(reg *Registry) Sink {
+	return probeLenSink{reg.Histogram(MetricCacheProbeLen, ProbeLenBuckets)}
+}
+
+// Event implements Sink.
+func (s probeLenSink) Event(e Event) {
+	if e.Kind == EvFieldHit || e.Kind == EvFieldMiss {
+		s.h.Observe(e.Res.ProbeLen())
 	}
 }
 

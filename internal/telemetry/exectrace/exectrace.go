@@ -41,7 +41,6 @@ package exectrace
 import (
 	"encoding/binary"
 	"io"
-	"sync/atomic"
 
 	"polar/internal/telemetry"
 )
@@ -69,38 +68,18 @@ const (
 	recEOF       byte = 12 // records, dropped    — footer, written by Close
 )
 
-// Resolution says how an olr_getptr call found its offset.
-type Resolution uint8
+// Resolution says how an olr_getptr call found its offset; the getptr
+// event carries it (telemetry.Resolution holds the values and the
+// hit/miss and probe-bucket mapping).
+type Resolution = telemetry.Resolution
 
+// Resolution values, as recorded in getptr records.
 const (
-	// ResCacheHit: the per-runtime offset cache had (class, layout, field).
-	ResCacheHit Resolution = 1
-	// ResMetadata: the slow path consulted the MetaStore layout record.
-	ResMetadata Resolution = 2
-	// ResStatic: no per-allocation metadata applied (unknown class,
-	// untracked address, or confused member index) — the static or base
-	// offset was returned.
-	ResStatic Resolution = 3
-	// ResStateless: the offset was recomputed from the keyed hash of the
-	// base address (SPAM-style stateless mode) — no metadata probe at all.
-	ResStateless Resolution = 4
+	ResCacheHit  = telemetry.ResCacheHit
+	ResMetadata  = telemetry.ResMetadata
+	ResStatic    = telemetry.ResStatic
+	ResStateless = telemetry.ResStateless
 )
-
-// String implements fmt.Stringer.
-func (r Resolution) String() string {
-	switch r {
-	case ResCacheHit:
-		return "cache-hit"
-	case ResMetadata:
-		return "metadata"
-	case ResStatic:
-		return "static"
-	case ResStateless:
-		return "stateless"
-	default:
-		return "?"
-	}
-}
 
 // flushThreshold bounds buffered bytes between Write calls to the
 // underlying stream. 32 KiB amortizes syscalls without letting a long
@@ -108,31 +87,22 @@ func (r Resolution) String() string {
 const flushThreshold = 32 << 10
 
 // Writer streams trace records to an io.Writer. Not safe for
-// concurrent use (see the package comment); the telemetry.Sink methods
-// are only ever invoked synchronously from the traced goroutine.
+// concurrent use (see the package comment); the telemetry.Sink method
+// is only ever invoked synchronously from the traced goroutine.
 type Writer struct {
 	w       io.Writer
 	buf     []byte
 	strings map[string]uint32
 	nextStr uint32
 	// live short-circuits the hot path: true while the writer is
-	// unbounded, open and error-free, in which case records are tallied
-	// in the owner-only pending counter and folded into the atomic on
-	// every flush. Capped writers (max != 0) keep live false and count
-	// every record exactly through the atomics.
+	// unbounded, open and error-free. Capped writers keep it false and
+	// check the cap on every record.
 	live    bool
-	pending uint64 // records since the last fold (owner goroutine only)
-	// records/dropped are atomics ONLY so a live metrics scrape
-	// (introspect.SetExecTrace) can read them while the owning
-	// goroutine writes; all mutation stays single-owner. For an
-	// unbounded writer the scraped value trails by at most one flush
-	// window; Close folds the remainder, so post-run reads are exact.
-	records atomic.Uint64 // event records written (strings and EOF excluded)
-	dropped atomic.Uint64 // event records discarded (cap reached or sticky error)
-	max     uint64        // 0 = unbounded
+	records uint64 // event records written (strings and EOF excluded)
+	dropped uint64 // event records discarded (cap reached or sticky error)
+	max     uint64 // 0 = unbounded
 	err     error
 	closed  bool
-	buses   []*telemetry.Bus // AttachOnce guard
 }
 
 // NewWriter returns an unbounded trace writer over w.
@@ -155,22 +125,6 @@ func NewWriterLimit(w io.Writer, maxRecords uint64) *Writer {
 	xw.buf = binary.AppendUvarint(xw.buf, uint64(len(Schema)))
 	xw.buf = append(xw.buf, Schema...)
 	return xw
-}
-
-// AttachOnce subscribes the writer to bus exactly once; further calls
-// with the same bus are no-ops. Mirrors flight.Recorder.AttachOnce so
-// core and the VM can both defensively attach the shared writer.
-func (w *Writer) AttachOnce(bus *telemetry.Bus) {
-	if w == nil || bus == nil {
-		return
-	}
-	for _, b := range w.buses {
-		if b == bus {
-			return
-		}
-	}
-	w.buses = append(w.buses, bus)
-	bus.Attach(w)
 }
 
 // Intern returns the id for s, defining it in the trace's string table
@@ -213,15 +167,11 @@ func uvarintLen(v uint64) int {
 // emit frames and buffers one event payload, honoring the cap and the
 // sticky error.
 func (w *Writer) emit(payload []byte) {
-	if w.live {
-		w.pending++
-	} else {
-		if w.err != nil || w.closed || (w.max != 0 && w.records.Load() >= w.max) {
-			w.dropped.Add(1)
-			return
-		}
-		w.records.Add(1)
+	if !w.live && (w.err != nil || w.closed || (w.max != 0 && w.records >= w.max)) {
+		w.dropped++
+		return
 	}
+	w.records++
 	w.buf = binary.AppendUvarint(w.buf, uint64(len(payload)))
 	w.buf = append(w.buf, payload...)
 	if len(w.buf) >= flushThreshold {
@@ -229,17 +179,7 @@ func (w *Writer) emit(payload []byte) {
 	}
 }
 
-// fold publishes the pending fast-path tally into the atomic counter.
-// Owner goroutine only.
-func (w *Writer) fold() {
-	if w.pending != 0 {
-		w.records.Add(w.pending)
-		w.pending = 0
-	}
-}
-
 func (w *Writer) flush() {
-	w.fold()
 	if w.err != nil || len(w.buf) == 0 {
 		return
 	}
@@ -290,7 +230,7 @@ func (w *Writer) FastAppend4(f uint32) bool {
 	if !w.live || f&3 != 3 || len(w.buf)+4 > flushThreshold {
 		return false
 	}
-	w.pending++
+	w.records++
 	w.buf = append(w.buf, byte(f), byte(f>>8), byte(f>>16), byte(f>>24))
 	return true
 }
@@ -375,33 +315,19 @@ func (w *Writer) Getptr(site uint32, class uint64, field int, base uint64, off i
 	w.emit(p[:n])
 }
 
-// Event implements telemetry.Sink: the writer rides the existing bus
-// for everything that is not hot enough (or not precise enough) to
-// deserve a direct hook. The split is deliberate:
-//
-//   - EvAlloc/EvFree with Class != 0 are olr_malloc/olr_free — core
-//     writes richer direct records (site id, layout) itself, so the
-//     bus copy is skipped to avoid double-counting.
-//   - EvFieldHit/EvFieldMiss are skipped for the same reason: the
-//     direct Getptr record carries the chosen offset, which the bus
-//     event does not.
-//   - Everything else (layout generation, memcpy re-randomization,
-//     violations, fuel checkpoints, taint/corpus events) is recorded
-//     from the bus so any future emitter is traced for free.
+// Event implements telemetry.Sink: every record other than blocks and
+// calls comes from a bus event. Alloc and free records serve both the
+// runtime's olr_malloc/olr_free and the VM's raw allocations (class 0);
+// getptr records come from the hit and miss events, which carry the
+// resolved offset and the resolution.
 func (w *Writer) Event(e telemetry.Event) {
 	switch e.Kind {
 	case telemetry.EvAlloc:
-		if e.Class != 0 {
-			return
-		}
-		w.Alloc(w.Intern(e.Site), 0, e.Addr, e.Size, 0, w.Intern(e.Detail))
+		w.Alloc(w.Intern(e.Site), e.Class, e.Addr, e.Size, e.Layout, w.Intern(e.Detail))
 	case telemetry.EvFree:
-		if e.Class != 0 {
-			return
-		}
-		w.Free(w.Intern(e.Site), 0, e.Addr, 0)
+		w.Free(w.Intern(e.Site), e.Class, e.Addr, e.Layout)
 	case telemetry.EvFieldHit, telemetry.EvFieldMiss:
-		return
+		w.Getptr(w.Intern(e.Site), e.Class, e.Field, e.Addr, e.Off, e.Res)
 	case telemetry.EvLayoutGen:
 		detail := w.Intern(e.Detail)
 		var p [1 + 4*binary.MaxVarintLen64]byte
@@ -466,13 +392,12 @@ func (w *Writer) Event(e telemetry.Event) {
 	}
 }
 
-// Records reports how many event records were written so far. Owner
-// goroutine only (live scrapes go through Publish).
-func (w *Writer) Records() uint64 { return w.records.Load() + w.pending }
+// Records reports how many event records were written so far.
+func (w *Writer) Records() uint64 { return w.records }
 
 // Dropped reports how many event records were discarded (cap reached
 // or write error).
-func (w *Writer) Dropped() uint64 { return w.dropped.Load() }
+func (w *Writer) Dropped() uint64 { return w.dropped }
 
 // Err returns the sticky write error, if any.
 func (w *Writer) Err() error { return w.err }
@@ -480,14 +405,12 @@ func (w *Writer) Err() error { return w.err }
 // Publish snapshots the writer's own counters into a metrics registry
 // so the OpenMetrics exposition can surface trace loss
 // (polar_exectrace_records_total / polar_exectrace_dropped_total).
-// Safe from a scrape goroutine; for an unbounded writer mid-run the
-// record count trails by at most one flush window (exact after Close).
 func (w *Writer) Publish(reg *telemetry.Registry) {
 	if w == nil || reg == nil {
 		return
 	}
-	reg.Counter("exectrace.records").Set(w.records.Load())
-	reg.Counter("exectrace.dropped").Set(w.dropped.Load())
+	reg.Counter("exectrace.records").Set(w.records)
+	reg.Counter("exectrace.dropped").Set(w.dropped)
 }
 
 // Close writes the footer (event count + dropped count), flushes, and
@@ -500,13 +423,12 @@ func (w *Writer) Close() error {
 	}
 	w.closed = true
 	w.live = false
-	w.fold()
 	if w.err == nil {
 		var p [1 + 2*binary.MaxVarintLen64]byte
 		n := 1
 		p[0] = recEOF
-		n += binary.PutUvarint(p[n:], w.records.Load())
-		n += binary.PutUvarint(p[n:], w.dropped.Load())
+		n += binary.PutUvarint(p[n:], w.records)
+		n += binary.PutUvarint(p[n:], w.dropped)
 		w.buf = binary.AppendUvarint(w.buf, uint64(n))
 		w.buf = append(w.buf, p[:n]...)
 	}

@@ -26,15 +26,16 @@ func TestRoundTrip(t *testing.T) {
 	// Bus-fed records.
 	w.Event(telemetry.Event{Kind: telemetry.EvFuelCheckpoint, Size: 999, Detail: "run-start"})
 	w.Event(telemetry.Event{Kind: telemetry.EvAlloc, Addr: 0x2000, Size: 16, Detail: "Raw"}) // raw VM alloc
-	w.Event(telemetry.Event{Kind: telemetry.EvAlloc, Addr: 0x3000, Size: 16, Class: 7})      // hardened: skipped (direct record covers it)
-	w.Event(telemetry.Event{Kind: telemetry.EvFieldHit, Addr: 0x3000, Class: 7, Field: 1})   // skipped
+	w.Event(telemetry.Event{Kind: telemetry.EvAlloc, Addr: 0x3000, Size: 16, Class: 7, Layout: 9, Site: "@main.entry", Detail: "Victim"})
+	w.Event(telemetry.Event{Kind: telemetry.EvFieldHit, Addr: 0x3000, Class: 7, Field: 1, Site: "@main.entry", Off: 8, Res: ResStateless})
+	w.Event(telemetry.Event{Kind: telemetry.EvFree, Addr: 0x3000, Class: 7, Layout: 9, Site: "@main.entry"})
 	w.Event(telemetry.Event{Kind: telemetry.EvLayoutGen, Class: 0xabc, Layout: 0xdef, Size: 64, Detail: "Victim"})
 	w.Event(telemetry.Event{Kind: telemetry.EvViolation, Addr: 0x10010, Class: 0xabc, Layout: 0xdef, Field: 3, Site: "@main.entry", Detail: "use-after-free"})
 	w.Event(telemetry.Event{Kind: telemetry.EvTaintUnion, Addr: 0x4000, Label: 0b101, Size: 8})
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if got, want := w.Records(), uint64(11); got != want {
+	if got, want := w.Records(), uint64(14); got != want {
 		t.Fatalf("records = %d, want %d", got, want)
 	}
 
@@ -42,7 +43,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if !tr.Complete || tr.Count != 11 || tr.Dropped != 0 {
+	if !tr.Complete || tr.Count != 14 || tr.Dropped != 0 {
 		t.Fatalf("footer: complete=%v count=%d dropped=%d", tr.Complete, tr.Count, tr.Dropped)
 	}
 	want := []Record{
@@ -54,6 +55,9 @@ func TestRoundTrip(t *testing.T) {
 		{Kind: KindFree, Site: "@main.entry", Class: 0xabc, Base: 0x10000, Layout: 0xdef},
 		{Kind: KindFuel, Size: 999, Detail: "run-start"},
 		{Kind: KindAlloc, Base: 0x2000, Size: 16, Detail: "Raw"},
+		{Kind: KindAlloc, Site: "@main.entry", Class: 7, Base: 0x3000, Size: 16, Layout: 9, Detail: "Victim"},
+		{Kind: KindGetptr, Site: "@main.entry", Class: 7, Field: 1, Base: 0x3000, Off: 8, Res: ResStateless},
+		{Kind: KindFree, Site: "@main.entry", Class: 7, Base: 0x3000, Layout: 9},
 		{Kind: KindLayoutGen, Class: 0xabc, Layout: 0xdef, Size: 64, Detail: "Victim"},
 		{Kind: KindViolation, Base: 0x10010, Class: 0xabc, Layout: 0xdef, Field: 3, Site: "@main.entry", Detail: "use-after-free"},
 		{Kind: KindEvent, Ev: telemetry.EvTaintUnion, Base: 0x4000, Size: 8, Field: 0, Label: 0b101},

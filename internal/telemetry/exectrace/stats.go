@@ -183,17 +183,10 @@ func sortedKeys(m map[string]int) []string {
 // must match the "event.*" counters the bus-level counting sink saw.
 // It returns one message per mismatch (empty = consistent).
 //
-// A getptr the bus counts as a hit resolved through the offset cache
-// (metadata mode) or by derivation (stateless mode); every other
-// resolution is a miss. The check is exact for completed runs in either
-// mode, with two caveats. A run aborted mid-operation (abort-policy
-// violation) can legitimately count one more bus event than trace
-// records, because the bus event fires before the aborting error return
-// skips the trace write — callers cross-checking aborted runs should
-// expect an off-by-one on the violated operation. And a stateless-mode
-// type confusion under the warn policy resolves by derivation but
-// counts as a bus miss, so each one moves one getptr from the hit to
-// the miss side.
+// The trace and the counters read the same bus events, and a getptr is
+// a hit exactly when its resolution is (telemetry.Resolution.Hit:
+// cache-hit or stateless), so the check is exact on every run: either
+// layout mode, either policy, including a run a violation aborted.
 func CrossCheck(s *TraceStats, snap telemetry.Snapshot) []string {
 	var out []string
 	check := func(what string, traced int, counter string) {

@@ -54,10 +54,9 @@ func TestRegistryMergeBoundsMismatch(t *testing.T) {
 }
 
 // TestRegistryMergeUnderConcurrentPublish: the coordinator may fold
-// worker snapshots into the shared registry while live subsystems are
-// still publishing into it (the introspection endpoint snapshots on
-// every request). Merge and Publish-style writes must not race or lose
-// updates.
+// worker snapshots into the shared registry while runs sharing it are
+// still publishing into it. Merge and Publish-style writes must not
+// race or lose updates.
 func TestRegistryMergeUnderConcurrentPublish(t *testing.T) {
 	dst := NewRegistry()
 	const publishers, rounds, sources = 4, 200, 8

@@ -21,6 +21,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"polar/internal/telemetry"
 )
 
 // SiteCounts accumulates per-site costs. Fields are atomics so one
@@ -30,7 +32,7 @@ type SiteCounts struct {
 	site    string
 	cycles  atomic.Uint64 // interpreted instructions executed at the site
 	getptrs atomic.Uint64 // olr_getptr resolutions issued from the site
-	probes  atomic.Uint64 // metadata-table probes (offset-cache misses)
+	probes  atomic.Uint64 // resolutions that missed the fast path
 }
 
 // AddCycles charges n interpreted instructions to the site.
@@ -39,8 +41,8 @@ func (c *SiteCounts) AddCycles(n uint64) { c.cycles.Add(n) }
 // IncGetptr counts one member resolution issued from the site.
 func (c *SiteCounts) IncGetptr() { c.getptrs.Add(1) }
 
-// IncProbe counts one metadata-table probe (offset-cache miss) from the
-// site.
+// IncProbe counts one probe from the site: a resolution that missed
+// its strategy's fast path (an offset-cache miss, or the static arm).
 func (c *SiteCounts) IncProbe() { c.probes.Add(1) }
 
 // SiteSample is one row of a profiler snapshot.
@@ -68,9 +70,10 @@ type GenSample struct {
 	Gens  uint64 `json:"layout_gen"`
 }
 
-// SiteProfiler aggregates SiteCounts by instruction site. Callers
-// (the VM, the POLaR runtime) resolve a *SiteCounts once per site via
-// Site and then count lock-free.
+// SiteProfiler aggregates SiteCounts by instruction site. The VM
+// resolves a *SiteCounts once per site via Site and then counts cycles
+// lock-free; the POLaR runtime's member resolutions and layout
+// generations arrive as bus events (Event).
 type SiteProfiler struct {
 	mu        sync.Mutex
 	sites     map[string]*SiteCounts
@@ -111,6 +114,23 @@ func (p *SiteProfiler) ClassGen(class string) *GenCounts {
 		p.classGens[class] = c
 	}
 	return c
+}
+
+// Event implements telemetry.Sink: each getptr event counts one
+// resolution at its site, plus a probe when it missed the fast path
+// (telemetry.Resolution.Hit), and each layout-gen event one generation
+// of its class.
+func (p *SiteProfiler) Event(e telemetry.Event) {
+	switch e.Kind {
+	case telemetry.EvFieldHit, telemetry.EvFieldMiss:
+		c := p.Site(e.Site)
+		c.IncGetptr()
+		if !e.Res.Hit() {
+			c.IncProbe()
+		}
+	case telemetry.EvLayoutGen:
+		p.ClassGen(e.Detail).Inc()
+	}
 }
 
 // ClassGens returns the per-class layout-generation counts, most

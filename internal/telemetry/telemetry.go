@@ -82,14 +82,14 @@ var (
 	// AllocSizeBuckets mirrors the heap's size classes.
 	AllocSizeBuckets = []float64{16, 32, 48, 64, 96, 128, 192, 256, 384, 512, 1024, 2048, 4096, 8192, 16384, 32768}
 	// ProbeLenBuckets is the canonical vocabulary for the
-	// member-resolution probe-length histogram — every observation the
-	// core runtime makes lands in exactly one of these documented
-	// buckets (asserted by TestProbeBucketsCanonical in internal/core):
+	// member-resolution probe-length histogram — every getptr event
+	// lands in exactly one of these buckets, by Resolution.ProbeLen
+	// (asserted by TestProbeBucketsCanonical in internal/core):
 	//   0 = stateless keyed derivation — no metadata structure probed,
 	//   1 = offset-cache hit,
-	//   2 = cache miss + metadata-table hit,
-	//   3 = metadata miss (or stateless fallback) + static-table arm,
-	//   4+ = degenerate paths, reserved.
+	//   2 = cache miss + metadata-table record,
+	//   3 = the static-table arm, in either strategy,
+	//   4+ = reserved.
 	ProbeLenBuckets = []float64{0, 1, 2, 3, 4}
 	// EntropyBuckets covers the bit range of Fig. 2-scale classes.
 	EntropyBuckets = []float64{0, 2, 4, 6, 8, 10, 12, 16, 20, 24, 32}

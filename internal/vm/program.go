@@ -286,11 +286,11 @@ func (p *Program) NewInstance(opts ...Option) (*VM, error) {
 	if v.xt != nil {
 		v.xtBlocks = make(map[*ir.Func][]uint32)
 		v.xtFuncs = make(map[*ir.Func]uint32)
-		// Ride the bus for everything that is not worth a direct hook
-		// (raw allocs/frees, fuel checkpoints, violations). AttachOnce
-		// keeps a writer shared between the VM and core subscribed once.
+		// Every record but blocks and calls comes from the bus (raw
+		// allocs/frees, fuel checkpoints, the runtime's events).
+		// AttachOnce keeps a writer shared with core subscribed once.
 		if v.tel != nil {
-			v.xt.AttachOnce(v.tel.Bus)
+			v.tel.Bus.AttachOnce(v.xt)
 		}
 	}
 	v.fuelLeft = v.fuel

@@ -260,7 +260,6 @@ type options struct {
 	prof        *profile.SiteProfiler
 	flight      *flight.Recorder
 	xtrace      *exectrace.Writer
-	runtimeObs  func(LiveRuntime)
 }
 
 // Option configures Run and RunHardened.
@@ -349,9 +348,10 @@ type ForensicDump = flight.Dump
 // ringCap events (<= 0 selects the default of 256).
 func NewFlightRecorder(ringCap int) *FlightRecorder { return flight.NewRecorder(ringCap) }
 
-// WithFlightRecorder attaches a flight recorder to the run. Requires
-// WithTelemetry (the recorder's event window is fed from the telemetry
-// bus); without it the recorder sees no events and captures nothing.
+// WithFlightRecorder attaches a flight recorder to the run. Its event
+// window is fed from the run's bus: with WithTelemetry it also sees the
+// VM's events (fuel checkpoints, raw allocations), without it only the
+// runtime's.
 func WithFlightRecorder(r *FlightRecorder) Option { return func(o *options) { o.flight = r } }
 
 // ExecTraceWriter streams the deterministic execution trace (schema
@@ -378,9 +378,9 @@ func NewExecTraceLimit(w io.Writer, maxRecords uint64) *ExecTraceWriter {
 
 // WithExecTrace attaches an execution-trace writer to the run. A run
 // with a trace but no WithTelemetry gets a private telemetry layer, so
-// the trace still carries the bus-fed records (fuel checkpoints, raw
-// VM allocations, violations). Writers are single-owner: give each
-// concurrent run its own.
+// the trace still carries the VM's bus-fed records (fuel checkpoints,
+// raw allocations). Writers are single-owner: give each concurrent run
+// its own.
 func WithExecTrace(w *ExecTraceWriter) Option { return func(o *options) { o.xtrace = w } }
 
 // WithProfiler attaches a hot-site profiler to the run: the VM charges
@@ -388,25 +388,6 @@ func WithExecTrace(w *ExecTraceWriter) Option { return func(o *options) { o.xtra
 // attributes member resolutions and metadata probes to the olr_* call
 // sites. Sharing one profiler across runs aggregates their profiles.
 func WithProfiler(p *SiteProfiler) Option { return func(o *options) { o.prof = p } }
-
-// LiveRuntime is the live view of the POLaR runtime attached to a run
-// in flight. It structurally matches the introspection endpoint's
-// violation source, so an observer callback can hand it straight to a
-// live HTTP surface.
-type LiveRuntime interface {
-	// ViolationLog returns the structured violation log with its
-	// truncation state, as of the moment of the call.
-	ViolationLog() ViolationLog
-}
-
-// WithRuntimeObserver registers fn to receive the live runtime just
-// before a hardened run begins executing. The runtime outlives the
-// call — an introspection endpoint may keep querying it while (and
-// after) the program runs. Ignored on baseline runs, which have no
-// POLaR runtime.
-func WithRuntimeObserver(fn func(LiveRuntime)) Option {
-	return func(o *options) { o.runtimeObs = fn }
-}
 
 // Result is the outcome of one execution.
 type Result struct {
@@ -524,9 +505,6 @@ func (p *Prepared) Run(opts ...Option) (*Result, error) {
 	cfg.Interner = p.interner
 	rt := core.New(p.table, cfg)
 	rt.Attach(v)
-	if o.runtimeObs != nil {
-		o.runtimeObs(rt)
-	}
 	val, err := runSpan(v, o)
 	if err != nil {
 		return nil, err
