@@ -271,9 +271,9 @@ func (w *Writer) Call(fn uint32) {
 	w.emit(p[:n])
 }
 
-// Alloc records an allocation: raw VM allocs (class 0) and hardened
+// alloc records an allocation: raw VM allocs (class 0) and hardened
 // olr_malloc allocs (class hash + layout generation) share the record.
-func (w *Writer) Alloc(site uint32, class, base uint64, size int, layout uint64, detail uint32) {
+func (w *Writer) alloc(site uint32, class, base uint64, size int, layout uint64, detail uint32) {
 	var p [1 + 6*binary.MaxVarintLen64]byte
 	n := 1
 	p[0] = recAlloc
@@ -286,8 +286,8 @@ func (w *Writer) Alloc(site uint32, class, base uint64, size int, layout uint64,
 	w.emit(p[:n])
 }
 
-// Free records a deallocation.
-func (w *Writer) Free(site uint32, class, base, layout uint64) {
+// free records a deallocation.
+func (w *Writer) free(site uint32, class, base, layout uint64) {
 	var p [1 + 4*binary.MaxVarintLen64]byte
 	n := 1
 	p[0] = recFree
@@ -298,11 +298,11 @@ func (w *Writer) Free(site uint32, class, base, layout uint64) {
 	w.emit(p[:n])
 }
 
-// Getptr records one olr_getptr resolution: which member of which
+// getptr records one olr_getptr resolution: which member of which
 // class, against which base, what offset came back, and through which
 // path (cache hit / metadata / static fallback). field is the member
 // index (-1 for none — encoded +1 so it stays unsigned).
-func (w *Writer) Getptr(site uint32, class uint64, field int, base uint64, off int, res Resolution) {
+func (w *Writer) getptr(site uint32, class uint64, field int, base uint64, off int, res Resolution) {
 	var p [1 + 6*binary.MaxVarintLen64]byte
 	n := 1
 	p[0] = recGetptr
@@ -323,11 +323,11 @@ func (w *Writer) Getptr(site uint32, class uint64, field int, base uint64, off i
 func (w *Writer) Event(e telemetry.Event) {
 	switch e.Kind {
 	case telemetry.EvAlloc:
-		w.Alloc(w.Intern(e.Site), e.Class, e.Addr, e.Size, e.Layout, w.Intern(e.Detail))
+		w.alloc(w.Intern(e.Site), e.Class, e.Addr, e.Size, e.Layout, w.Intern(e.Detail))
 	case telemetry.EvFree:
-		w.Free(w.Intern(e.Site), e.Class, e.Addr, e.Layout)
+		w.free(w.Intern(e.Site), e.Class, e.Addr, e.Layout)
 	case telemetry.EvFieldHit, telemetry.EvFieldMiss:
-		w.Getptr(w.Intern(e.Site), e.Class, e.Field, e.Addr, e.Off, e.Res)
+		w.getptr(w.Intern(e.Site), e.Class, e.Field, e.Addr, e.Off, e.Res)
 	case telemetry.EvLayoutGen:
 		detail := w.Intern(e.Detail)
 		var p [1 + 4*binary.MaxVarintLen64]byte

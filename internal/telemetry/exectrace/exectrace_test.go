@@ -19,10 +19,10 @@ func TestRoundTrip(t *testing.T) {
 
 	w.Call(fn)
 	w.Block(site)
-	w.Alloc(site, 0xabc, 0x10000, 64, 0xdef, cls)
-	w.Getptr(site, 0xabc, 2, 0x10000, 24, ResMetadata)
-	w.Getptr(site, 0xabc, 2, 0x10000, 24, ResCacheHit)
-	w.Free(site, 0xabc, 0x10000, 0xdef)
+	w.alloc(site, 0xabc, 0x10000, 64, 0xdef, cls)
+	w.getptr(site, 0xabc, 2, 0x10000, 24, ResMetadata)
+	w.getptr(site, 0xabc, 2, 0x10000, 24, ResCacheHit)
+	w.free(site, 0xabc, 0x10000, 0xdef)
 	// Bus-fed records.
 	w.Event(telemetry.Event{Kind: telemetry.EvFuelCheckpoint, Size: 999, Detail: "run-start"})
 	w.Event(telemetry.Event{Kind: telemetry.EvAlloc, Addr: 0x2000, Size: 16, Detail: "Raw"}) // raw VM alloc
@@ -75,7 +75,7 @@ func TestRoundTrip(t *testing.T) {
 func TestFieldMinusOneRoundTrips(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.Getptr(0, 1, -1, 0x10, 0, ResStatic)
+	w.getptr(0, 1, -1, 0x10, 0, ResStatic)
 	w.Event(telemetry.Event{Kind: telemetry.EvViolation, Field: -1, Detail: "bad-free"})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestDeterministicBytes(t *testing.T) {
 		s := w.Intern("@main.loop")
 		for i := 0; i < 1000; i++ {
 			w.Block(s)
-			w.Getptr(s, 42, i%3, uint64(0x1000+i), i, ResMetadata)
+			w.getptr(s, 42, i%3, uint64(0x1000+i), i, ResMetadata)
 		}
 		w.Close()
 		return buf.Bytes()
