@@ -638,7 +638,7 @@ func (r *Runtime) emitGetptr(site string, classHash uint64, field int, base uint
 	if res.Hit() {
 		kind = telemetry.EvFieldHit
 	}
-	r.bus.Emit(telemetry.Event{Kind: kind, Addr: base, Class: classHash, Field: field, Site: site, Off: off, Res: res})
+	r.bus.Emit(telemetry.Event{Kind: kind, Res: res, Off: int32(off), Addr: base, Class: classHash, Field: field, Site: site})
 }
 
 // olrMemcpy implements the instrumented object copy (§IV.A.2); the

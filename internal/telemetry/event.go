@@ -143,6 +143,12 @@ func (r Resolution) ProbeLen() float64 {
 // fields are zero. No pointers — an Event never retains program state.
 type Event struct {
 	Kind EventKind `json:"kind"`
+	// Res and Off are a getptr's resolution and its resolved offset from
+	// Addr. The execution trace records them; JSON renderings of the
+	// event (flight dumps) leave them out. They sit beside Kind, in
+	// what would be padding, so carrying them costs no copying.
+	Res Resolution `json:"-"`
+	Off int32      `json:"-"`
 	// Addr is the object base (alloc/free/violation) or the written
 	// address (taint-union).
 	Addr uint64 `json:"addr,omitempty"`
@@ -154,11 +160,6 @@ type Event struct {
 	Layout uint64 `json:"layout,omitempty"`
 	// Field is the member index (fieldptr events; -1 when n/a).
 	Field int `json:"field,omitempty"`
-	// Off and Res are a getptr's resolved offset from Addr and how it
-	// was found. The execution trace records them; JSON renderings of
-	// the event (flight dumps) leave them out.
-	Off int        `json:"-"`
-	Res Resolution `json:"-"`
 	// Label is the taint label bitmask (taint-union).
 	Label uint64 `json:"label,omitempty"`
 	// Site is the instruction site "@fn.block" that triggered the event,

@@ -327,7 +327,7 @@ func (w *Writer) Event(e telemetry.Event) {
 	case telemetry.EvFree:
 		w.free(w.Intern(e.Site), e.Class, e.Addr, e.Layout)
 	case telemetry.EvFieldHit, telemetry.EvFieldMiss:
-		w.getptr(w.Intern(e.Site), e.Class, e.Field, e.Addr, e.Off, e.Res)
+		w.getptr(w.Intern(e.Site), e.Class, e.Field, e.Addr, int(e.Off), e.Res)
 	case telemetry.EvLayoutGen:
 		detail := w.Intern(e.Detail)
 		var p [1 + 4*binary.MaxVarintLen64]byte
