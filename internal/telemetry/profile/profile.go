@@ -1,6 +1,7 @@
 // Package profile is the continuous-profiling layer: a VM-level
-// hot-site profiler that attributes interpreted cycles and
-// metadata-table probes to IR instruction sites ("@fn.block"), plus
+// hot-site profiler that attributes interpreted cycles, member
+// resolutions and probes (resolutions that missed the fast path) to IR
+// instruction sites ("@fn.block"), plus
 // thin wrappers over Go's runtime profilers (CPU, allocations) so one
 // -profile flag captures both the interpreted program and the
 // interpreter itself.

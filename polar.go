@@ -53,10 +53,6 @@ type Violation = core.Violation
 // (under both policies); see Result.Violations.
 type ViolationRecord = core.ViolationRecord
 
-// ViolationLog bundles the detection records with their truncation
-// state (the structured log is capped; the counters are not).
-type ViolationLog = core.RecordSet
-
 // Telemetry is the unified observability layer: a typed event bus, a
 // metrics registry and an optional pipeline tracer. Create one with
 // NewTelemetry, pass it via WithTelemetry, and snapshot its Registry
