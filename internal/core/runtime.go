@@ -481,7 +481,7 @@ func (r *Runtime) icFieldHit(site string, base uint64, field int64, class uint64
 		if r.resolver.Mode() == LayoutModeStateless {
 			res = exectrace.ResStateless
 		}
-		r.emitGetptr(site, class, int(field), base, int(off), res)
+		r.noteGetptr(site, class, int(field), base, int(off), res)
 	}
 }
 
@@ -624,16 +624,16 @@ func (r *Runtime) olrGetptr(v *vm.VM, base uint64, field int, classHash uint64) 
 		return 0, err
 	}
 	if r.bus != nil {
-		r.emitGetptr(r.curCall.Site(), classHash, field, base, off, res)
+		r.noteGetptr(r.curCall.Site(), classHash, field, base, off, res)
 	}
 	return int64(base + uint64(off)), nil
 }
 
-// emitGetptr builds the one event of a completed olr_getptr: the
+// noteGetptr builds the one event of a completed olr_getptr: the
 // builtin's exit and the dispatch loops' layout-cache hits both end
 // here. Its kind, and what every observer derives from it, follow from
 // the resolution (telemetry.Resolution). Callers check r.bus.
-func (r *Runtime) emitGetptr(site string, classHash uint64, field int, base uint64, off int, res exectrace.Resolution) {
+func (r *Runtime) noteGetptr(site string, classHash uint64, field int, base uint64, off int, res exectrace.Resolution) {
 	kind := telemetry.EvFieldMiss
 	if res.Hit() {
 		kind = telemetry.EvFieldHit
