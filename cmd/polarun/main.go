@@ -7,9 +7,8 @@
 //	        [-profile file] program.ir [args...]
 //
 // Programs run on the bytecode engine (compile-time lowering with fused
-// superinstructions, DESIGN.md §8). With -trace the run executes the
-// unfused lowering, so the instruction log shows every source
-// instruction.
+// superinstructions, DESIGN.md §8). With -trace the instruction log
+// shows every source instruction, one line per micro-op of a fused run.
 //
 // Plain modules run on the bare VM; pass -hardened for modules produced
 // by polarc (the POLaR runtime is attached and the class table

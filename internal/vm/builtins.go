@@ -133,7 +133,7 @@ func registerDefaultBuiltins(v *VM) {
 	v.RegisterBuiltin("print_str", func(c *Call) (int64, error) {
 		addr, n := uint64(c.Arg(0)), int(c.Arg(1))
 		if n < 0 {
-			return 0, negativeLen(n)
+			return 0, lengthError(n)
 		}
 		if err := c.VM.Mem.check(addr, n); err != nil {
 			return 0, err

@@ -177,9 +177,8 @@ type mcInstr struct {
 //	signShift  64-8*size for sign-extending integer loads, 0 otherwise
 //	st         struct type for typed allocations
 //	irIn       the source instruction — kept for calls (builtin name and
-//	           raw operands for the Call ABI), diagnostics and, in the
-//	           unfused lowering, the instruction log; never consulted by
-//	           the fused straight-line hot path
+//	           raw operands for the Call ABI) and diagnostics; never
+//	           consulted by the fused straight-line hot path
 //	args       call arguments
 type bcInstr struct {
 	op        bcOp

@@ -257,26 +257,18 @@ func TestFusedIntermediateRegisterVisible(t *testing.T) {
 }
 
 // TestObserversRunOnBytecode: a taint sink and the instruction log run
-// the bytecode engine's unfused lowering (and still produce their
-// events); an instance without them, or with only an execution trace,
-// keeps the fused code and never builds the unfused form.
+// the Program's one lowering, fused runs included, and still produce
+// their events.
 func TestObserversRunOnBytecode(t *testing.T) {
 	m := ir.NewModule("observed")
 	st := m.MustStruct(ir.NewStruct("S", ir.Field{Name: "x", Type: ir.I64}))
 	b := ir.NewFunc(m, "main", ir.I64)
 	b.Store(ir.I64, b.Call("input_byte", ir.Const(0)), b.FieldPtr(st, b.Alloc(st), 0))
-	b.Ret(b.Bin(ir.BinAdd, ir.Const(1), ir.Const(2)))
+	// Two adds make a fused run.
+	b.Ret(b.Bin(ir.BinAdd, b.Bin(ir.BinAdd, ir.Const(1), ir.Const(2)), ir.Const(0)))
 	p, err := Compile(m)
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	plain, err := p.NewInstance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.obsFuncs != nil || p.observed != nil {
-		t.Fatal("an unobserved instance built the unfused lowering")
 	}
 
 	var tr strings.Builder
@@ -284,14 +276,14 @@ func TestObserversRunOnBytecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.obsFuncs == nil {
-		t.Fatal("instruction tracing must run the unfused lowering")
-	}
 	if _, err := v.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(tr.String(), "add 1, 2") {
 		t.Fatalf("trace empty on an observed run: %q", tr.String())
+	}
+	if v.Perf.FusedDispatches == 0 {
+		t.Fatal("the traced run dispatched no fused run")
 	}
 
 	sink := &RecordingSink{}
@@ -299,11 +291,11 @@ func TestObserversRunOnBytecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2.obsFuncs == nil || &v2.obsFuncs[0] != &v.obsFuncs[0] {
-		t.Fatal("a taint instance must share the Program's one unfused lowering")
-	}
 	if got, err := v2.Run(); err != nil || got != 3 {
 		t.Fatalf("taint run: got %d, %v; want 3", got, err)
+	}
+	if v2.Perf.FusedDispatches == 0 {
+		t.Fatal("the taint run dispatched no fused run")
 	}
 	if !reflect.DeepEqual(sink.Log, []string{"content S 0 8"}) {
 		t.Fatalf("taint sink log on an observed run: %q", sink.Log)

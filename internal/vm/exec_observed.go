@@ -11,43 +11,49 @@ import (
 
 // This file is the dispatch loop for observed runs: taint runs
 // (WithTaint) and instances with the instruction log attached. It
-// executes the Program's unfused lowering (observedFuncs), where every
-// lowered instruction is exactly one source instruction, so the log
-// writes one line per source instruction, before it executes, at the
-// points and in the order of the reference tree-walker.
+// executes the Program's one lowering, the fused code callBC runs, with
+// callBC's block-batched accounting, pair superinstructions and bcFused
+// micro-op runs, so fuel, Stats and the profiler account exactly as in
+// an unobserved run.
 //
-// A taint run propagates DFSan's rules inline, beside the values: a
-// one-byte label per register (lbl, indexed like regs), a control label
-// per frame (ctl, ORed from every branch condition and inherited by
-// callees) and the shadow memory (taint.go). The sink hears only of
-// tainted bytes landing in a typed heap object and of objects allocated
-// or freed under tainted control. Every instruction that writes a
-// register writes its label too. A taint run never reads the layout
+// The instruction log writes one line per source instruction, before it
+// executes, at the points and in the order of the reference
+// tree-walker: a fused run writes one line per micro and a pair
+// superinstruction one per half (logSource).
+//
+// A taint run propagates DFSan's rules inline, in the case that computes
+// the value: a one-byte label per register (lbl, indexed like regs), a
+// control label per frame (ctl, ORed from every branch condition and
+// inherited by callees) and the shadow memory (taint.go). The sink hears
+// only of tainted bytes landing in a typed heap object and of objects
+// allocated or freed under tainted control. Every instruction that
+// writes a register writes its label too. A micro reads the labels of
+// only the operands its op uses, because an unused operand aliases
+// register 0 (poolMicroConstants); pooled constant slots are never
+// written, so their labels stay 0. A taint run never reads the layout
 // cache, so every olr_getptr runs its builtin.
-//
-// Accounting is per instruction: observed runs pay for their observers
-// anyway, so block batching would buy little.
 
-// chargeSite credits n executed instructions to the current profiler
-// site (psc is nil when profiling is off).
-func chargeSite(psc *profile.SiteCounts, n uint64) {
-	if psc != nil && n != 0 {
-		psc.AddCycles(n)
+// logSource writes the log line of the sub-th source instruction of the
+// lowered instruction at pc: micro sub of a fused run, half sub of a
+// pair superinstruction. Lowering keeps source order and an
+// instruction's weight counts its source instructions, so the line's
+// instruction sits at the block weight before pc, plus sub.
+func logSource(log *telemetry.InstrLog, f *bcFunc, bb *bcBlock, pc int32, sub int) {
+	in := &bb.irb.Instrs[int(f.wTo[pc]-f.wTo[bb.start])+sub]
+	log.Emit(f.fn.Name, bb.irb.Name, ir.FormatInstr(f.fn, in))
+}
+
+// b2i is a compare's result register value.
+func b2i(b bool) int64 {
+	if b {
+		return 1
 	}
+	return 0
 }
 
-// observedFault credits the frame's executed instructions to the
-// profiler (the faulting one included: count, then execute) and wraps
-// err with the site.
-func (v *VM) observedFault(psc *profile.SiteCounts, charged uint64, fn *ir.Func, b *ir.Block, err error) error {
-	chargeSite(psc, charged)
-	return v.fault(fn, b, err)
-}
-
-// callObserved runs one function of the unfused lowering to completion
-// and returns its result with the result's label. args are the resolved
-// arguments; in a taint run argLbls are their labels and ctl the
-// caller's control label (both ignored otherwise).
+// callObserved runs one lowered function to completion and returns its
+// result with the result's label. args are the resolved arguments,
+// argLbls their labels and ctl the caller's control label.
 func (v *VM) callObserved(f *bcFunc, args []int64, argLbls []byte, ctl byte) (int64, byte, error) {
 	fn := f.fn
 	if v.depth >= maxCallDepth {
@@ -62,36 +68,33 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argLbls []byte, ctl byte) (in
 	if v.xt != nil {
 		xtFrames = v.xtEnter(fn)
 	}
-	sink := v.taint
+	// Read once, so every per-micro check below tests a local.
+	sink, log := v.taint, v.instrLog
 	savedStack := v.stackTop
 	regs := v.getFrame(f.numRegs)
-	var lbl []byte
-	if sink != nil {
-		lbl = v.getLabels(f.numRegs)
-	}
+	// Register labels are kept without a branch in every observed run.
+	// Only shadow memory and the input builtins set one, and those run
+	// in a taint run only, so a traced run's labels stay 0.
+	lbl := v.getLabels(f.numRegs)
 	defer func() {
 		v.putFrame(regs)
-		if sink != nil {
-			v.putLabels(lbl)
-		}
+		v.putLabels(lbl)
 		v.stackTop = savedStack
 		v.depth--
 	}()
 	if n := min(len(fn.Params), len(args)); n > 0 {
 		copy(regs, args[:n])
-		if sink != nil {
-			copy(lbl[:n], argLbls)
-		}
+		copy(lbl[:n], argLbls)
+	}
+	for i := range f.consts {
+		regs[f.consts[i].slot] = f.consts[i].val
 	}
 
 	code := f.code
 	mem := v.Mem
 	var psc *profile.SiteCounts
-	// charged counts the instructions executed since psc was last
-	// credited: flushed at every block exit, before every call (the
-	// callee charges its own sites) and on every way out of the frame.
-	var charged uint64
 	blk, prevBlk := 0, -1
+blockLoop:
 	for {
 		bb := &f.blocks[blk]
 		if xtFrames != nil {
@@ -117,18 +120,56 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argLbls []byte, ctl byte) (in
 		if blk+1 < len(f.blocks) {
 			end = f.blocks[blk+1].start
 		}
-		next := -1
-		for pc := bb.start; pc < end && next < 0; pc++ {
+		cost := uint64(bb.cost)
+		batched := v.fuelLeft >= cost
+		var charged uint64
+		if batched {
+			v.fuelLeft -= cost
+			v.Stats.Instructions += cost
+			charged = cost
+		}
+		for pc := bb.start; pc < end; pc++ {
 			in := &code[pc]
-			if v.fuelLeft == 0 {
-				chargeSite(psc, charged)
-				return 0, 0, fmt.Errorf("%w in @%s.%s", ErrFuelExhausted, fn.Name, bb.irb.Name)
+			// nm is how many micros of a fused run execute: all of them,
+			// or on the fuel-scarce path the prefix the fuel affords,
+			// after which the run fails the fuel check.
+			nm := len(in.micro)
+			if !batched {
+				w := uint64(in.weight())
+				if v.fuelLeft < w {
+					if in.op == bcFused && v.fuelLeft > 0 {
+						// fusedPartial's counterpart: the micros the fuel
+						// affords run below, through the same rules.
+						nm, w = int(v.fuelLeft), v.fuelLeft
+					} else {
+						if v.fuelLeft == 1 && w == 2 {
+							// The first half of a pair executes alone
+							// (halfExec), label and log line included.
+							if log != nil {
+								logSource(log, f, bb, pc, 0)
+							}
+							v.halfExec(in, regs)
+							l := in.a.label(lbl)
+							if in.op == bcCmpBr {
+								l |= in.b.label(lbl)
+							}
+							lbl[in.dest] = l
+							v.fuelLeft--
+							v.Stats.Instructions++
+							charged++
+						}
+						if psc != nil && charged != 0 {
+							psc.AddCycles(charged)
+						}
+						return 0, 0, fmt.Errorf("%w in @%s.%s", ErrFuelExhausted, fn.Name, bb.irb.Name)
+					}
+				}
+				v.fuelLeft -= w
+				v.Stats.Instructions += w
+				charged += w
 			}
-			v.fuelLeft--
-			v.Stats.Instructions++
-			charged++
-			if v.instrLog != nil {
-				v.instrLog.Emit(fn.Name, bb.irb.Name, ir.FormatInstr(fn, in.irIn))
+			if log != nil && in.op != bcFused {
+				logSource(log, f, bb, pc, 0)
 			}
 
 			switch in.op {
@@ -140,17 +181,17 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argLbls []byte, ctl byte) (in
 				size := int(in.size) * count
 				addr, err := v.Heap.Alloc(size)
 				if err != nil {
-					return 0, 0, v.observedFault(psc, charged, fn, bb.irb, err)
+					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 				}
 				v.Stats.Allocs++
 				regs[in.dest] = int64(addr)
+				lbl[in.dest] = 0
 				if in.st != nil && count == 1 {
 					v.objects[addr] = in.st
 				}
 				if sink != nil {
 					// A fresh chunk starts clean.
 					v.shadow.setRange(addr, size, 0)
-					lbl[in.dest] = 0
 					if in.st != nil && ctl != 0 {
 						sink.Alloc(in.st)
 					}
@@ -165,21 +206,19 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argLbls []byte, ctl byte) (in
 			case bcLocal:
 				size := uint64((in.size + 15) &^ 15)
 				if v.stackTop+size > StackLimit {
-					return 0, 0, v.observedFault(psc, charged, fn, bb.irb, ErrStackOverflow)
+					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, ErrStackOverflow))
 				}
 				addr := v.stackTop
 				v.stackTop += size
 				if err := mem.Set(addr, 0, int(in.size)); err != nil {
-					return 0, 0, v.observedFault(psc, charged, fn, bb.irb, err)
+					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 				}
 				regs[in.dest] = int64(addr)
-				if sink != nil {
-					lbl[in.dest] = 0
-				}
+				lbl[in.dest] = 0
 			case bcFree:
 				addr := uint64(in.a.arg(regs))
 				if err := v.Heap.Free(addr); err != nil {
-					return 0, 0, v.observedFault(psc, charged, fn, bb.irb, err)
+					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 				}
 				v.Stats.Frees++
 				// Report before the delete below drops the object's type.
@@ -199,7 +238,7 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argLbls []byte, ctl byte) (in
 					var err error
 					u, err = mem.ReadU(addr, int(in.size))
 					if err != nil {
-						return 0, 0, v.observedFault(psc, charged, fn, bb.irb, err)
+						return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 					}
 				}
 				if s := in.signShift; s != 0 {
@@ -215,28 +254,24 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argLbls []byte, ctl byte) (in
 				val := uint64(in.a.arg(regs))
 				if in.size != 8 || !mem.write8Fast(addr, val) {
 					if err := mem.WriteU(addr, int(in.size), val); err != nil {
-						return 0, 0, v.observedFault(psc, charged, fn, bb.irb, err)
+						return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 					}
 				}
 				if sink != nil {
-					l := in.a.label(lbl)
-					v.shadow.setRange(addr, int(in.size), l)
-					if l != 0 {
-						v.taintContent(addr, int(in.size))
-					}
+					v.taintStore(addr, int(in.size), in.a.label(lbl))
 				}
 			case bcMemcpy:
 				dst := uint64(in.a.arg(regs))
-				from := uint64(in.b.arg(regs))
+				src := uint64(in.b.arg(regs))
 				n := int(in.c.arg(regs))
 				if n < 0 {
 					n = 0
 				}
-				if err := mem.Copy(dst, from, n); err != nil {
-					return 0, 0, v.observedFault(psc, charged, fn, bb.irb, err)
+				if err := mem.Copy(dst, src, n); err != nil {
+					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 				}
 				v.Stats.Memcpys++
-				if sink != nil && v.shadow.copyRange(dst, from, n) != 0 {
+				if sink != nil && v.shadow.copyRange(dst, src, n) != 0 {
 					v.taintContent(dst, n)
 				}
 			case bcMemset:
@@ -247,7 +282,7 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argLbls []byte, ctl byte) (in
 					n = 0
 				}
 				if err := mem.Set(dst, val, n); err != nil {
-					return 0, 0, v.observedFault(psc, charged, fn, bb.irb, err)
+					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 				}
 				if sink != nil {
 					// A constant fill clears the labels.
@@ -256,71 +291,290 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argLbls []byte, ctl byte) (in
 			case bcFieldPtr:
 				regs[in.dest] = int64(uint64(in.a.arg(regs)) + uint64(in.off))
 				v.Stats.FieldAccess++
+				lbl[in.dest] = in.a.label(lbl)
+			case bcFieldLoad:
+				p := uint64(in.a.arg(regs)) + uint64(in.off)
+				regs[in.dest] = int64(p)
+				v.Stats.FieldAccess++
+				lbl[in.dest] = in.a.label(lbl)
+				if log != nil {
+					logSource(log, f, bb, pc, 1)
+				}
+				u, ok := mem.readFast(p, in.size)
+				if !ok {
+					var err error
+					u, err = mem.ReadU(p, int(in.size))
+					if err != nil {
+						return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+					}
+				}
+				if s := in.signShift; s != 0 {
+					regs[in.d2] = int64(u<<s) >> s
+				} else {
+					regs[in.d2] = int64(u)
+				}
 				if sink != nil {
-					lbl[in.dest] = in.a.label(lbl)
+					lbl[in.d2] = v.shadow.rangeOr(p, int(in.size))
+				}
+			case bcFieldStore:
+				p := uint64(in.a.arg(regs)) + uint64(in.off)
+				regs[in.dest] = int64(p)
+				v.Stats.FieldAccess++
+				lbl[in.dest] = in.a.label(lbl)
+				if log != nil {
+					logSource(log, f, bb, pc, 1)
+				}
+				// Resolve the value, and its label, after the pointer
+				// register is written: the store may name the fieldptr
+				// result itself.
+				val := in.b.arg(regs)
+				if in.size != 8 || !mem.write8Fast(p, uint64(val)) {
+					if err := mem.WriteU(p, int(in.size), uint64(val)); err != nil {
+						return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+					}
+				}
+				if sink != nil {
+					v.taintStore(p, int(in.size), in.b.label(lbl))
 				}
 			case bcElemPtr:
 				regs[in.dest] = int64(uint64(in.a.arg(regs)) + uint64(in.b.arg(regs))*uint64(in.size))
-				if sink != nil {
-					lbl[in.dest] = in.a.label(lbl)
-				}
+				lbl[in.dest] = in.a.label(lbl)
 			case bcPtrAdd:
 				regs[in.dest] = int64(uint64(in.a.arg(regs)) + uint64(in.b.arg(regs)))
-				if sink != nil {
-					lbl[in.dest] = in.a.label(lbl)
-				}
+				lbl[in.dest] = in.a.label(lbl)
 			case bcBin:
 				r, err := evalBin(ir.BinKind(in.kind), in.a.arg(regs), in.b.arg(regs))
 				if err != nil {
-					return 0, 0, v.observedFault(psc, charged, fn, bb.irb, err)
+					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 				}
 				regs[in.dest] = r
-				if sink != nil {
-					lbl[in.dest] = in.a.label(lbl) | in.b.label(lbl)
-				}
+				lbl[in.dest] = in.a.label(lbl) | in.b.label(lbl)
 			case bcFBin:
 				fa, fb := math.Float64frombits(uint64(in.a.arg(regs))), math.Float64frombits(uint64(in.b.arg(regs)))
 				regs[in.dest] = int64(math.Float64bits(evalFBin(ir.BinKind(in.kind), fa, fb)))
-				if sink != nil {
-					lbl[in.dest] = in.a.label(lbl) | in.b.label(lbl)
-				}
+				lbl[in.dest] = in.a.label(lbl) | in.b.label(lbl)
 			case bcCmp:
 				regs[in.dest] = evalCmp(ir.CmpKind(in.kind), in.a.arg(regs), in.b.arg(regs))
-				if sink != nil {
-					lbl[in.dest] = in.a.label(lbl) | in.b.label(lbl)
-				}
+				lbl[in.dest] = in.a.label(lbl) | in.b.label(lbl)
 			case bcFCmp:
 				fa, fb := math.Float64frombits(uint64(in.a.arg(regs))), math.Float64frombits(uint64(in.b.arg(regs)))
 				regs[in.dest] = evalFCmp(ir.CmpKind(in.kind), fa, fb)
-				if sink != nil {
-					lbl[in.dest] = in.a.label(lbl) | in.b.label(lbl)
-				}
+				lbl[in.dest] = in.a.label(lbl) | in.b.label(lbl)
 			case bcItoF:
 				regs[in.dest] = int64(math.Float64bits(float64(in.a.arg(regs))))
-				if sink != nil {
-					lbl[in.dest] = in.a.label(lbl)
-				}
+				lbl[in.dest] = in.a.label(lbl)
 			case bcFtoI:
 				regs[in.dest] = int64(math.Float64frombits(uint64(in.a.arg(regs))))
-				if sink != nil {
-					lbl[in.dest] = in.a.label(lbl)
-				}
+				lbl[in.dest] = in.a.label(lbl)
 			case bcMov:
 				regs[in.dest] = in.a.arg(regs)
-				if sink != nil {
-					lbl[in.dest] = in.a.label(lbl)
-				}
+				lbl[in.dest] = in.a.label(lbl)
 			case bcBr:
-				next = int(in.t0)
-			case bcCondBr:
-				c := in.a.arg(regs)
-				if sink != nil {
-					ctl |= in.a.label(lbl)
+				if psc != nil {
+					psc.AddCycles(charged)
 				}
-				if c != 0 {
-					next = int(in.t0)
+				prevBlk, blk = blk, int(in.t0)
+				continue blockLoop
+			case bcCondBr:
+				ctl |= in.a.label(lbl)
+				if psc != nil {
+					psc.AddCycles(charged)
+				}
+				prevBlk = blk
+				if in.a.arg(regs) != 0 {
+					blk = int(in.t0)
 				} else {
-					next = int(in.t1)
+					blk = int(in.t1)
+				}
+				continue blockLoop
+			case bcCmpBr:
+				c := evalCmp(ir.CmpKind(in.kind), in.a.arg(regs), in.b.arg(regs))
+				regs[in.dest] = c
+				lbl[in.dest] = in.a.label(lbl) | in.b.label(lbl)
+				ctl |= lbl[in.dest]
+				if log != nil {
+					logSource(log, f, bb, pc, 1)
+				}
+				if psc != nil {
+					psc.AddCycles(charged)
+				}
+				prevBlk = blk
+				if c != 0 {
+					blk = int(in.t0)
+				} else {
+					blk = int(in.t1)
+				}
+				continue blockLoop
+			case bcFused:
+				v.Perf.FusedDispatches++
+				micro := in.micro[:nm]
+				for mi := range micro {
+					m := &micro[mi]
+					if log != nil {
+						logSource(log, f, bb, pc, mi)
+					}
+					// av is read before the micro writes its destination,
+					// so a load's label comes from the address it read.
+					av := regs[m.a]
+					switch m.op {
+					case mcBin:
+						// Only the kinds specializeMicro left general reach
+						// here: div and rem, which fault on zero.
+						r, err := evalBin(ir.BinKind(m.kind), av, regs[m.b])
+						if err != nil {
+							return 0, 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(fn, bb.irb, err))
+						}
+						regs[m.dest] = r
+						lbl[m.dest] = lbl[m.a] | lbl[m.b]
+					case mcLoad:
+						u, ok := mem.readFast(uint64(av), m.size)
+						if !ok {
+							var err error
+							u, err = mem.ReadU(uint64(av), int(m.size))
+							if err != nil {
+								return 0, 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(fn, bb.irb, err))
+							}
+						}
+						if s := m.signShift; s != 0 {
+							regs[m.dest] = int64(u<<s) >> s
+						} else {
+							regs[m.dest] = int64(u)
+						}
+						if sink != nil {
+							lbl[m.dest] = v.shadow.rangeOr(uint64(av), int(m.size))
+						}
+					case mcStore:
+						bv := regs[m.b]
+						if err := mem.WriteU(uint64(bv), int(m.size), uint64(av)); err != nil {
+							return 0, 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(fn, bb.irb, err))
+						}
+						if sink != nil {
+							v.taintStore(uint64(bv), int(m.size), lbl[m.a])
+						}
+					case mcFieldPtr:
+						regs[m.dest] = int64(uint64(av) + uint64(m.off))
+						v.Stats.FieldAccess++
+						lbl[m.dest] = lbl[m.a]
+					case mcElemPtr:
+						regs[m.dest] = int64(uint64(av) + uint64(regs[m.b])*uint64(m.size))
+						lbl[m.dest] = lbl[m.a]
+					case mcPtrAdd:
+						regs[m.dest] = int64(uint64(av) + uint64(regs[m.b]))
+						lbl[m.dest] = lbl[m.a]
+					case mcCmp:
+						regs[m.dest] = evalCmp(ir.CmpKind(m.kind), av, regs[m.b])
+						lbl[m.dest] = lbl[m.a] | lbl[m.b]
+					case mcFBin:
+						fa := math.Float64frombits(uint64(av))
+						fb := math.Float64frombits(uint64(regs[m.b]))
+						regs[m.dest] = int64(math.Float64bits(evalFBin(ir.BinKind(m.kind), fa, fb)))
+						lbl[m.dest] = lbl[m.a] | lbl[m.b]
+					case mcFCmp:
+						fa := math.Float64frombits(uint64(av))
+						fb := math.Float64frombits(uint64(regs[m.b]))
+						regs[m.dest] = evalFCmp(ir.CmpKind(m.kind), fa, fb)
+						lbl[m.dest] = lbl[m.a] | lbl[m.b]
+					case mcItoF:
+						regs[m.dest] = int64(math.Float64bits(float64(av)))
+						lbl[m.dest] = lbl[m.a]
+					case mcFtoI:
+						regs[m.dest] = int64(math.Float64frombits(uint64(av)))
+						lbl[m.dest] = lbl[m.a]
+					case mcMov:
+						regs[m.dest] = av
+						lbl[m.dest] = lbl[m.a]
+					case mcAdd:
+						regs[m.dest] = av + regs[m.b]
+						lbl[m.dest] = lbl[m.a] | lbl[m.b]
+					case mcSub:
+						regs[m.dest] = av - regs[m.b]
+						lbl[m.dest] = lbl[m.a] | lbl[m.b]
+					case mcMul:
+						regs[m.dest] = av * regs[m.b]
+						lbl[m.dest] = lbl[m.a] | lbl[m.b]
+					case mcAnd:
+						regs[m.dest] = av & regs[m.b]
+						lbl[m.dest] = lbl[m.a] | lbl[m.b]
+					case mcOr:
+						regs[m.dest] = av | regs[m.b]
+						lbl[m.dest] = lbl[m.a] | lbl[m.b]
+					case mcXor:
+						regs[m.dest] = av ^ regs[m.b]
+						lbl[m.dest] = lbl[m.a] | lbl[m.b]
+					case mcShl:
+						regs[m.dest] = av << (uint64(regs[m.b]) & 63)
+						lbl[m.dest] = lbl[m.a] | lbl[m.b]
+					case mcShr:
+						regs[m.dest] = int64(uint64(av) >> (uint64(regs[m.b]) & 63))
+						lbl[m.dest] = lbl[m.a] | lbl[m.b]
+					case mcLoad8:
+						u, ok := mem.readFast8(uint64(av))
+						if !ok {
+							var err error
+							u, err = mem.ReadU(uint64(av), 8)
+							if err != nil {
+								return 0, 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(fn, bb.irb, err))
+							}
+						}
+						regs[m.dest] = int64(u)
+						if sink != nil {
+							lbl[m.dest] = v.shadow.rangeOr(uint64(av), 8)
+						}
+					case mcStore8:
+						bv := regs[m.b]
+						if !mem.write8Fast(uint64(bv), uint64(av)) {
+							if err := mem.WriteU(uint64(bv), 8, uint64(av)); err != nil {
+								return 0, 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(fn, bb.irb, err))
+							}
+						}
+						if sink != nil {
+							v.taintStore(uint64(bv), 8, lbl[m.a])
+						}
+					case mcCmpEq:
+						regs[m.dest] = b2i(av == regs[m.b])
+						lbl[m.dest] = lbl[m.a] | lbl[m.b]
+					case mcCmpNe:
+						regs[m.dest] = b2i(av != regs[m.b])
+						lbl[m.dest] = lbl[m.a] | lbl[m.b]
+					case mcCmpLt:
+						regs[m.dest] = b2i(av < regs[m.b])
+						lbl[m.dest] = lbl[m.a] | lbl[m.b]
+					case mcCmpLe:
+						regs[m.dest] = b2i(av <= regs[m.b])
+						lbl[m.dest] = lbl[m.a] | lbl[m.b]
+					case mcCmpGt:
+						regs[m.dest] = b2i(av > regs[m.b])
+						lbl[m.dest] = lbl[m.a] | lbl[m.b]
+					case mcCmpGe:
+						regs[m.dest] = b2i(av >= regs[m.b])
+						lbl[m.dest] = lbl[m.a] | lbl[m.b]
+					case mcBr:
+						if psc != nil {
+							psc.AddCycles(charged)
+						}
+						prevBlk, blk = blk, int(m.off)
+						continue blockLoop
+					case mcCondBr:
+						ctl |= lbl[m.a]
+						if psc != nil {
+							psc.AddCycles(charged)
+						}
+						prevBlk = blk
+						if av != 0 {
+							blk = int(m.off)
+						} else {
+							blk = int(m.t1)
+						}
+						continue blockLoop
+					}
+				}
+				if nm < len(in.micro) {
+					// The fuel-scarce prefix ran; the next micro fails the
+					// fuel check.
+					if psc != nil && charged != 0 {
+						psc.AddCycles(charged)
+					}
+					return 0, 0, fmt.Errorf("%w in @%s.%s", ErrFuelExhausted, fn.Name, bb.irb.Name)
 				}
 			case bcCallFunc:
 				argv := v.argvScratch[:0]
@@ -329,27 +583,43 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argLbls []byte, ctl byte) (in
 				}
 				v.argvScratch = argv[:0]
 				// The callee copies argv and argl into its frame before
-				// it makes a call of its own, so both scratch buffers
-				// are free again by then.
-				var argl []byte
-				if sink != nil {
-					argl = v.argLabels[:0]
-					for i := range in.args {
-						argl = append(argl, in.args[i].label(lbl))
-					}
-					v.argLabels = argl[:0]
+				// it makes a call of its own, so both scratch buffers are
+				// free again by then.
+				argl := v.argLabels[:0]
+				for i := range in.args {
+					argl = append(argl, in.args[i].label(lbl))
 				}
-				chargeSite(psc, charged)
-				charged = 0
-				ret, rl, err := v.callObserved(v.obsFuncs[in.off], argv, argl, ctl)
+				v.argLabels = argl[:0]
+				var suffix uint64
+				if batched {
+					// Hand back the unexecuted tail of the block so the
+					// callee sees the same fuel as under incremental
+					// accounting; re-batch (or downgrade) on return.
+					if suffix = cost - f.executedThrough(bb, pc); suffix != 0 {
+						v.fuelLeft += suffix
+						v.Stats.Instructions -= suffix
+						charged -= suffix
+					}
+				}
+				ret, rl, err := v.callObserved(v.prog.bcFuncs[in.off], argv, argl, ctl)
 				if err != nil {
+					if psc != nil && charged != 0 {
+						psc.AddCycles(charged)
+					}
 					return 0, 0, err
+				}
+				if suffix != 0 {
+					if v.fuelLeft >= suffix {
+						v.fuelLeft -= suffix
+						v.Stats.Instructions += suffix
+						charged += suffix
+					} else {
+						batched = false
+					}
 				}
 				if in.dest >= 0 {
 					regs[in.dest] = ret
-					if sink != nil {
-						lbl[in.dest] = rl
-					}
+					lbl[in.dest] = rl
 				}
 			case bcCallBuiltin:
 				if in.ic >= 0 && v.lc != nil && sink == nil {
@@ -362,7 +632,8 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argLbls []byte, ctl byte) (in
 				}
 				bi := v.builtinSlots[in.off]
 				if bi == nil {
-					return 0, 0, v.observedFault(psc, charged, fn, bb.irb, fmt.Errorf("%w: @%s", ErrUnknownFunc, in.irIn.Callee))
+					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc,
+						v.fault(fn, bb.irb, fmt.Errorf("%w: @%s", ErrUnknownFunc, in.irIn.Callee)))
 				}
 				argv := v.argvScratch[:0]
 				for i := range in.args {
@@ -372,7 +643,10 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argLbls []byte, ctl byte) (in
 				v.callScratch = Call{VM: v, Name: in.irIn.Callee, Args: argv, RawArgs: in.irIn.Args, fn: fn, blk: bb.irb, getptr: in.ic >= 0}
 				ret, err := bi(&v.callScratch)
 				if err != nil {
-					return 0, 0, v.observedFault(psc, charged, fn, bb.irb, err)
+					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+				}
+				if in.dest >= 0 {
+					regs[in.dest] = ret
 				}
 				if sink != nil {
 					l := v.taintBuiltin(in.irIn.Callee, in.args, argv, ret, lbl)
@@ -380,30 +654,31 @@ func (v *VM) callObserved(f *bcFunc, args []int64, argLbls []byte, ctl byte) (in
 						lbl[in.dest] = l
 					}
 				}
-				if in.dest >= 0 {
-					regs[in.dest] = ret
-				}
 			case bcRet, bcRetVoid:
 				var rv int64
 				var rl byte
 				if in.op == bcRet {
-					rv = in.a.arg(regs)
-					if sink != nil {
-						rl = in.a.label(lbl)
-					}
+					rv, rl = in.a.arg(regs), in.a.label(lbl)
 				}
-				chargeSite(psc, charged)
+				actual := f.executedThrough(bb, pc)
+				if refund := charged - actual; refund != 0 {
+					v.fuelLeft += refund
+					v.Stats.Instructions -= refund
+				}
+				if psc != nil && actual != 0 {
+					psc.AddCycles(actual)
+				}
 				return rv, rl, nil
 			default:
-				return 0, 0, v.observedFault(psc, charged, fn, bb.irb, fmt.Errorf("vm: bad opcode %d", in.irIn.Op))
+				return 0, 0, v.bcExitErr(f, bb, pc, charged, psc,
+					v.fault(fn, bb.irb, fmt.Errorf("vm: bad opcode %d", in.irIn.Op)))
 			}
 		}
-		chargeSite(psc, charged)
-		charged = 0
-		if next < 0 {
-			// Validation guarantees every block ends in a terminator.
-			return 0, 0, v.fault(fn, bb.irb, errFellOffBlock)
+		// Validation guarantees every block ends in a terminator; reaching
+		// here mirrors the tree-walker's defensive check.
+		if psc != nil && charged != 0 {
+			psc.AddCycles(charged)
 		}
-		prevBlk, blk = blk, next
+		return 0, 0, v.fault(fn, bb.irb, errFellOffBlock)
 	}
 }

@@ -372,8 +372,10 @@ func TestInlineCacheMatchesCoreCache(t *testing.T) {
 // fresh raw chunk that then takes its place. Between loops a slot may
 // die, come back, or take an object of another class, often over the
 // base it just freed. Every loop body leaves each slot as live as it
-// found it, so no access ever dangles.
-func genCacheModule(seed int64) *ir.Module {
+// found it, so no access ever dangles. With tainted set, the running
+// sum starts at input byte 0 instead of 0, so the values derived from
+// it carry a taint label; the program is otherwise the same.
+func genCacheModule(seed int64, tainted bool) *ir.Module {
 	r := rand.New(rand.NewSource(seed))
 	m := ir.NewModule(fmt.Sprintf("gencache%d", seed))
 	classes := make([]*ir.StructType, 2+r.Intn(2))
@@ -386,7 +388,11 @@ func genCacheModule(seed int64) *ir.Module {
 	}
 	b := ir.NewFunc(m, "main", ir.I64)
 	sum := b.Local(ir.I64)
-	b.Store(ir.I64, ir.Const(0), sum)
+	if tainted {
+		b.Store(ir.I64, b.Call("input_byte", ir.Const(0)), sum)
+	} else {
+		b.Store(ir.I64, ir.Const(0), sum)
+	}
 	type slot struct {
 		class int // index into classes
 		addr  ir.Value
@@ -511,7 +517,7 @@ func genCacheModule(seed int64) *ir.Module {
 // is an offset-cache hit.
 func TestInlineCacheGenerated(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
-		m := genCacheModule(seed)
+		m := genCacheModule(seed, false)
 		if err := ir.Validate(m); err != nil {
 			t.Fatalf("seed %d: generated module invalid: %v\n%s", seed, err, ir.Print(m))
 		}

@@ -25,26 +25,16 @@ import (
 //     registers on the same cache lines.
 //
 // Observed runs (taint runs, and runs with the instruction log
-// attached) execute a second, unfused lowering: phase 2 is skipped, so
-// every lowered instruction is exactly one source instruction, which
-// the log prints from irIn. Registers are still allocated, and a taint
-// run's register labels use the allocated numbers too.
+// attached) execute the same lowering through callObserved: a taint
+// run's register labels use the allocated register numbers, and the log
+// maps each micro or pair half back to its source instruction through
+// the block's weights.
 
-// observedFuncs returns the unfused lowering observed runs execute,
-// building it on first use: a Program that never runs observed never
-// pays for it. Safe for concurrent use.
-func (p *Program) observedFuncs() []*bcFunc {
-	p.observedOnce.Do(func() { p.observed = p.lowerAll(false) })
-	return p.observed
-}
-
-// lowerAll lowers every function, fusing runs when fuse is set. The IC
-// slot plan and every builtin slot already exist, so a second lowering
-// only reads Program state.
-func (p *Program) lowerAll(fuse bool) []*bcFunc {
+// lowerAll lowers every function.
+func (p *Program) lowerAll() []*bcFunc {
 	out := make([]*bcFunc, len(p.mod.Funcs))
 	for i, f := range p.mod.Funcs {
-		bf := p.lowerFunc(f, fuse)
+		bf := p.lowerFunc(f)
 		allocRegisters(bf)
 		poolMicroConstants(bf)
 		out[i] = bf
@@ -102,7 +92,7 @@ const olrGetptrName = "olr_getptr"
 
 // numberGetptrSites gives every olr_getptr call site its ordinal,
 // walking the module in lowering order so the numbering is a pure
-// function of the module. Both lowerings carry the ordinal in
+// function of the module. The lowering carries the ordinal in
 // bcInstr.ic as the mark that the site may be served from the layout
 // cache.
 func (p *Program) numberGetptrSites() {
@@ -433,9 +423,8 @@ func (p *Program) classicPair(in, next *ir.Instr) (bcInstr, bool) {
 	return bcInstr{}, false
 }
 
-// lowerFunc flattens one function; fuse=false lowers every source
-// instruction to its own dispatch.
-func (p *Program) lowerFunc(f *ir.Func, fuse bool) *bcFunc {
+// lowerFunc flattens one function.
+func (p *Program) lowerFunc(f *ir.Func) *bcFunc {
 	bf := &bcFunc{fn: f, numRegs: f.NumRegs, blocks: make([]bcBlock, len(f.Blocks)), edgeSeed: edgeSeed(f.Name)}
 	for bi, blk := range f.Blocks {
 		start := int32(len(bf.code))
@@ -446,7 +435,7 @@ func (p *Program) lowerFunc(f *ir.Func, fuse bool) *bcFunc {
 		}
 		for ii := 0; ii < len(blk.Instrs); {
 			hi := ii
-			for fuse && hi < len(blk.Instrs) && fusableIR(blk.Instrs[hi].Op) {
+			for hi < len(blk.Instrs) && fusableIR(blk.Instrs[hi].Op) {
 				hi++
 			}
 			if hi-ii < 2 {

@@ -38,6 +38,12 @@ const (
 // ErrNullDeref is wrapped by memory faults in the null guard page.
 var ErrNullDeref = errors.New("vm: null pointer dereference")
 
+// ErrLength is wrapped by a memory operation whose length no mapped
+// region holds: a negative one, or one larger than HeapSize, the
+// largest region. The operation fails before it stages anything or
+// creates a page.
+var ErrLength = errors.New("vm: length out of range")
+
 // Memory is a sparse paged byte store. The zero value is not usable;
 // use newMemory.
 type Memory struct {
@@ -233,7 +239,25 @@ func (m *Memory) readInto(b []byte, addr uint64) {
 	}
 }
 
-func negativeLen(n int) error { return fmt.Errorf("vm: negative length %d", n) }
+// lengthError is an ErrLength naming the length.
+type lengthError int
+
+func (n lengthError) Error() string {
+	if n < 0 {
+		return fmt.Sprintf("vm: negative length %d", int(n))
+	}
+	return fmt.Sprintf("vm: length %d exceeds the heap size %d", int(n), HeapSize)
+}
+
+func (lengthError) Unwrap() error { return ErrLength }
+
+// checkLength fails a length no mapped region holds.
+func checkLength(n int) error {
+	if n < 0 || n > HeapSize {
+		return lengthError(n)
+	}
+	return nil
+}
 
 // WriteBytes copies b into memory at addr.
 func (m *Memory) WriteBytes(addr uint64, b []byte) error {
@@ -252,10 +276,11 @@ func (m *Memory) WriteBytes(addr uint64, b []byte) error {
 
 // Copy moves n bytes from src to dst (handles overlap like memmove:
 // the whole source is read before any byte is written). The source is
-// checked before the destination; a negative n is an error.
+// checked before the destination; an n that checkLength fails is an
+// error.
 func (m *Memory) Copy(dst, src uint64, n int) error {
-	if n < 0 {
-		return negativeLen(n)
+	if err := checkLength(n); err != nil {
+		return err
 	}
 	if n == 0 {
 		return nil
@@ -275,9 +300,13 @@ func (m *Memory) Copy(dst, src uint64, n int) error {
 	return m.WriteBytes(dst, b)
 }
 
-// Set fills n bytes at dst with v. A zero fill of a page that was never
-// written leaves it missing: it reads as zero already.
+// Set fills n bytes at dst with v; an n that checkLength fails is an
+// error. A zero fill of a page that was never written leaves it
+// missing: it reads as zero already.
 func (m *Memory) Set(dst uint64, v byte, n int) error {
+	if err := checkLength(n); err != nil {
+		return err
+	}
 	if err := m.check(dst, n); err != nil {
 		return err
 	}

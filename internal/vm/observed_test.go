@@ -2,6 +2,8 @@ package vm
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -162,7 +164,7 @@ func TestObservedRunsMatchReference(t *testing.T) {
 	mods["rich"] = richModule(t)
 	mods["taint"] = taintModule(t)
 	for name, m := range mods {
-		for _, mode := range []struct{ tainted, traced bool }{{true, false}, {false, true}, {true, true}} {
+		for _, mode := range observedModes {
 			opts := []Option{WithInput([]byte{9, 8, 7})}
 			bc := runObserved(t, m, bytecode, mode.tainted, mode.traced, opts, 5)
 			ref := runObserved(t, m, reference, mode.tainted, mode.traced, opts, 5)
@@ -191,77 +193,166 @@ func TestTaintRules(t *testing.T) {
 	}
 }
 
-// TestObservedFuelSweep holds taint runs to the reference at every
-// fuel value of the all-opcode and taint-rule programs: exhaustion must
-// cut both engines' sink logs after the same call.
+// observedModes are the three ways a run is observed: a taint run, a
+// traced run and both.
+var observedModes = []struct{ tainted, traced bool }{{true, false}, {false, true}, {true, true}}
+
+// taintFusedModule parses testdata/taint_fused.ir, whose input-derived
+// values pass through every fused form (TestTaintFusedForms).
+func taintFusedModule(t *testing.T) *ir.Module {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("testdata", "taint_fused.ir"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ir.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestObservedFuelSweep holds observed runs to the reference at every
+// fuel value of the all-opcode, taint-rule and fused-form programs, as
+// taint runs, traced runs and both: exhaustion must cut both engines'
+// sink logs and instruction logs after the same call and line, also
+// partway through a fused run or a pair superinstruction.
 func TestObservedFuelSweep(t *testing.T) {
-	for _, m := range []*ir.Module{richModule(t), taintModule(t)} {
-		in := []Option{WithInput([]byte{9, 8, 7})}
-		full := runObserved(t, m, reference, true, false, in, 5)
-		if full.err != "" {
-			t.Fatal(full.err)
-		}
-		for fuel := uint64(0); fuel <= full.stats.Instructions+1; fuel++ {
-			opts := []Option{WithFuel(fuel), WithInput([]byte{9, 8, 7})}
-			bc := runObserved(t, m, bytecode, true, false, opts, 5)
-			ref := runObserved(t, m, reference, true, false, opts, 5)
-			if !reflect.DeepEqual(bc, ref) {
-				t.Fatalf("%s fuel=%d: observed run differs from the reference:\nbytecode  %+v\nreference %+v", m.Name, fuel, bc, ref)
+	for _, tc := range []struct {
+		m   *ir.Module
+		err string // of the run at full fuel
+	}{
+		{richModule(t), ""},
+		{taintModule(t), ""},
+		{taintFusedModule(t), "@main.after: vm: integer division by zero"},
+	} {
+		for _, mode := range observedModes {
+			in := []Option{WithInput([]byte{9, 8, 7})}
+			full := runObserved(t, tc.m, reference, mode.tainted, mode.traced, in, 5)
+			if full.err != tc.err {
+				t.Fatalf("%s: full run err %q, want %q", tc.m.Name, full.err, tc.err)
+			}
+			for fuel := uint64(0); fuel <= full.stats.Instructions+1; fuel++ {
+				opts := []Option{WithFuel(fuel), WithInput([]byte{9, 8, 7})}
+				bc := runObserved(t, tc.m, bytecode, mode.tainted, mode.traced, opts, 5)
+				ref := runObserved(t, tc.m, reference, mode.tainted, mode.traced, opts, 5)
+				if !reflect.DeepEqual(bc, ref) {
+					t.Fatalf("%s (tainted=%v traced=%v) fuel=%d: observed run differs from the reference:\nbytecode  %+v\nreference %+v",
+						tc.m.Name, mode.tainted, mode.traced, fuel, bc, ref)
+				}
 			}
 		}
 	}
 }
 
-// TestObservedLoweringUnfused: the lowering observed runs execute has
-// one instruction per source instruction, each pointing back at its
-// source, and no superinstructions.
-func TestObservedLoweringUnfused(t *testing.T) {
-	p, err := Compile(richModule(t))
+// TestTaintFusedForms: the fused-form program the fuel sweep runs
+// lowers to a bcFused run holding an 8-byte store, a sub-word store, a
+// load and a div, to bcFieldLoad, bcFieldStore and bcCmpBr, to a fused
+// run ending in a branch, and to a fused run of unary micros in a
+// function whose register 0 is tainted. Its taint run reports every
+// tainted store and both guarded allocs and frees on both engines
+// before the div faults.
+func TestTaintFusedForms(t *testing.T) {
+	m := taintFusedModule(t)
+	p, err := Compile(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for fi, bf := range p.observedFuncs() {
-		fn := p.mod.Funcs[fi]
-		if bf.fn != fn {
-			t.Fatalf("observed lowering out of order at %d", fi)
-		}
-		for bi, blk := range fn.Blocks {
-			bb := bf.blocks[bi]
-			if int(bb.cost) != len(blk.Instrs) {
-				t.Fatalf("@%s.%s: cost %d for %d instructions", fn.Name, blk.Name, bb.cost, len(blk.Instrs))
-			}
-			for ii := range blk.Instrs {
-				in := &bf.code[int(bb.start)+ii]
-				if in.irIn != &blk.Instrs[ii] {
-					t.Fatalf("@%s.%s#%d: lowered instruction does not point at its source", fn.Name, blk.Name, ii)
+	seen := map[string]bool{}
+	for _, bf := range p.bcFuncs {
+		for pc := range bf.code {
+			in := &bf.code[pc]
+			switch in.op {
+			case bcFieldLoad:
+				seen["fieldload"] = true
+			case bcFieldStore:
+				seen["fieldstore"] = true
+			case bcCmpBr:
+				seen["cmpbr"] = true
+			case bcFused:
+				ops := map[mcOp]bool{}
+				div := false
+				for _, mi := range in.micro {
+					ops[mi.op] = true
+					div = div || mi.op == mcBin && ir.BinKind(mi.kind) == ir.BinDiv
 				}
-				if in.weight() != 1 || in.op >= bcFieldLoad {
-					t.Fatalf("@%s.%s#%d: superinstruction %d in the unfused lowering", fn.Name, blk.Name, ii, in.op)
+				if ops[mcStore8] && ops[mcStore] && ops[mcLoad8] && div {
+					seen["fused stores, load, div"] = true
+				}
+				if bf.fn.Name == "clean" && ops[mcMov] && ops[mcFieldPtr] && ops[mcLoad8] && ops[mcItoF] && ops[mcFtoI] {
+					seen["fused unary"] = true
+				}
+				if bf.fn.Name == "guard" && ops[mcCondBr] {
+					seen["fused condbr"] = true
 				}
 			}
 		}
 	}
+	for _, form := range []string{"fieldload", "fieldstore", "cmpbr", "fused stores, load, div", "fused unary", "fused condbr"} {
+		if !seen[form] {
+			t.Errorf("the lowering has no %s", form)
+		}
+	}
+	want := []string{
+		"alloc Obj",
+		"free Obj",
+		"alloc Obj",
+		"free Obj",
+		"content Obj 16 8",
+		"alloc Obj",
+		"content Obj 0 8",
+		"content Obj 8 4",
+		"content Obj 12 1",
+	}
+	for _, e := range engines {
+		got := runObserved(t, m, e, true, false, []Option{WithInput([]byte{9})})
+		if !reflect.DeepEqual(got.sink, want) {
+			t.Errorf("%s: sink log\n%s\nwant\n%s", e, strings.Join(got.sink, "\n"), strings.Join(want, "\n"))
+		}
+	}
 }
 
-// TestObservedFormBuiltOnce: eight goroutines stamp taint and traced
-// instances from one Program at once (run under -race). Every instance
-// must share the one unfused lowering and match the reference result.
-func TestObservedFormBuiltOnce(t *testing.T) {
+// TestObservedInstancesConcurrent: eight goroutines stamp taint and
+// traced instances from one Program at once (run under -race). Every
+// instance must make the reference's sink calls or write its
+// instruction log, and end with its result and Stats.
+func TestObservedInstancesConcurrent(t *testing.T) {
 	const workers = 8
-	p, err := Compile(richModule(t))
+	p, err := Compile(taintModule(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := p.NewInstance(WithInput([]byte{9, 8, 7}))
-	if err != nil {
-		t.Fatal(err)
+	in := []byte{9, 8, 7}
+	// run executes one instance of p, worker i's kind of observed run,
+	// on engine e.
+	run := func(e engine, i int) (observedOutcome, error) {
+		sink := &RecordingSink{}
+		var tr strings.Builder
+		opt := WithTaint(sink)
+		if i%2 == 1 {
+			opt = WithTrace(&tr, 0)
+		}
+		v, err := p.NewInstance(opt, WithInput(in))
+		if err != nil {
+			return observedOutcome{}, err
+		}
+		ret, err := e.run(v, 5)
+		out := observedOutcome{ret: ret, stats: v.Stats, sink: sink.Log, trace: tr.String()}
+		if err != nil {
+			out.err = err.Error()
+		}
+		return out, nil
 	}
-	want, err := RunReference(ref, 5)
-	if err != nil {
-		t.Fatal(err)
+	var want [2]observedOutcome
+	for i := range want {
+		if want[i], err = run(reference, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(want[0].sink) == 0 || want[1].trace == "" {
+		t.Fatal("the reference runs observed nothing")
 	}
 	start := make(chan struct{})
-	forms := make([]*bcFunc, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -270,29 +361,18 @@ func TestObservedFormBuiltOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			opt := WithTaint(&RecordingSink{})
-			if i%2 == 1 {
-				opt = WithTrace(&strings.Builder{}, 0)
+			got, err := run(bytecode, i)
+			if err == nil && !reflect.DeepEqual(got, want[i%2]) {
+				err = fmt.Errorf("worker %d differs from the reference:\nbytecode  %+v\nreference %+v", i, got, want[i%2])
 			}
-			v, err := p.NewInstance(opt, WithInput([]byte{9, 8, 7}))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			forms[i] = v.obsFuncs[0]
-			if got, err := v.Run(5); err != nil || got != want {
-				errs[i] = fmt.Errorf("worker %d: got %d, %v; want %d", i, got, err, want)
-			}
+			errs[i] = err
 		}()
 	}
 	close(start)
 	wg.Wait()
-	for i := range errs {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if forms[i] != p.observed[0] {
-			t.Fatalf("worker %d ran a different unfused lowering", i)
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"sync"
 
 	"polar/internal/heap"
 	"polar/internal/ir"
@@ -52,12 +51,6 @@ type Program struct {
 	// ordinal in lowering order (numberGetptrSites); the dispatch loops
 	// read the layout cache at these sites only.
 	getptrSites map[*ir.Instr]int32
-
-	// observed is the unfused lowering (index-aligned with bcFuncs) that
-	// taint runs and runs with the instruction log attached execute;
-	// built at most once, on first use (observedFuncs).
-	observedOnce sync.Once
-	observed     []*bcFunc
 }
 
 type globalInit struct {
@@ -104,7 +97,7 @@ func Compile(m *ir.Module) (*Program, error) {
 	// flat bytecode (needs the complete funcIdx for direct callee
 	// binding).
 	p.numberGetptrSites()
-	p.bcFuncs = p.lowerAll(true)
+	p.bcFuncs = p.lowerAll()
 	return p, nil
 }
 
@@ -264,9 +257,6 @@ func (p *Program) NewInstance(opts ...Option) (*VM, error) {
 	}
 	for _, o := range opts {
 		o(v)
-	}
-	if v.taint != nil || v.instrLog != nil {
-		v.obsFuncs = p.observedFuncs()
 	}
 	// The slot table must exist before any RegisterBuiltin call (the
 	// defaults below, core.Runtime.Attach later) so every registration

@@ -27,9 +27,10 @@ type TaintSink interface {
 }
 
 // WithTaint runs the instance as a TaintClass taint run reporting into
-// sink. The instance runs observed: the Program's unfused lowering,
-// with a label beside every register and every byte of memory, and no
-// layout-cache reads, so every olr_getptr runs its builtin.
+// sink. The instance runs observed: the Program's one lowering through
+// callObserved, with a label beside every register and every byte of
+// memory, and no layout-cache reads, so every olr_getptr runs its
+// builtin.
 func WithTaint(sink TaintSink) Option {
 	return func(v *VM) { v.taint = sink }
 }
@@ -74,6 +75,15 @@ func (v *VM) taintContent(addr uint64, n int) {
 	}
 	if st, ok := v.objects[base]; ok {
 		v.taint.Content(st, int(addr-base), n)
+	}
+}
+
+// taintStore labels the n bytes a store wrote at addr with its value's
+// label l, and reports them when l is set.
+func (v *VM) taintStore(addr uint64, n int, l byte) {
+	v.shadow.setRange(addr, n, l)
+	if l != 0 {
+		v.taintContent(addr, n)
 	}
 }
 

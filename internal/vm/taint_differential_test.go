@@ -5,6 +5,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"reflect"
+	"strings"
 	"testing"
 
 	"polar/internal/exploit"
@@ -108,5 +109,71 @@ func TestTaintReportsEngineParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkTaintParity(t, cs.Name, prog, nil, 30_000_000, cs.AttackArgs...)
+	}
+}
+
+// observedRun is what an observed run exposes: result, error text,
+// Stats, the sink's calls and the instruction log.
+type observedRun struct {
+	Ret   int64
+	Err   string
+	Stats vm.Stats
+	Sink  []string
+	Log   string
+}
+
+// TestTaintGenerated holds taint runs with the instruction log attached
+// to the reference on 200 generated programs: genCacheModule's, with
+// the running sum seeded from input_byte, so its loads, stores and
+// arithmetic carry labels into typed objects. Both engines must make
+// the same sink calls, write the same log and end with the same result,
+// error and Stats at full fuel and at cut points spread over the run.
+func TestTaintGenerated(t *testing.T) {
+	input := []byte{5}
+	// run executes prog on e; fuel 0 runs it at the default fuel.
+	run := func(prog *vm.Program, e engine, fuel uint64) observedRun {
+		sink := &vm.RecordingSink{}
+		var log strings.Builder
+		opts := []vm.Option{vm.WithInput(input), vm.WithTaint(sink), vm.WithTrace(&log, 0)}
+		if fuel > 0 {
+			opts = append(opts, vm.WithFuel(fuel))
+		}
+		v, err := prog.NewInstance(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ret, err := e.run(v)
+		out := observedRun{Ret: ret, Stats: v.Stats, Sink: sink.Log, Log: log.String()}
+		if err != nil {
+			out.Err = err.Error()
+		}
+		return out
+	}
+	reported := 0
+	for seed := int64(1); seed <= 200; seed++ {
+		prog, err := vm.Compile(genCacheModule(seed, true))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		full := run(prog, engines[1], 0)
+		if full.Err != "" {
+			t.Fatalf("seed %d: %s", seed, full.Err)
+		}
+		if len(full.Sink) > 0 {
+			reported++
+		}
+		if bc := run(prog, engines[0], 0); !reflect.DeepEqual(bc, full) {
+			t.Fatalf("seed %d: taint runs differ:\nbytecode  %+v\nreference %+v", seed, bc, full)
+		}
+		n := full.Stats.Instructions
+		for _, fuel := range []uint64{1, n / 5, n / 2, n - n/7, n - 1} {
+			if bc, ref := run(prog, engines[0], fuel), run(prog, engines[1], fuel); !reflect.DeepEqual(bc, ref) {
+				t.Fatalf("seed %d fuel %d: taint runs differ:\nbytecode  %+v\nreference %+v", seed, fuel, bc, ref)
+			}
+		}
+	}
+	t.Logf("%d of 200 generated programs made a sink call", reported)
+	if reported < 100 {
+		t.Fatalf("only %d of 200 generated programs made a sink call", reported)
 	}
 }

@@ -112,18 +112,13 @@ type VM struct {
 	// dispatches). They live outside Stats on purpose: Stats is held to
 	// struct equality against the reference engine by the differential
 	// suite, while Perf legitimately differs (the reference never fuses,
-	// and an observed run never fuses either).
+	// and a taint run never reads the layout cache).
 	Perf Perf
 
 	// prog is the shared immutable Program this instance executes.
 	prog *Program
 
 	builtins map[string]Builtin
-
-	// obsFuncs is the Program's unfused lowering when this instance is
-	// observed (a taint sink or the instruction log attached) and nil
-	// otherwise; observed runs execute it through callObserved.
-	obsFuncs []*bcFunc
 
 	// taint is the sink of a taint run (nil = not one); shadow holds
 	// its memory labels, labelPool its register label frames and
@@ -258,9 +253,10 @@ func WithHeapRand(seed int64) Option {
 // WithTrace streams every executed instruction to w as
 // "@fn.block\tinstr" lines, stopping after maxLines (0 = unlimited).
 // Tracing is a debugging facility; it slows execution substantially.
-// The instance runs observed (the Program's unfused lowering), one line
-// per source instruction. The stream is produced by a telemetry.InstrLog; the
-// text format and this option's signature are stable.
+// The instance runs observed (callObserved), one line per source
+// instruction, fused runs included. The stream is produced by a
+// telemetry.InstrLog; the text format and this option's signature are
+// stable.
 func WithTrace(w io.Writer, maxLines int) Option {
 	return func(v *VM) { v.instrLog = telemetry.NewInstrLog(w, maxLines) }
 }
@@ -444,11 +440,12 @@ func (v *VM) dispatchEntry(name string, args []int64) (int64, error) {
 		}
 		return 0, fmt.Errorf("%w: @%s", ErrUnknownFunc, name)
 	}
-	if v.obsFuncs == nil {
-		return v.callBC(v.prog.bcFuncs[idx], args)
+	f := v.prog.bcFuncs[idx]
+	if v.taint == nil && v.instrLog == nil {
+		return v.callBC(f, args)
 	}
 	// Top-level arguments carry no taint, and no branch has been taken.
-	ret, _, err := v.callObserved(v.obsFuncs[idx], args, nil, 0)
+	ret, _, err := v.callObserved(f, args, nil, 0)
 	return ret, err
 }
 

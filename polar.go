@@ -397,8 +397,8 @@ type Result struct {
 	VM vm.Stats
 	// Perf holds the bytecode engine's performance-path counters
 	// (inline layout-cache hits/misses, fused dispatches). Runs with
-	// WithTrace attached execute unfused, so they dispatch no fused
-	// runs.
+	// WithTrace attached execute the same fused lowering and dispatch
+	// its fused runs too.
 	Perf vm.Perf
 	// Violations are the structured detection records, in order
 	// (populated on hardened runs; capped — see core.ViolationRecords).
