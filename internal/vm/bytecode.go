@@ -208,6 +208,10 @@ type bcBlock struct {
 	start int32     // pc of the first instruction
 	cost  uint32    // summed instruction weight (source-instruction count)
 	irb   *ir.Block // source block (site names, diagnostics)
+	// chain marks a block that is exactly one bcFused run ending in its
+	// terminator: the fused-run kernel may enter it straight from a
+	// taken branch (runFused).
+	chain bool
 }
 
 // bcFunc is the lowered form of one function.

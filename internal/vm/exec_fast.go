@@ -20,7 +20,7 @@ import (
 //
 // The speed comes from work moved to compile time (operand kinds, global
 // addresses, func handles, field offsets, load widths, callee binding)
-// plus two dynamic techniques:
+// plus four dynamic techniques:
 //
 //   - Batched accounting: when the remaining fuel covers a whole block,
 //     fuel and the instruction counter are charged once at block entry.
@@ -32,6 +32,17 @@ import (
 //     account as two source instructions; at a fuel boundary the first
 //     half executes alone (halfExec) so the cutoff is indistinguishable
 //     from the tree-walker's.
+//   - The fused-run kernel: bcFused micro-op runs execute in runFused, a
+//     small function of its own whose fast path makes no calls. A micro
+//     that needs one (a page-cache miss, a sub-word store, a zero
+//     divisor, a float rem) returns to callBC, which runs it through
+//     stepMicro and re-enters the kernel.
+//   - Block chaining: at a taken branch the kernel enters the target
+//     itself when the target is one fused run ending in its terminator,
+//     no profiler is attached and the fuel covers the whole target. It
+//     does the block-loop top's work inline (trace frame, coverage edge,
+//     batched charge, fused-dispatch count), so a hot loop of such
+//     blocks never returns to the block loop.
 
 var errFellOffBlock = errors.New("vm: fell off block end")
 
@@ -73,10 +84,11 @@ func (v *VM) bcExitErrAt(f *bcFunc, bb *bcBlock, pc int32, sub uint32, charged u
 	return err
 }
 
-// stepMicro executes one micro-op outside the hot loop — the
-// fuel-scarce prefix path. Terminator micros never reach it: a partial
-// prefix is strictly shorter than the run, and a terminator can only be
-// the run's last micro.
+// stepMicro executes one micro-op outside the kernel: on the
+// fuel-scarce prefix path, and for a micro runFused hands back
+// (fusedStep). Terminator micros never reach it: a partial prefix is
+// strictly shorter than the run, a terminator can only be the run's
+// last micro, and the kernel hands back none.
 func (v *VM) stepMicro(m *mcInstr, regs []int64) error {
 	// Operands are always register indices (poolMicroConstants), exactly
 	// as in the hot loop.
@@ -196,6 +208,173 @@ func (v *VM) fusedPartial(fn *ir.Func, bb *bcBlock, in *bcInstr, regs []int64, c
 		psc.AddCycles(charged)
 	}
 	return fmt.Errorf("%w in @%s.%s", ErrFuelExhausted, fn.Name, bb.irb.Name)
+}
+
+// fusedExit says why runFused returned to callBC.
+type fusedExit uint8
+
+const (
+	// fusedEnd: the run ended without a terminator; the block goes on
+	// at the next instruction.
+	fusedEnd fusedExit = iota
+	// fusedBranch: a terminator chose a block the kernel does not enter.
+	fusedBranch
+	// fusedStep: the micro at mi needs stepMicro — a page-cache miss, a
+	// sub-word store, a zero divisor or a float rem.
+	fusedStep
+)
+
+// runFused is the fused-run kernel: it executes micros of the bcFused
+// run at pc of block blk from micro mi on, with no calls on its fast
+// path. At a taken branch it enters the target itself when the target
+// is one fused run ending in its terminator (bcBlock.chain), no
+// profiler is attached and the fuel covers the whole target: it does
+// the block-loop top's work — the trace frame, the coverage edge, the
+// batched fuel and instruction charge, the fused-dispatch count — and
+// runs the target's micros. It returns the block and pc it stopped in,
+// the micro to step (fusedStep), the branch target (fusedBranch), and
+// whether it entered any block, after which callBC resyncs its block
+// state. It is a function of its own because callBC's locals, kept
+// live across its many calls, would be spilled around every micro.
+func (v *VM) runFused(f *bcFunc, regs []int64, xtFrames []uint32, blk int, pc int32, mi int) (int, int, int32, int, fusedExit, bool) {
+	mem := v.Mem
+	chained := false
+runs:
+	for {
+		micro := f.code[pc].micro
+		// All micro operands are register indices after
+		// poolMicroConstants (immediates live in the pooled const bank;
+		// unused operands alias register 0).
+		for ; mi < len(micro); mi++ {
+			m := &micro[mi]
+			av := regs[m.a]
+			switch m.op {
+			case mcAdd:
+				regs[m.dest] = av + regs[m.b]
+			case mcSub:
+				regs[m.dest] = av - regs[m.b]
+			case mcMul:
+				regs[m.dest] = av * regs[m.b]
+			case mcAnd:
+				regs[m.dest] = av & regs[m.b]
+			case mcOr:
+				regs[m.dest] = av | regs[m.b]
+			case mcXor:
+				regs[m.dest] = av ^ regs[m.b]
+			case mcShl:
+				regs[m.dest] = av << (uint64(regs[m.b]) & 63)
+			case mcShr:
+				regs[m.dest] = int64(uint64(av) >> (uint64(regs[m.b]) & 63))
+			case mcBin:
+				// Specialization leaves the kinds that may fault here.
+				bv := regs[m.b]
+				switch {
+				case bv == 0:
+					return blk, blk, pc, mi, fusedStep, chained
+				case ir.BinKind(m.kind) == ir.BinDiv:
+					regs[m.dest] = av / bv
+				case ir.BinKind(m.kind) == ir.BinRem:
+					regs[m.dest] = av % bv
+				default:
+					return blk, blk, pc, mi, fusedStep, chained
+				}
+			case mcCmpEq:
+				regs[m.dest] = evalCmp(ir.CmpEq, av, regs[m.b])
+			case mcCmpNe:
+				regs[m.dest] = evalCmp(ir.CmpNe, av, regs[m.b])
+			case mcCmpLt:
+				regs[m.dest] = evalCmp(ir.CmpLt, av, regs[m.b])
+			case mcCmpLe:
+				regs[m.dest] = evalCmp(ir.CmpLe, av, regs[m.b])
+			case mcCmpGt:
+				regs[m.dest] = evalCmp(ir.CmpGt, av, regs[m.b])
+			case mcCmpGe:
+				regs[m.dest] = evalCmp(ir.CmpGe, av, regs[m.b])
+			case mcCmp:
+				regs[m.dest] = evalCmp(ir.CmpKind(m.kind), av, regs[m.b])
+			case mcFieldPtr:
+				regs[m.dest] = int64(uint64(av) + uint64(m.off))
+				v.Stats.FieldAccess++
+			case mcElemPtr:
+				regs[m.dest] = int64(uint64(av) + uint64(regs[m.b])*uint64(m.size))
+			case mcPtrAdd:
+				regs[m.dest] = int64(uint64(av) + uint64(regs[m.b]))
+			case mcMov:
+				regs[m.dest] = av
+			case mcLoad8:
+				u, ok := mem.readFast8(uint64(av))
+				if !ok {
+					return blk, blk, pc, mi, fusedStep, chained
+				}
+				regs[m.dest] = int64(u)
+			case mcStore8:
+				if !mem.write8Fast(uint64(regs[m.b]), uint64(av)) {
+					return blk, blk, pc, mi, fusedStep, chained
+				}
+			case mcLoad:
+				u, ok := mem.readFast(uint64(av), m.size)
+				if !ok {
+					return blk, blk, pc, mi, fusedStep, chained
+				}
+				if s := m.signShift; s != 0 {
+					regs[m.dest] = int64(u<<s) >> s
+				} else {
+					regs[m.dest] = int64(u)
+				}
+			case mcStore:
+				return blk, blk, pc, mi, fusedStep, chained
+			case mcFBin:
+				fa := math.Float64frombits(uint64(av))
+				fb := math.Float64frombits(uint64(regs[m.b]))
+				switch ir.BinKind(m.kind) {
+				case ir.BinAdd:
+					regs[m.dest] = int64(math.Float64bits(fa + fb))
+				case ir.BinSub:
+					regs[m.dest] = int64(math.Float64bits(fa - fb))
+				case ir.BinMul:
+					regs[m.dest] = int64(math.Float64bits(fa * fb))
+				case ir.BinDiv:
+					regs[m.dest] = int64(math.Float64bits(fa / fb))
+				default:
+					return blk, blk, pc, mi, fusedStep, chained
+				}
+			case mcFCmp:
+				fa := math.Float64frombits(uint64(av))
+				fb := math.Float64frombits(uint64(regs[m.b]))
+				regs[m.dest] = evalFCmp(ir.CmpKind(m.kind), fa, fb)
+			case mcItoF:
+				regs[m.dest] = int64(math.Float64bits(float64(av)))
+			case mcFtoI:
+				regs[m.dest] = int64(math.Float64frombits(uint64(av)))
+			case mcBr, mcCondBr:
+				next := int(m.off)
+				if m.op == mcCondBr && av == 0 {
+					next = int(m.t1)
+				}
+				nb := &f.blocks[next]
+				if !nb.chain || v.profSites != nil || v.fuelLeft < uint64(nb.cost) {
+					return blk, next, pc, mi, fusedBranch, chained
+				}
+				if xtFrames != nil {
+					if fr := xtFrames[next]; !v.xt.FastAppend4(fr) {
+						v.xt.BlockFrameSlow(fr)
+					}
+				}
+				if v.coverage != nil {
+					if c := &v.coverage[edgeIndex(f.edgeSeed, blk, next)]; *c < 255 {
+						*c++
+					}
+				}
+				v.fuelLeft -= uint64(nb.cost)
+				v.Stats.Instructions += uint64(nb.cost)
+				v.Perf.FusedDispatches++
+				blk, pc, chained = next, nb.start, true
+				mi = 0
+				continue runs
+			}
+		}
+		return blk, blk, pc, mi, fusedEnd, chained
+	}
 }
 
 // callBC runs one lowered function to completion. It is the bytecode
@@ -477,170 +656,35 @@ blockLoop:
 				continue blockLoop
 			case bcFused:
 				v.Perf.FusedDispatches++
-				micro := in.micro
-				for mi := 0; mi < len(micro); mi++ {
-					// All micro operands are register indices after
-					// poolMicroConstants (immediates live in the pooled
-					// const bank; unused operands alias register 0).
-					m := &micro[mi]
-					av := regs[m.a]
-					switch m.op {
-					case mcBin:
-						bv := regs[m.b]
-						switch ir.BinKind(m.kind) {
-						case ir.BinAdd:
-							regs[m.dest] = av + bv
-						case ir.BinSub:
-							regs[m.dest] = av - bv
-						case ir.BinMul:
-							regs[m.dest] = av * bv
-						case ir.BinAnd:
-							regs[m.dest] = av & bv
-						case ir.BinOr:
-							regs[m.dest] = av | bv
-						case ir.BinXor:
-							regs[m.dest] = av ^ bv
-						case ir.BinShl:
-							regs[m.dest] = av << (uint64(bv) & 63)
-						case ir.BinShr:
-							regs[m.dest] = int64(uint64(av) >> (uint64(bv) & 63))
-						default:
-							r, err := evalBin(ir.BinKind(m.kind), av, bv)
-							if err != nil {
-								return 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(fn, bb.irb, err))
-							}
-							regs[m.dest] = r
-						}
-					case mcLoad:
-						u, ok := mem.readFast(uint64(av), m.size)
-						if !ok {
-							var err error
-							u, err = mem.ReadU(uint64(av), int(m.size))
-							if err != nil {
-								return 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(fn, bb.irb, err))
-							}
-						}
-						if s := m.signShift; s != 0 {
-							regs[m.dest] = int64(u<<s) >> s
-						} else {
-							regs[m.dest] = int64(u)
-						}
-					case mcStore:
-						bv := regs[m.b]
-						if m.size != 8 || !mem.write8Fast(uint64(bv), uint64(av)) {
-							if err := mem.WriteU(uint64(bv), int(m.size), uint64(av)); err != nil {
-								return 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(fn, bb.irb, err))
-							}
-						}
-					case mcFieldPtr:
-						regs[m.dest] = int64(uint64(av) + uint64(m.off))
-						v.Stats.FieldAccess++
-					case mcElemPtr:
-						regs[m.dest] = int64(uint64(av) + uint64(regs[m.b])*uint64(m.size))
-					case mcPtrAdd:
-						regs[m.dest] = int64(uint64(av) + uint64(regs[m.b]))
-					case mcCmp:
-						regs[m.dest] = evalCmp(ir.CmpKind(m.kind), av, regs[m.b])
-					case mcFBin:
-						fa := math.Float64frombits(uint64(av))
-						fb := math.Float64frombits(uint64(regs[m.b]))
-						regs[m.dest] = int64(math.Float64bits(evalFBin(ir.BinKind(m.kind), fa, fb)))
-					case mcFCmp:
-						fa := math.Float64frombits(uint64(av))
-						fb := math.Float64frombits(uint64(regs[m.b]))
-						regs[m.dest] = evalFCmp(ir.CmpKind(m.kind), fa, fb)
-					case mcItoF:
-						regs[m.dest] = int64(math.Float64bits(float64(av)))
-					case mcFtoI:
-						regs[m.dest] = int64(math.Float64frombits(uint64(av)))
-					case mcMov:
-						regs[m.dest] = av
-					case mcAdd:
-						regs[m.dest] = av + regs[m.b]
-					case mcSub:
-						regs[m.dest] = av - regs[m.b]
-					case mcMul:
-						regs[m.dest] = av * regs[m.b]
-					case mcAnd:
-						regs[m.dest] = av & regs[m.b]
-					case mcOr:
-						regs[m.dest] = av | regs[m.b]
-					case mcXor:
-						regs[m.dest] = av ^ regs[m.b]
-					case mcShl:
-						regs[m.dest] = av << (uint64(regs[m.b]) & 63)
-					case mcShr:
-						regs[m.dest] = int64(uint64(av) >> (uint64(regs[m.b]) & 63))
-					case mcLoad8:
-						u, ok := mem.readFast8(uint64(av))
-						if !ok {
-							var err error
-							u, err = mem.ReadU(uint64(av), 8)
-							if err != nil {
-								return 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(fn, bb.irb, err))
-							}
-						}
-						regs[m.dest] = int64(u)
-					case mcStore8:
-						if !mem.write8Fast(uint64(regs[m.b]), uint64(av)) {
-							if err := mem.WriteU(uint64(regs[m.b]), 8, uint64(av)); err != nil {
-								return 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(fn, bb.irb, err))
-							}
-						}
-					case mcCmpEq:
-						if av == regs[m.b] {
-							regs[m.dest] = 1
-						} else {
-							regs[m.dest] = 0
-						}
-					case mcCmpNe:
-						if av != regs[m.b] {
-							regs[m.dest] = 1
-						} else {
-							regs[m.dest] = 0
-						}
-					case mcCmpLt:
-						if av < regs[m.b] {
-							regs[m.dest] = 1
-						} else {
-							regs[m.dest] = 0
-						}
-					case mcCmpLe:
-						if av <= regs[m.b] {
-							regs[m.dest] = 1
-						} else {
-							regs[m.dest] = 0
-						}
-					case mcCmpGt:
-						if av > regs[m.b] {
-							regs[m.dest] = 1
-						} else {
-							regs[m.dest] = 0
-						}
-					case mcCmpGe:
-						if av >= regs[m.b] {
-							regs[m.dest] = 1
-						} else {
-							regs[m.dest] = 0
-						}
-					case mcBr:
-						if psc != nil {
-							psc.AddCycles(charged)
-						}
-						prevBlk, blk = blk, int(m.off)
-						continue blockLoop
-					case mcCondBr:
-						if psc != nil {
-							psc.AddCycles(charged)
-						}
-						prevBlk = blk
-						if av != 0 {
-							blk = int(m.off)
-						} else {
-							blk = int(m.t1)
-						}
-						continue blockLoop
+				var (
+					next    int
+					exit    fusedExit
+					chained bool
+				)
+				for mi := 0; ; mi++ {
+					blk, next, pc, mi, exit, chained = v.runFused(f, regs, xtFrames, blk, pc, mi)
+					if chained {
+						// The kernel entered blk (maybe the block it
+						// started in) charged in full, as the block-loop
+						// top would have.
+						bb = &f.blocks[blk]
+						end = bb.start + 1
+						cost = uint64(bb.cost)
+						charged, batched = cost, true
 					}
+					if exit != fusedStep {
+						break
+					}
+					if err := v.stepMicro(&code[pc].micro[mi], regs); err != nil {
+						return 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(fn, bb.irb, err))
+					}
+				}
+				if exit == fusedBranch {
+					if psc != nil {
+						psc.AddCycles(charged)
+					}
+					prevBlk, blk = blk, next
+					continue blockLoop
 				}
 			case bcCallFunc:
 				argv := v.argvScratch[:0]
