@@ -11,10 +11,15 @@ import (
 type ParseError struct {
 	Line int
 	Msg  string
+	// Err is the sentinel the error wraps (ErrTooManyRegs), or nil.
+	Err error
 }
 
 // Error implements error.
 func (e *ParseError) Error() string { return fmt.Sprintf("ir: line %d: %s", e.Line, e.Msg) }
+
+// Unwrap returns the sentinel the error wraps.
+func (e *ParseError) Unwrap() error { return e.Err }
 
 // Parse reads the textual IR form produced by Print. Comments start
 // with '#' and run to end of line ('#' cannot appear in any token).
@@ -67,6 +72,12 @@ type parser struct {
 
 func (p *parser) errf(format string, args ...any) error {
 	return &ParseError{Line: p.line, Msg: fmt.Sprintf(format, args...)}
+}
+
+// regLimit is the error for register number r at or above MaxRegs,
+// which the parser rejects before anything is sized by it.
+func (p *parser) regLimit(r int) error {
+	return &ParseError{Line: p.line, Msg: fmt.Sprintf("register %%r%d is not below the limit %d", r, MaxRegs), Err: ErrTooManyRegs}
 }
 
 func stripComment(s string) string {
@@ -303,6 +314,9 @@ func (p *parser) parseVal(s string) (Value, error) {
 		if err != nil {
 			return Value{}, p.errf("bad register %q", s)
 		}
+		if r >= MaxRegs {
+			return Value{}, p.regLimit(r)
+		}
 		return Reg(r), nil
 	case strings.HasPrefix(s, "@"):
 		return Global(s[1:]), nil
@@ -368,6 +382,9 @@ func (p *parser) parseInstr(t string) (Instr, []string, error) {
 		if err != nil {
 			return in, nil, p.errf("bad destination in %q", t)
 		}
+		if d >= MaxRegs {
+			return in, nil, p.regLimit(d)
+		}
 		in.Dest = d
 		t = strings.TrimSpace(t[eq+1:])
 	}
@@ -418,7 +435,10 @@ func (p *parser) parseInstr(t string) (Instr, []string, error) {
 	case "free":
 		in.Op = OpFree
 		args, err := vals(0)
-		if err != nil || len(args) != 1 {
+		if err != nil {
+			return in, nil, err
+		}
+		if len(args) != 1 {
 			return in, nil, p.errf("free needs one pointer")
 		}
 		in.Args = args
@@ -466,7 +486,10 @@ func (p *parser) parseInstr(t string) (Instr, []string, error) {
 			in.Op = OpMemset
 		}
 		args, err := vals(0)
-		if err != nil || len(args) != 3 {
+		if err != nil {
+			return in, nil, err
+		}
+		if len(args) != 3 {
 			return in, nil, p.errf("%s needs three operands", op)
 		}
 		in.Args = args
@@ -505,14 +528,20 @@ func (p *parser) parseInstr(t string) (Instr, []string, error) {
 		return in, nil, nil
 	case "ptradd":
 		args, err := vals(0)
-		if err != nil || len(args) != 2 {
+		if err != nil {
+			return in, nil, err
+		}
+		if len(args) != 2 {
 			return in, nil, p.errf("ptradd needs ptr, bytes")
 		}
 		in.Op, in.Args = OpPtrAdd, args
 		return in, nil, nil
 	case "itof", "ftoi", "mov":
 		args, err := vals(0)
-		if err != nil || len(args) != 1 {
+		if err != nil {
+			return in, nil, err
+		}
+		if len(args) != 1 {
 			return in, nil, p.errf("%s needs one operand", op)
 		}
 		switch op {
@@ -571,7 +600,10 @@ func (p *parser) parseInstr(t string) (Instr, []string, error) {
 	}
 	if bk, ok := binOps[op]; ok {
 		args, err := vals(0)
-		if err != nil || len(args) != 2 {
+		if err != nil {
+			return in, nil, err
+		}
+		if len(args) != 2 {
 			return in, nil, p.errf("%s needs two operands", op)
 		}
 		in.Op, in.Bin, in.Args = OpBin, bk, args
@@ -579,7 +611,10 @@ func (p *parser) parseInstr(t string) (Instr, []string, error) {
 	}
 	if ck, ok := cmpOps[op]; ok {
 		args, err := vals(0)
-		if err != nil || len(args) != 2 {
+		if err != nil {
+			return in, nil, err
+		}
+		if len(args) != 2 {
 			return in, nil, p.errf("%s needs two operands", op)
 		}
 		in.Op, in.Cmp, in.Args = OpCmp, ck, args
@@ -588,7 +623,10 @@ func (p *parser) parseInstr(t string) (Instr, []string, error) {
 	if strings.HasPrefix(op, "f") {
 		if bk, ok := binOps[op[1:]]; ok {
 			args, err := vals(0)
-			if err != nil || len(args) != 2 {
+			if err != nil {
+				return in, nil, err
+			}
+			if len(args) != 2 {
 				return in, nil, p.errf("%s needs two operands", op)
 			}
 			in.Op, in.Bin, in.Args = OpFBin, bk, args
@@ -596,7 +634,10 @@ func (p *parser) parseInstr(t string) (Instr, []string, error) {
 		}
 		if ck, ok := cmpOps[op[1:]]; ok {
 			args, err := vals(0)
-			if err != nil || len(args) != 2 {
+			if err != nil {
+				return in, nil, err
+			}
+			if len(args) != 2 {
 				return in, nil, p.errf("%s needs two operands", op)
 			}
 			in.Op, in.Cmp, in.Args = OpFCmp, ck, args

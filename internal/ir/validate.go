@@ -5,9 +5,22 @@ import (
 	"fmt"
 )
 
+// MaxRegs bounds NumRegs, so register numbers run below it: the VM and
+// the analyses size per-register tables by NumRegs, and a module naming
+// %r400000000 would have them allocate gigabytes. It is far above what
+// any module here uses (483.xalancbmk's @parse, the largest, has 472).
+const MaxRegs = 1 << 16
+
+// ErrTooManyRegs is wrapped by the parse and validation errors of a
+// function whose registers do not all run below MaxRegs.
+var ErrTooManyRegs = errors.New("ir: register number out of range")
+
 // ValidationError aggregates all problems found in a module.
 type ValidationError struct {
 	Problems []string
+	// Err is the sentinel one of the problems wraps (ErrTooManyRegs),
+	// or nil.
+	Err error
 }
 
 // Error implements error.
@@ -17,6 +30,9 @@ func (e *ValidationError) Error() string {
 	}
 	return fmt.Sprintf("ir: %d problems, first: %s", len(e.Problems), e.Problems[0])
 }
+
+// Unwrap returns the sentinel one of the problems wraps.
+func (e *ValidationError) Unwrap() error { return e.Err }
 
 // Validate checks structural well-formedness: function and global
 // names are unique, every block ends in exactly one terminator (and has
@@ -47,9 +63,16 @@ func Validate(m *Module) error {
 		}
 		globals[g.Name] = true
 	}
+	var sentinel error
 	for _, f := range m.Funcs {
 		if len(f.Blocks) == 0 {
 			addf("@%s: no blocks", f.Name)
+			continue
+		}
+		// Checked before validateFlow sizes its tables by NumRegs.
+		if f.NumRegs < 0 || f.NumRegs > MaxRegs {
+			addf("@%s: NumRegs %d is not within [0, %d]", f.Name, f.NumRegs, MaxRegs)
+			sentinel = ErrTooManyRegs
 			continue
 		}
 		for bi, blk := range f.Blocks {
@@ -107,7 +130,7 @@ func Validate(m *Module) error {
 		validateFlow(f, addf)
 	}
 	if len(probs) > 0 {
-		return &ValidationError{Problems: probs}
+		return &ValidationError{Problems: probs, Err: sentinel}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -164,5 +165,35 @@ func TestValidateRejectsDuplicateNames(t *testing.T) {
 	want := []string{"@f: duplicate function", "@g: duplicate global"}
 	if strings.Join(probs, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("problems = %q, want %q", probs, want)
+	}
+}
+
+// TestValidateRejectsHugeNumRegs: a Go-built function whose NumRegs is
+// above MaxRegs fails with ErrTooManyRegs before validateFlow sizes its
+// def-use tables by it; one at MaxRegs validates.
+func TestValidateRejectsHugeNumRegs(t *testing.T) {
+	m := NewModule("regs")
+	b := NewFunc(m, "main", I64)
+	b.Ret(Const(0))
+	b.Fn.NumRegs = 400_000_001
+	err := Validate(m)
+	if !errors.Is(err, ErrTooManyRegs) {
+		t.Fatalf("Validate = %v, want ErrTooManyRegs", err)
+	}
+	b.Fn.NumRegs = MaxRegs
+	if err := Validate(m); err != nil {
+		t.Fatalf("Validate at NumRegs = MaxRegs: %v", err)
+	}
+}
+
+// TestParseRejectsHugeRegister: a destination or operand register at or
+// above MaxRegs is a ParseError wrapping ErrTooManyRegs, naming its line.
+func TestParseRejectsHugeRegister(t *testing.T) {
+	for _, line := range []string{"%r65536 = add 1, 2", "%r0 = add %r65536, 2"} {
+		_, err := Parse("func @main() i64 {\nentry:\n  " + line + "\n  ret 0\n}\n")
+		var pe *ParseError
+		if !errors.Is(err, ErrTooManyRegs) || !errors.As(err, &pe) || pe.Line != 3 {
+			t.Fatalf("%q: Parse = %v, want ErrTooManyRegs at line 3", line, err)
+		}
 	}
 }

@@ -66,6 +66,9 @@ func Compile(m *ir.Module) (*Program, error) {
 	if err := ir.Validate(m); err != nil {
 		return nil, err
 	}
+	if err := checkSizes(m); err != nil {
+		return nil, err
+	}
 	p := &Program{
 		mod:         m,
 		globals:     make(map[string]uint64, len(m.Globals)),
