@@ -65,8 +65,8 @@ type benchRecord struct {
 // TestEngineSpeedup measures both engines under the testing.Benchmark
 // harness, writes BENCH_interp.json at the repository root, and fails
 // unless the bytecode engine is at least 2.2× faster than the
-// tree-walker (the superinstruction + operand-file lowering holds
-// ~2.6-3.2× here; the floor leaves headroom for loaded CI machines).
+// tree-walker (the fused lowering and its call-free kernel hold
+// ~3.6-4.4× here; the floor leaves headroom for loaded CI machines).
 // Gated behind POLAR_BENCH_ENGINES because it is a timing test:
 // meaningless under -race or on a loaded machine.
 func TestEngineSpeedup(t *testing.T) {
