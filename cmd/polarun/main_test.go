@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"polar/internal/heap"
 	"polar/internal/ir"
 	"polar/internal/vm"
 )
@@ -34,26 +35,34 @@ func TestAbortStillWritesReports(t *testing.T) {
 	}
 }
 
-// TestHostileIRFailsTyped: the register-number and type-size programs
-// fail with their typed errors before they run, where they used to kill
-// the process or run with truncated sizes.
+// TestHostileIRFailsTyped: the register-number, type-size, access-type
+// and alloc-wrap programs fail with their typed errors, plain and
+// -harden, where they used to kill the process, run with truncated
+// sizes or write past a wrapped allocation. Hardened, the struct
+// holding a 2.4 GB array is an olr_malloc the heap cannot hold.
 func TestHostileIRFailsTyped(t *testing.T) {
 	for _, tc := range []struct {
-		file string
-		want error
+		file       string
+		want, hard error
 	}{
-		{"reg_huge.ir", ir.ErrTooManyRegs},
-		{"size_local.ir", vm.ErrLength},
-		{"size_alloc.ir", vm.ErrLength},
-		{"size_elemptr.ir", vm.ErrLength},
-		{"size_struct.ir", vm.ErrLength},
-		{"size_wrap.ir", vm.ErrLength},
+		{"reg_huge.ir", ir.ErrTooManyRegs, ir.ErrTooManyRegs},
+		{"size_local.ir", vm.ErrLength, vm.ErrLength},
+		{"size_alloc.ir", vm.ErrLength, vm.ErrLength},
+		{"size_elemptr.ir", vm.ErrLength, vm.ErrLength},
+		{"size_struct.ir", vm.ErrLength, heap.ErrOutOfMemory},
+		{"size_wrap.ir", vm.ErrLength, vm.ErrLength},
+		{"load_struct.ir", ir.ErrAccessType, ir.ErrAccessType},
+		{"load_odd.ir", ir.ErrAccessType, ir.ErrAccessType},
+		{"alloc_wrap.ir", heap.ErrOutOfMemory, heap.ErrOutOfMemory},
 	} {
 		if err := flag.CommandLine.Parse([]string{filepath.Join("../../internal/vm/testdata", tc.file)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := run(runConfig{runs: 1}); !errors.Is(err, tc.want) {
 			t.Errorf("%s: run = %v, want %v", tc.file, err, tc.want)
+		}
+		if err := run(runConfig{harden: true, runs: 1}); !errors.Is(err, tc.hard) {
+			t.Errorf("%s -harden: run = %v, want %v", tc.file, err, tc.hard)
 		}
 	}
 }

@@ -15,11 +15,31 @@ const MaxRegs = 1 << 16
 // function whose registers do not all run below MaxRegs.
 var ErrTooManyRegs = errors.New("ir: register number out of range")
 
+// ErrAccessType is wrapped by the validation error of a load or store
+// whose type is not a scalar the engines read and write whole: an
+// integer, f64 or pointer of 1, 2, 4 or 8 bytes.
+var ErrAccessType = errors.New("ir: load or store of a non-scalar type")
+
+// scalarAccess reports whether a load or store may name t.
+func scalarAccess(t Type) bool {
+	if t == nil {
+		return false
+	}
+	switch t.Kind() {
+	case KindInt, KindFloat, KindPtr:
+		switch t.Size() {
+		case 1, 2, 4, 8:
+			return true
+		}
+	}
+	return false
+}
+
 // ValidationError aggregates all problems found in a module.
 type ValidationError struct {
 	Problems []string
-	// Err is the sentinel one of the problems wraps (ErrTooManyRegs),
-	// or nil.
+	// Err is the sentinel one of the problems wraps (ErrTooManyRegs,
+	// ErrAccessType), or nil.
 	Err error
 }
 
@@ -37,11 +57,12 @@ func (e *ValidationError) Unwrap() error { return e.Err }
 // Validate checks structural well-formedness: function and global
 // names are unique, every block ends in exactly one terminator (and has
 // no interior terminators), branch targets are in range, register
-// numbers are in range, callees that are not builtins exist, field
-// indices are valid, and globals referenced by operands exist. Builtin
-// callees (any name starting with a known builtin prefix) are resolved
-// at run time by the VM, so unknown callees are only flagged when they
-// look like module-internal names.
+// numbers are in range, loads and stores name a scalar type, callees
+// that are not builtins exist, field indices are valid, and globals
+// referenced by operands exist. Builtin callees (any name starting
+// with a known builtin prefix) are resolved at run time by the VM, so
+// unknown callees are only flagged when they look like module-internal
+// names.
 func Validate(m *Module) error {
 	var probs []string
 	addf := func(format string, args ...any) {
@@ -113,6 +134,10 @@ func Validate(m *Module) error {
 					if t < 0 || t >= len(f.Blocks) {
 						addf("@%s.%s: branch target %d out of range", f.Name, blk.Name, t)
 					}
+				}
+				if (in.Op == OpLoad || in.Op == OpStore) && !scalarAccess(in.Type) {
+					addf("@%s.%s: load or store of type %v, not an integer, f64 or pointer of 1, 2, 4 or 8 bytes", f.Name, blk.Name, in.Type)
+					sentinel = ErrAccessType
 				}
 				if in.Op == OpFieldPtr {
 					if in.Struct == nil {

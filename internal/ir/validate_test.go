@@ -197,3 +197,40 @@ func TestParseRejectsHugeRegister(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateRejectsNonScalarAccess: a load or store of a struct, an
+// array, void, an odd-width integer or no type at all fails with
+// ErrAccessType; every integer, f64 and pointer type validates.
+func TestValidateRejectsNonScalarAccess(t *testing.T) {
+	st := NewStruct("S", Field{Name: "a", Type: I64}, Field{Name: "b", Type: I64})
+	access := func(ty Type, store bool) error {
+		m := NewModule("access")
+		m.MustStruct(st)
+		if _, err := m.AddGlobal("g", 16, nil); err != nil {
+			t.Fatal(err)
+		}
+		b := NewFunc(m, "main", I64)
+		if store {
+			b.Store(I64, Const(1), Global("g"))
+			b.Ret(Const(0))
+		} else {
+			b.Ret(b.Load(I64, Global("g")))
+		}
+		b.Fn.Blocks[0].Instrs[0].Type = ty
+		return Validate(m)
+	}
+	for _, ty := range []Type{st, ArrayOf(I8, 3), ArrayOf(I64, 1), Void, IntType{Bits: 24}, nil} {
+		for _, store := range []bool{false, true} {
+			if err := access(ty, store); !errors.Is(err, ErrAccessType) {
+				t.Errorf("type %v (store %v): Validate = %v, want ErrAccessType", ty, store, err)
+			}
+		}
+	}
+	for _, ty := range []Type{I8, I16, I32, I64, F64, Raw, Fptr, PtrTo(st)} {
+		for _, store := range []bool{false, true} {
+			if err := access(ty, store); err != nil {
+				t.Errorf("type %v (store %v): Validate = %v", ty, store, err)
+			}
+		}
+	}
+}

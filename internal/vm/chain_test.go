@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -155,6 +156,44 @@ func TestChainedDispatchFuelSweep(t *testing.T) {
 		}
 		if got := rle(fused); !reflect.DeepEqual(got, chainFused[tc.mode]) {
 			t.Errorf("mode %d: fused dispatches per fuel value (value, repeat pairs)\n got %v\nwant %v", tc.mode, got, chainFused[tc.mode])
+		}
+	}
+}
+
+// TestObservedFusedDispatchFuelSweep runs chain.ir's three paths at
+// every fuel value of TestChainedDispatchFuelSweep as a taint run, a
+// run with the instruction log and both, and demands chainFused's
+// fused-dispatch count at each: an observed run dispatches the fused
+// runs an unobserved one does, though it neither chains nor calls the
+// kernel, and like it does not count a fused run the fuel cuts short.
+func TestObservedFusedDispatchFuelSweep(t *testing.T) {
+	prog, err := Compile(chainModule(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mode := int64(0); mode < int64(len(chainFused)); mode++ {
+		full := runChain(t, prog, reference, mode, defaultFuel)
+		for _, obs := range observedModes {
+			var fused []uint64
+			for fuel := uint64(0); fuel <= full.stats.Instructions+chainSlack; fuel++ {
+				opts := []Option{WithFuel(fuel)}
+				if obs.tainted {
+					opts = append(opts, WithTaint(&RecordingSink{}))
+				}
+				if obs.traced {
+					opts = append(opts, WithTrace(io.Discard, 0))
+				}
+				v, err := prog.NewInstance(opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v.Run(mode)
+				fused = append(fused, v.Perf.FusedDispatches)
+			}
+			if got := rle(fused); !reflect.DeepEqual(got, chainFused[mode]) {
+				t.Errorf("mode %d (tainted=%v traced=%v): fused dispatches per fuel value (value, repeat pairs)\n got %v\nwant %v",
+					mode, obs.tainted, obs.traced, got, chainFused[mode])
+			}
 		}
 	}
 }

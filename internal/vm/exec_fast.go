@@ -10,13 +10,15 @@ import (
 	"polar/internal/telemetry/profile"
 )
 
-// This file is the bytecode engine's dispatch loop. It executes the
-// lowered form produced in lower.go and is semantically bit-identical to
-// the reference tree-walker (reference_test.go): same Stats at every
-// fuel value, same error strings at the same sites, same telemetry
-// events, same coverage edges, same violation records out of the POLaR
-// runtime. The differential suites in this package hold it to that
-// contract. Observed runs use the dispatch loop in exec_observed.go.
+// This file is the bytecode engine's one dispatch loop, callBC, for
+// every run: plain, hardened, traced, taint runs and runs with the
+// instruction log attached. It executes the lowered form produced in
+// lower.go and is semantically bit-identical to the reference
+// tree-walker (reference_test.go): same Stats at every fuel value, same
+// error strings at the same sites, same telemetry events, same coverage
+// edges, same violation records out of the POLaR runtime, same taint
+// reports and instruction log. The differential suites in this package
+// hold it to that contract.
 //
 // The speed comes from work moved to compile time (operand kinds, global
 // addresses, func handles, field offsets, load widths, callee binding)
@@ -30,34 +32,54 @@ import (
 //     at the exact instruction the tree-walker reports.
 //   - Superinstructions: the dominant adjacent pairs dispatch once but
 //     account as two source instructions; at a fuel boundary the first
-//     half executes alone (halfExec) so the cutoff is indistinguishable
+//     half executes alone (fuelOut) so the cutoff is indistinguishable
 //     from the tree-walker's.
 //   - The fused-run kernel: bcFused micro-op runs execute in runFused, a
 //     small function of its own whose fast path makes no calls. A micro
 //     that needs one (a page-cache miss, a sub-word store, a zero
 //     divisor, a float rem) returns to callBC, which runs it through
-//     stepMicro and re-enters the kernel.
+//     stepMicros and re-enters the kernel.
 //   - Block chaining: at a taken branch the kernel enters the target
 //     itself when the target is one fused run ending in its terminator,
 //     no profiler is attached and the fuel covers the whole target. It
 //     does the block-loop top's work inline (trace frame, coverage edge,
 //     batched charge, fused-dispatch count), so a hot loop of such
 //     blocks never returns to the block loop.
+//
+// Observed runs — taint runs (WithTaint) and runs with the instruction
+// log (WithTrace) — run the same loop and the same accounting; callBC
+// reads the sink and the log once per call, and the cases that compute
+// a value carry the observers' work behind those two locals. Their
+// fused runs go through stepMicros, one micro at a time, and neither
+// call the kernel nor chain.
+//
+// The instruction log writes one line per source instruction, before it
+// executes, at the points and in the order of the reference
+// tree-walker: a fused run writes one line per micro and a pair
+// superinstruction one per half (logSource).
+//
+// A taint run propagates DFSan's rules inline, in the case that computes
+// the value: a one-byte label per register (lbl, indexed like regs), a
+// control label per frame (ctl, ORed from every branch condition and
+// inherited by callees) and the shadow memory (taint.go). The sink hears
+// only of tainted bytes landing in a typed heap object and of objects
+// allocated or freed under tainted control. Every run keeps a label
+// frame and writes the labels of the values it computes outside the
+// kernel, without a branch; only shadow memory and the input builtins
+// set a label, and those act in a taint run only, so every other run's
+// labels stay 0 and the kernel need not write them. A taint run never
+// reads the layout cache, so every olr_getptr runs its builtin.
 
 var errFellOffBlock = errors.New("vm: fell off block end")
 
-// halfExec performs the first source instruction of a fused pair. It is
-// only reached on the fuel-scarce path when exactly one unit of fuel
-// remains: the tree-walker would execute the first instruction and then
-// fail the fuel check on the second.
-func (v *VM) halfExec(in *bcInstr, regs []int64) {
-	switch in.op {
-	case bcFieldLoad, bcFieldStore:
-		regs[in.dest] = int64(uint64(in.a.arg(regs)) + uint64(in.off))
-		v.Stats.FieldAccess++
-	case bcCmpBr:
-		regs[in.dest] = evalCmp(ir.CmpKind(in.kind), in.a.arg(regs), in.b.arg(regs))
-	}
+// logSource writes the log line of the sub-th source instruction of the
+// lowered instruction at pc: micro sub of a fused run, half sub of a
+// pair superinstruction. Lowering keeps source order and an
+// instruction's weight counts its source instructions, so the line's
+// instruction sits at the block weight before pc, plus sub.
+func logSource(log *telemetry.InstrLog, f *bcFunc, bb *bcBlock, pc int32, sub int) {
+	in := &bb.irb.Instrs[int(f.wTo[pc]-f.wTo[bb.start])+sub]
+	log.Emit(f.fn.Name, bb.irb.Name, ir.FormatInstr(f.fn, in))
 }
 
 // bcExitErr settles block accounting on an early error exit: the
@@ -84,130 +106,215 @@ func (v *VM) bcExitErrAt(f *bcFunc, bb *bcBlock, pc int32, sub uint32, charged u
 	return err
 }
 
-// stepMicro executes one micro-op outside the kernel: on the
-// fuel-scarce prefix path, and for a micro runFused hands back
-// (fusedStep). Terminator micros never reach it: a partial prefix is
-// strictly shorter than the run, a terminator can only be the run's
-// last micro, and the kernel hands back none.
-func (v *VM) stepMicro(m *mcInstr, regs []int64) error {
-	// Operands are always register indices (poolMicroConstants), exactly
-	// as in the hot loop.
-	av := regs[m.a]
-	bv := regs[m.b]
-	switch m.op {
-	case mcLoad:
-		u, err := v.Mem.ReadU(uint64(av), int(m.size))
-		if err != nil {
-			return err
+// fuelOut ends a call whose remaining fuel cannot cover the instruction
+// at pc, exactly as the tree-walker would: it executes the fuelLeft
+// source instructions the fuel affords — a prefix of a fused run, or
+// the first half of a pair superinstruction — and then fails the fuel
+// check, or faults mid-prefix with the prefix charged
+// (count-then-execute per micro). charged is what the block has charged
+// before pc.
+func (v *VM) fuelOut(f *bcFunc, bb *bcBlock, pc int32, regs []int64, lbl []byte, charged uint64, psc *profile.SiteCounts) error {
+	in := &f.code[pc]
+	switch k := v.fuelLeft; {
+	case in.op == bcFused && k > 0:
+		v.fuelLeft = 0
+		v.Stats.Instructions += k
+		charged += k
+		if _, _, mi, err := v.stepMicros(f, bb, pc, 0, int(k), regs, lbl); err != nil {
+			return v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(f.fn, bb.irb, err))
 		}
-		if s := m.signShift; s != 0 {
-			regs[m.dest] = int64(u<<s) >> s
-		} else {
-			regs[m.dest] = int64(u)
+	case k == 1 && in.weight() == 2:
+		// The first half of a pair executes alone, label and log line
+		// included: a fieldptr, or a compare.
+		if v.instrLog != nil {
+			logSource(v.instrLog, f, bb, pc, 0)
 		}
-	case mcStore:
-		if err := v.Mem.WriteU(uint64(bv), int(m.size), uint64(av)); err != nil {
-			return err
+		l := in.a.label(lbl)
+		switch in.op {
+		case bcFieldLoad, bcFieldStore:
+			regs[in.dest] = int64(uint64(in.a.arg(regs)) + uint64(in.off))
+			v.Stats.FieldAccess++
+		case bcCmpBr:
+			regs[in.dest] = evalCmp(ir.CmpKind(in.kind), in.a.arg(regs), in.b.arg(regs))
+			l |= in.b.label(lbl)
 		}
-	case mcFieldPtr:
-		regs[m.dest] = int64(uint64(av) + uint64(m.off))
-		v.Stats.FieldAccess++
-	case mcElemPtr:
-		regs[m.dest] = int64(uint64(av) + uint64(bv)*uint64(m.size))
-	case mcPtrAdd:
-		regs[m.dest] = int64(uint64(av) + uint64(bv))
-	case mcBin:
-		r, err := evalBin(ir.BinKind(m.kind), av, bv)
-		if err != nil {
-			return err
-		}
-		regs[m.dest] = r
-	case mcFBin:
-		a := math.Float64frombits(uint64(av))
-		b := math.Float64frombits(uint64(bv))
-		regs[m.dest] = int64(math.Float64bits(evalFBin(ir.BinKind(m.kind), a, b)))
-	case mcCmp:
-		regs[m.dest] = evalCmp(ir.CmpKind(m.kind), av, bv)
-	case mcFCmp:
-		a := math.Float64frombits(uint64(av))
-		b := math.Float64frombits(uint64(bv))
-		regs[m.dest] = evalFCmp(ir.CmpKind(m.kind), a, b)
-	case mcItoF:
-		regs[m.dest] = int64(math.Float64bits(float64(av)))
-	case mcFtoI:
-		regs[m.dest] = int64(math.Float64frombits(uint64(av)))
-	case mcMov:
-		regs[m.dest] = av
-	case mcAdd:
-		regs[m.dest] = av + bv
-	case mcSub:
-		regs[m.dest] = av - bv
-	case mcMul:
-		regs[m.dest] = av * bv
-	case mcAnd:
-		regs[m.dest] = av & bv
-	case mcOr:
-		regs[m.dest] = av | bv
-	case mcXor:
-		regs[m.dest] = av ^ bv
-	case mcShl:
-		regs[m.dest] = av << (uint64(bv) & 63)
-	case mcShr:
-		regs[m.dest] = int64(uint64(av) >> (uint64(bv) & 63))
-	case mcLoad8:
-		u, err := v.Mem.ReadU(uint64(av), 8)
-		if err != nil {
-			return err
-		}
-		regs[m.dest] = int64(u)
-	case mcStore8:
-		if err := v.Mem.WriteU(uint64(bv), 8, uint64(av)); err != nil {
-			return err
-		}
-	case mcCmpEq:
-		regs[m.dest] = evalCmp(ir.CmpEq, av, bv)
-	case mcCmpNe:
-		regs[m.dest] = evalCmp(ir.CmpNe, av, bv)
-	case mcCmpLt:
-		regs[m.dest] = evalCmp(ir.CmpLt, av, bv)
-	case mcCmpLe:
-		regs[m.dest] = evalCmp(ir.CmpLe, av, bv)
-	case mcCmpGt:
-		regs[m.dest] = evalCmp(ir.CmpGt, av, bv)
-	case mcCmpGe:
-		regs[m.dest] = evalCmp(ir.CmpGe, av, bv)
-	}
-	return nil
-}
-
-// fusedPartial runs the fuel-affordable prefix of a fused run when the
-// remaining fuel cannot cover the whole dispatch: exactly what the
-// tree-walker would do — execute fuelLeft more source instructions,
-// then fail the fuel check (or fault mid-prefix with the prefix
-// charged, count-then-execute per micro).
-func (v *VM) fusedPartial(fn *ir.Func, bb *bcBlock, in *bcInstr, regs []int64, charged uint64, psc *profile.SiteCounts) error {
-	k := v.fuelLeft
-	v.fuelLeft = 0
-	v.Stats.Instructions += k
-	charged += k
-	for mi := uint64(0); mi < k; mi++ {
-		if err := v.stepMicro(&in.micro[mi], regs); err != nil {
-			// Micro mi was counted and then faulted; refund the counted
-			// but unexecuted tail of the prefix.
-			refund := k - (mi + 1)
-			v.fuelLeft += refund
-			v.Stats.Instructions -= refund
-			charged -= refund
-			if psc != nil && charged != 0 {
-				psc.AddCycles(charged)
-			}
-			return v.fault(fn, bb.irb, err)
-		}
+		lbl[in.dest] = l
+		v.fuelLeft = 0
+		v.Stats.Instructions++
+		charged++
 	}
 	if psc != nil && charged != 0 {
 		psc.AddCycles(charged)
 	}
-	return fmt.Errorf("%w in @%s.%s", ErrFuelExhausted, fn.Name, bb.irb.Name)
+	return fmt.Errorf("%w in @%s.%s", ErrFuelExhausted, f.fn.Name, bb.irb.Name)
+}
+
+// stepMicros executes micros [lo, hi) of the fused run at pc one at a
+// time, each with its label rule and, in a logged run, its log line
+// first. It runs an observed run's whole fused runs, the
+// fuel-affordable prefix of any run (fuelOut) and the micro runFused
+// hands back (fusedStep); a prefix is strictly shorter than its run and
+// the kernel hands back no terminator, so only an observed run reaches
+// one. It returns the block a terminator micro chose (-1 when none ran)
+// with the label of its condition, and on a fault the faulting micro's
+// index with the error.
+//
+// A micro reads the labels of only the operands its op uses, because an
+// unused operand aliases register 0 (poolMicroConstants); pooled
+// constant slots are never written, so their labels stay 0.
+func (v *VM) stepMicros(f *bcFunc, bb *bcBlock, pc int32, lo, hi int, regs []int64, lbl []byte) (int, byte, int, error) {
+	// Read once, so every per-micro check below tests a local.
+	sink, log := v.taint != nil, v.instrLog
+	mem := v.Mem
+	micro := f.code[pc].micro
+	for mi := lo; mi < hi; mi++ {
+		m := &micro[mi]
+		if log != nil {
+			logSource(log, f, bb, pc, mi)
+		}
+		// av is read before the micro writes its destination, so a
+		// load's label comes from the address it read.
+		av := regs[m.a]
+		switch m.op {
+		case mcBin:
+			// Only the kinds specializeMicro left general reach here:
+			// div and rem, which fault on zero.
+			r, err := evalBin(ir.BinKind(m.kind), av, regs[m.b])
+			if err != nil {
+				return -1, 0, mi, err
+			}
+			regs[m.dest] = r
+			lbl[m.dest] = lbl[m.a] | lbl[m.b]
+		case mcLoad:
+			u, ok := mem.readFast(uint64(av), m.size)
+			if !ok {
+				var err error
+				if u, err = mem.ReadU(uint64(av), int(m.size)); err != nil {
+					return -1, 0, mi, err
+				}
+			}
+			if s := m.signShift; s != 0 {
+				regs[m.dest] = int64(u<<s) >> s
+			} else {
+				regs[m.dest] = int64(u)
+			}
+			if sink {
+				lbl[m.dest] = v.shadow.rangeOr(uint64(av), int(m.size))
+			}
+		case mcStore:
+			bv := regs[m.b]
+			if err := mem.WriteU(uint64(bv), int(m.size), uint64(av)); err != nil {
+				return -1, 0, mi, err
+			}
+			if sink {
+				v.taintStore(uint64(bv), int(m.size), lbl[m.a])
+			}
+		case mcFieldPtr:
+			regs[m.dest] = int64(uint64(av) + uint64(m.off))
+			v.Stats.FieldAccess++
+			lbl[m.dest] = lbl[m.a]
+		case mcElemPtr:
+			regs[m.dest] = int64(uint64(av) + uint64(regs[m.b])*uint64(m.size))
+			lbl[m.dest] = lbl[m.a]
+		case mcPtrAdd:
+			regs[m.dest] = int64(uint64(av) + uint64(regs[m.b]))
+			lbl[m.dest] = lbl[m.a]
+		case mcCmp:
+			regs[m.dest] = evalCmp(ir.CmpKind(m.kind), av, regs[m.b])
+			lbl[m.dest] = lbl[m.a] | lbl[m.b]
+		case mcFBin:
+			fa := math.Float64frombits(uint64(av))
+			fb := math.Float64frombits(uint64(regs[m.b]))
+			regs[m.dest] = int64(math.Float64bits(evalFBin(ir.BinKind(m.kind), fa, fb)))
+			lbl[m.dest] = lbl[m.a] | lbl[m.b]
+		case mcFCmp:
+			fa := math.Float64frombits(uint64(av))
+			fb := math.Float64frombits(uint64(regs[m.b]))
+			regs[m.dest] = evalFCmp(ir.CmpKind(m.kind), fa, fb)
+			lbl[m.dest] = lbl[m.a] | lbl[m.b]
+		case mcItoF:
+			regs[m.dest] = int64(math.Float64bits(float64(av)))
+			lbl[m.dest] = lbl[m.a]
+		case mcFtoI:
+			regs[m.dest] = int64(math.Float64frombits(uint64(av)))
+			lbl[m.dest] = lbl[m.a]
+		case mcMov:
+			regs[m.dest] = av
+			lbl[m.dest] = lbl[m.a]
+		case mcAdd:
+			regs[m.dest] = av + regs[m.b]
+			lbl[m.dest] = lbl[m.a] | lbl[m.b]
+		case mcSub:
+			regs[m.dest] = av - regs[m.b]
+			lbl[m.dest] = lbl[m.a] | lbl[m.b]
+		case mcMul:
+			regs[m.dest] = av * regs[m.b]
+			lbl[m.dest] = lbl[m.a] | lbl[m.b]
+		case mcAnd:
+			regs[m.dest] = av & regs[m.b]
+			lbl[m.dest] = lbl[m.a] | lbl[m.b]
+		case mcOr:
+			regs[m.dest] = av | regs[m.b]
+			lbl[m.dest] = lbl[m.a] | lbl[m.b]
+		case mcXor:
+			regs[m.dest] = av ^ regs[m.b]
+			lbl[m.dest] = lbl[m.a] | lbl[m.b]
+		case mcShl:
+			regs[m.dest] = av << (uint64(regs[m.b]) & 63)
+			lbl[m.dest] = lbl[m.a] | lbl[m.b]
+		case mcShr:
+			regs[m.dest] = int64(uint64(av) >> (uint64(regs[m.b]) & 63))
+			lbl[m.dest] = lbl[m.a] | lbl[m.b]
+		case mcLoad8:
+			u, ok := mem.readFast8(uint64(av))
+			if !ok {
+				var err error
+				if u, err = mem.ReadU(uint64(av), 8); err != nil {
+					return -1, 0, mi, err
+				}
+			}
+			regs[m.dest] = int64(u)
+			if sink {
+				lbl[m.dest] = v.shadow.rangeOr(uint64(av), 8)
+			}
+		case mcStore8:
+			bv := regs[m.b]
+			if !mem.write8Fast(uint64(bv), uint64(av)) {
+				if err := mem.WriteU(uint64(bv), 8, uint64(av)); err != nil {
+					return -1, 0, mi, err
+				}
+			}
+			if sink {
+				v.taintStore(uint64(bv), 8, lbl[m.a])
+			}
+		case mcCmpEq:
+			regs[m.dest] = evalCmp(ir.CmpEq, av, regs[m.b])
+			lbl[m.dest] = lbl[m.a] | lbl[m.b]
+		case mcCmpNe:
+			regs[m.dest] = evalCmp(ir.CmpNe, av, regs[m.b])
+			lbl[m.dest] = lbl[m.a] | lbl[m.b]
+		case mcCmpLt:
+			regs[m.dest] = evalCmp(ir.CmpLt, av, regs[m.b])
+			lbl[m.dest] = lbl[m.a] | lbl[m.b]
+		case mcCmpLe:
+			regs[m.dest] = evalCmp(ir.CmpLe, av, regs[m.b])
+			lbl[m.dest] = lbl[m.a] | lbl[m.b]
+		case mcCmpGt:
+			regs[m.dest] = evalCmp(ir.CmpGt, av, regs[m.b])
+			lbl[m.dest] = lbl[m.a] | lbl[m.b]
+		case mcCmpGe:
+			regs[m.dest] = evalCmp(ir.CmpGe, av, regs[m.b])
+			lbl[m.dest] = lbl[m.a] | lbl[m.b]
+		case mcBr:
+			return int(m.off), 0, mi, nil
+		case mcCondBr:
+			if av != 0 {
+				return int(m.off), lbl[m.a], mi, nil
+			}
+			return int(m.t1), lbl[m.a], mi, nil
+		}
+	}
+	return -1, 0, hi, nil
 }
 
 // fusedExit says why runFused returned to callBC.
@@ -219,7 +326,7 @@ const (
 	fusedEnd fusedExit = iota
 	// fusedBranch: a terminator chose a block the kernel does not enter.
 	fusedBranch
-	// fusedStep: the micro at mi needs stepMicro — a page-cache miss, a
+	// fusedStep: the micro at mi needs stepMicros — a page-cache miss, a
 	// sub-word store, a zero divisor or a float rem.
 	fusedStep
 )
@@ -377,14 +484,16 @@ runs:
 	}
 }
 
-// callBC runs one lowered function to completion. It is the bytecode
-// counterpart of VM.call; args are the caller's already-resolved
-// operands (copied into the frame immediately, so the caller's scratch
-// buffer is free for reuse by nested calls).
-func (v *VM) callBC(f *bcFunc, args []int64) (int64, error) {
+// callBC runs one lowered function to completion and returns its
+// result with the result's label. It is the bytecode counterpart of
+// VM.call; args are the caller's already-resolved operands and argLbls
+// their labels (both copied into the frame immediately, so the caller's
+// scratch buffers are free for reuse by nested calls), and ctl is the
+// caller's control label.
+func (v *VM) callBC(f *bcFunc, args []int64, argLbls []byte, ctl byte) (int64, byte, error) {
 	fn := f.fn
 	if v.depth >= maxCallDepth {
-		return 0, fmt.Errorf("%w in @%s", ErrStackOverflow, fn.Name)
+		return 0, 0, fmt.Errorf("%w in @%s", ErrStackOverflow, fn.Name)
 	}
 	v.depth++
 	if v.depth > v.Stats.MaxDepth {
@@ -395,18 +504,20 @@ func (v *VM) callBC(f *bcFunc, args []int64) (int64, error) {
 	if v.xt != nil {
 		xtFrames = v.xtEnter(fn)
 	}
+	// Read once, so every check below tests a local.
+	sink, log := v.taint, v.instrLog
 	savedStack := v.stackTop
 	regs := v.getFrame(f.numRegs)
+	lbl := v.getLabels(f.numRegs)
 	defer func() {
 		v.putFrame(regs)
+		v.putLabels(lbl)
 		v.stackTop = savedStack
 		v.depth--
 	}()
-	if n := len(fn.Params); n > 0 {
-		if n > len(args) {
-			n = len(args)
-		}
+	if n := min(len(fn.Params), len(args)); n > 0 {
 		copy(regs, args[:n])
+		copy(lbl[:n], argLbls)
 	}
 	for i := range f.consts {
 		regs[f.consts[i].slot] = f.consts[i].val
@@ -455,40 +566,38 @@ blockLoop:
 			if !batched {
 				w := uint64(in.weight())
 				if v.fuelLeft < w {
-					if in.op == bcFused && v.fuelLeft > 0 {
-						return 0, v.fusedPartial(fn, bb, in, regs, charged, psc)
-					}
-					if v.fuelLeft == 1 && w == 2 {
-						v.halfExec(in, regs)
-						v.fuelLeft--
-						v.Stats.Instructions++
-						charged++
-					}
-					if psc != nil && charged != 0 {
-						psc.AddCycles(charged)
-					}
-					return 0, fmt.Errorf("%w in @%s.%s", ErrFuelExhausted, fn.Name, bb.irb.Name)
+					return 0, 0, v.fuelOut(f, bb, pc, regs, lbl, charged, psc)
 				}
 				v.fuelLeft -= w
 				v.Stats.Instructions += w
 				charged += w
 			}
+			if log != nil && in.op != bcFused {
+				logSource(log, f, bb, pc, 0)
+			}
 
 			switch in.op {
 			case bcAlloc:
-				count := int(in.a.arg(regs))
-				if count < 1 {
-					count = 1
+				size, count, err := allocSize(int(in.size), in.a.arg(regs))
+				if err != nil {
+					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 				}
-				size := int(in.size) * count
 				addr, err := v.Heap.Alloc(size)
 				if err != nil {
-					return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 				}
 				v.Stats.Allocs++
 				regs[in.dest] = int64(addr)
+				lbl[in.dest] = 0
 				if in.st != nil && count == 1 {
 					v.objects[addr] = in.st
+				}
+				if sink != nil {
+					// A fresh chunk starts clean.
+					v.shadow.setRange(addr, size, 0)
+					if in.st != nil && ctl != 0 {
+						sink.Alloc(in.st)
+					}
 				}
 				if v.tel != nil {
 					name := ""
@@ -500,20 +609,27 @@ blockLoop:
 			case bcLocal:
 				size := uint64((in.size + 15) &^ 15)
 				if v.stackTop+size > StackLimit {
-					return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, ErrStackOverflow))
+					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, ErrStackOverflow))
 				}
 				addr := v.stackTop
 				v.stackTop += size
-				if err := v.Mem.Set(addr, 0, int(in.size)); err != nil {
-					return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+				if err := mem.Set(addr, 0, int(in.size)); err != nil {
+					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 				}
 				regs[in.dest] = int64(addr)
+				lbl[in.dest] = 0
 			case bcFree:
 				addr := uint64(in.a.arg(regs))
 				if err := v.Heap.Free(addr); err != nil {
-					return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 				}
 				v.Stats.Frees++
+				// Report before the delete below drops the object's type.
+				if sink != nil && ctl != 0 {
+					if st, ok := v.objects[addr]; ok {
+						sink.Free(st)
+					}
+				}
 				if v.tel != nil {
 					v.tel.Emit(telemetry.Event{Kind: telemetry.EvFree, Addr: addr})
 				}
@@ -525,7 +641,7 @@ blockLoop:
 					var err error
 					u, err = mem.ReadU(addr, int(in.size))
 					if err != nil {
-						return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+						return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 					}
 				}
 				if s := in.signShift; s != 0 {
@@ -533,13 +649,19 @@ blockLoop:
 				} else {
 					regs[in.dest] = int64(u)
 				}
+				if sink != nil {
+					lbl[in.dest] = v.shadow.rangeOr(addr, int(in.size))
+				}
 			case bcStore:
 				addr := uint64(in.b.arg(regs))
 				val := in.a.arg(regs)
 				if in.size != 8 || !mem.write8Fast(addr, uint64(val)) {
 					if err := mem.WriteU(addr, int(in.size), uint64(val)); err != nil {
-						return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+						return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 					}
+				}
+				if sink != nil {
+					v.taintStore(addr, int(in.size), in.a.label(lbl))
 				}
 			case bcMemcpy:
 				dst := uint64(in.a.arg(regs))
@@ -548,10 +670,13 @@ blockLoop:
 				if n < 0 {
 					n = 0
 				}
-				if err := v.Mem.Copy(dst, src, n); err != nil {
-					return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+				if err := mem.Copy(dst, src, n); err != nil {
+					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 				}
 				v.Stats.Memcpys++
+				if sink != nil && v.shadow.copyRange(dst, src, n) != 0 {
+					v.taintContent(dst, n)
+				}
 			case bcMemset:
 				dst := uint64(in.a.arg(regs))
 				val := byte(in.b.arg(regs))
@@ -559,22 +684,31 @@ blockLoop:
 				if n < 0 {
 					n = 0
 				}
-				if err := v.Mem.Set(dst, val, n); err != nil {
-					return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+				if err := mem.Set(dst, val, n); err != nil {
+					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+				}
+				if sink != nil {
+					// A constant fill clears the labels.
+					v.shadow.setRange(dst, n, 0)
 				}
 			case bcFieldPtr:
 				regs[in.dest] = int64(uint64(in.a.arg(regs)) + uint64(in.off))
 				v.Stats.FieldAccess++
+				lbl[in.dest] = in.a.label(lbl)
 			case bcFieldLoad:
 				p := uint64(in.a.arg(regs)) + uint64(in.off)
 				regs[in.dest] = int64(p)
 				v.Stats.FieldAccess++
+				lbl[in.dest] = in.a.label(lbl)
+				if log != nil {
+					logSource(log, f, bb, pc, 1)
+				}
 				u, ok := mem.readFast(p, in.size)
 				if !ok {
 					var err error
 					u, err = mem.ReadU(p, int(in.size))
 					if err != nil {
-						return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+						return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 					}
 				}
 				if s := in.signShift; s != 0 {
@@ -582,48 +716,68 @@ blockLoop:
 				} else {
 					regs[in.d2] = int64(u)
 				}
+				if sink != nil {
+					lbl[in.d2] = v.shadow.rangeOr(p, int(in.size))
+				}
 			case bcFieldStore:
 				p := uint64(in.a.arg(regs)) + uint64(in.off)
 				regs[in.dest] = int64(p)
 				v.Stats.FieldAccess++
-				// Resolve the value after the pointer register is written:
-				// the store may name the fieldptr result itself.
+				lbl[in.dest] = in.a.label(lbl)
+				if log != nil {
+					logSource(log, f, bb, pc, 1)
+				}
+				// Resolve the value, and its label, after the pointer
+				// register is written: the store may name the fieldptr
+				// result itself.
 				val := in.b.arg(regs)
 				if in.size != 8 || !mem.write8Fast(p, uint64(val)) {
 					if err := mem.WriteU(p, int(in.size), uint64(val)); err != nil {
-						return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+						return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 					}
+				}
+				if sink != nil {
+					v.taintStore(p, int(in.size), in.b.label(lbl))
 				}
 			case bcElemPtr:
 				base := uint64(in.a.arg(regs))
 				idx := in.b.arg(regs)
 				regs[in.dest] = int64(base + uint64(idx)*uint64(in.size))
+				lbl[in.dest] = in.a.label(lbl)
 			case bcPtrAdd:
 				base := uint64(in.a.arg(regs))
 				off := in.b.arg(regs)
 				regs[in.dest] = int64(base + uint64(off))
+				lbl[in.dest] = in.a.label(lbl)
 			case bcBin:
 				r, err := evalBin(ir.BinKind(in.kind), in.a.arg(regs), in.b.arg(regs))
 				if err != nil {
-					return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 				}
 				regs[in.dest] = r
+				lbl[in.dest] = in.a.label(lbl) | in.b.label(lbl)
 			case bcFBin:
 				a := math.Float64frombits(uint64(in.a.arg(regs)))
 				b := math.Float64frombits(uint64(in.b.arg(regs)))
 				regs[in.dest] = int64(math.Float64bits(evalFBin(ir.BinKind(in.kind), a, b)))
+				lbl[in.dest] = in.a.label(lbl) | in.b.label(lbl)
 			case bcCmp:
 				regs[in.dest] = evalCmp(ir.CmpKind(in.kind), in.a.arg(regs), in.b.arg(regs))
+				lbl[in.dest] = in.a.label(lbl) | in.b.label(lbl)
 			case bcFCmp:
 				a := math.Float64frombits(uint64(in.a.arg(regs)))
 				b := math.Float64frombits(uint64(in.b.arg(regs)))
 				regs[in.dest] = evalFCmp(ir.CmpKind(in.kind), a, b)
+				lbl[in.dest] = in.a.label(lbl) | in.b.label(lbl)
 			case bcItoF:
 				regs[in.dest] = int64(math.Float64bits(float64(in.a.arg(regs))))
+				lbl[in.dest] = in.a.label(lbl)
 			case bcFtoI:
 				regs[in.dest] = int64(math.Float64frombits(uint64(in.a.arg(regs))))
+				lbl[in.dest] = in.a.label(lbl)
 			case bcMov:
 				regs[in.dest] = in.a.arg(regs)
+				lbl[in.dest] = in.a.label(lbl)
 			case bcBr:
 				if psc != nil {
 					psc.AddCycles(charged)
@@ -631,6 +785,7 @@ blockLoop:
 				prevBlk, blk = blk, int(in.t0)
 				continue blockLoop
 			case bcCondBr:
+				ctl |= in.a.label(lbl)
 				if psc != nil {
 					psc.AddCycles(charged)
 				}
@@ -644,6 +799,11 @@ blockLoop:
 			case bcCmpBr:
 				c := evalCmp(ir.CmpKind(in.kind), in.a.arg(regs), in.b.arg(regs))
 				regs[in.dest] = c
+				lbl[in.dest] = in.a.label(lbl) | in.b.label(lbl)
+				ctl |= lbl[in.dest]
+				if log != nil {
+					logSource(log, f, bb, pc, 1)
+				}
 				if psc != nil {
 					psc.AddCycles(charged)
 				}
@@ -656,6 +816,23 @@ blockLoop:
 				continue blockLoop
 			case bcFused:
 				v.Perf.FusedDispatches++
+				if sink != nil || log != nil {
+					// An observed run steps every micro, label rule and
+					// log line included, and does not chain.
+					next, cond, mi, err := v.stepMicros(f, bb, pc, 0, len(in.micro), regs, lbl)
+					if err != nil {
+						return 0, 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(fn, bb.irb, err))
+					}
+					if next < 0 {
+						break
+					}
+					ctl |= cond
+					if psc != nil {
+						psc.AddCycles(charged)
+					}
+					prevBlk, blk = blk, next
+					continue blockLoop
+				}
 				var (
 					next    int
 					exit    fusedExit
@@ -675,8 +852,8 @@ blockLoop:
 					if exit != fusedStep {
 						break
 					}
-					if err := v.stepMicro(&code[pc].micro[mi], regs); err != nil {
-						return 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(fn, bb.irb, err))
+					if _, _, _, err := v.stepMicros(f, bb, pc, mi, mi+1, regs, lbl); err != nil {
+						return 0, 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(fn, bb.irb, err))
 					}
 				}
 				if exit == fusedBranch {
@@ -687,11 +864,15 @@ blockLoop:
 					continue blockLoop
 				}
 			case bcCallFunc:
-				argv := v.argvScratch[:0]
+				// The callee copies argv and argl into its frame before
+				// it makes a call of its own, so both scratch buffers are
+				// free again by then.
+				argv, argl := v.argvScratch[:0], v.argLabels[:0]
 				for i := range in.args {
 					argv = append(argv, in.args[i].arg(regs))
+					argl = append(argl, in.args[i].label(lbl))
 				}
-				v.argvScratch = argv[:0]
+				v.argvScratch, v.argLabels = argv[:0], argl[:0]
 				var suffix uint64
 				if batched {
 					// Hand back the unexecuted tail of the block so the
@@ -703,12 +884,12 @@ blockLoop:
 						charged -= suffix
 					}
 				}
-				ret, err := v.callBC(v.prog.bcFuncs[in.off], argv)
+				ret, rl, err := v.callBC(v.prog.bcFuncs[in.off], argv, argl, ctl)
 				if err != nil {
 					if psc != nil && charged != 0 {
 						psc.AddCycles(charged)
 					}
-					return 0, err
+					return 0, 0, err
 				}
 				if suffix != 0 {
 					if v.fuelLeft >= suffix {
@@ -721,11 +902,14 @@ blockLoop:
 				}
 				if in.dest >= 0 {
 					regs[in.dest] = ret
+					lbl[in.dest] = rl
 				}
 			case bcCallBuiltin:
-				if in.ic >= 0 && v.lc != nil {
+				if in.ic >= 0 && v.lc != nil && sink == nil {
 					// Layout cache: an olr_getptr whose (base, field, class)
 					// the runtime's cache holds skips the builtin entirely.
+					// A taint run never reads it, so every olr_getptr runs
+					// its builtin.
 					if addr, ok := v.cachedGetptr(bb.irb, uint64(in.args[0].arg(regs)), in.args[1].arg(regs), uint64(in.args[2].arg(regs))); ok {
 						if in.dest >= 0 {
 							regs[in.dest] = addr
@@ -735,7 +919,7 @@ blockLoop:
 				}
 				bi := v.builtinSlots[in.off]
 				if bi == nil {
-					return 0, v.bcExitErr(f, bb, pc, charged, psc,
+					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc,
 						v.fault(fn, bb.irb, fmt.Errorf("%w: @%s", ErrUnknownFunc, in.irIn.Callee)))
 				}
 				argv := v.argvScratch[:0]
@@ -746,15 +930,22 @@ blockLoop:
 				v.callScratch = Call{VM: v, Name: in.irIn.Callee, Args: argv, RawArgs: in.irIn.Args, fn: fn, blk: bb.irb, getptr: in.ic >= 0}
 				ret, err := bi(&v.callScratch)
 				if err != nil {
-					return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 				}
 				if in.dest >= 0 {
 					regs[in.dest] = ret
 				}
+				if sink != nil {
+					l := v.taintBuiltin(in.irIn.Callee, in.args, argv, ret, lbl)
+					if in.dest >= 0 {
+						lbl[in.dest] = l
+					}
+				}
 			case bcRet, bcRetVoid:
 				var rv int64
+				var rl byte
 				if in.op == bcRet {
-					rv = in.a.arg(regs)
+					rv, rl = in.a.arg(regs), in.a.label(lbl)
 				}
 				actual := f.executedThrough(bb, pc)
 				if refund := charged - actual; refund != 0 {
@@ -764,9 +955,9 @@ blockLoop:
 				if psc != nil && actual != 0 {
 					psc.AddCycles(actual)
 				}
-				return rv, nil
+				return rv, rl, nil
 			default:
-				return 0, v.bcExitErr(f, bb, pc, charged, psc,
+				return 0, 0, v.bcExitErr(f, bb, pc, charged, psc,
 					v.fault(fn, bb.irb, fmt.Errorf("vm: bad opcode %d", in.irIn.Op)))
 			}
 		}
@@ -775,6 +966,6 @@ blockLoop:
 		if psc != nil && charged != 0 {
 			psc.AddCycles(charged)
 		}
-		return 0, v.fault(fn, bb.irb, errFellOffBlock)
+		return 0, 0, v.fault(fn, bb.irb, errFellOffBlock)
 	}
 }

@@ -7,7 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"polar/internal/core"
 	"polar/internal/fuzz"
+	"polar/internal/heap"
+	"polar/internal/instrument"
 	"polar/internal/ir"
 	"polar/internal/taint"
 	"polar/internal/vm"
@@ -93,4 +96,104 @@ func TestTypeSizeLimit(t *testing.T) {
 			t.Fatalf("%s: taint.Analyze: err = %v, want ErrLength", name, err)
 		}
 	}
+}
+
+// accessModules are the programs loading a type the engines do not
+// read whole: a 16-byte struct and a 3-byte array.
+var accessModules = []string{"load_struct.ir", "load_odd.ir"}
+
+// TestAccessTypeLimit: each access program fails with ir.ErrAccessType
+// from vm.Compile, so neither engine runs it, and from the
+// instrumentation pass, fuzz.Run and taint.Analyze. The struct load
+// used to panic the process, and the engines disagreed on the 3-byte
+// load.
+func TestAccessTypeLimit(t *testing.T) {
+	for _, name := range accessModules {
+		m := parseTestdata(t, name)
+		for _, e := range engines {
+			v, err := vm.New(m)
+			if err == nil {
+				_, err = e.run(v)
+			}
+			if !errors.Is(err, ir.ErrAccessType) || !strings.Contains(err.Error(), "@main.entry: ") {
+				t.Fatalf("%s %s: err = %v, want ErrAccessType at @main.entry", name, e.name, err)
+			}
+		}
+		if _, err := instrument.Apply(ir.Clone(m), nil); !errors.Is(err, ir.ErrAccessType) {
+			t.Fatalf("%s: instrument.Apply: err = %v, want ErrAccessType", name, err)
+		}
+		if _, err := fuzz.Run(m, [][]byte{{1}}, fuzz.Config{Iterations: 5, MaxInputLen: 4, Seed: 1}); !errors.Is(err, ir.ErrAccessType) {
+			t.Fatalf("%s: fuzz.Run: err = %v, want ErrAccessType", name, err)
+		}
+		if _, err := taint.Analyze(m, [][]byte{{1}}, taint.RunOptions{IgnoreRunErrors: true}); !errors.Is(err, ir.ErrAccessType) {
+			t.Fatalf("%s: taint.Analyze: err = %v, want ErrAccessType", name, err)
+		}
+	}
+}
+
+// TestAllocSizeWrap: an alloc of 2^61+1 8-byte elements, whose byte
+// size wraps to 8, fails with heap.ErrOutOfMemory on both engines, in
+// plain, taint and hardened runs, before the heap carves a chunk; a
+// fuzz campaign records it as a crasher and a TaintClass analysis fails
+// with it. Both engines used to carve 16 bytes and let the program
+// write 8 MB past them.
+func TestAllocSizeWrap(t *testing.T) {
+	m := parseTestdata(t, "alloc_wrap.ir")
+	prog, err := vm.Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hard := harden(t, m, nil)
+	for _, e := range engines {
+		hv, _ := hard.instance(t, core.DefaultConfig(1))
+		for _, run := range []struct {
+			name string
+			v    *vm.VM
+		}{
+			{"plain", mustInstance(t, prog)},
+			{"taint", mustInstance(t, prog, vm.WithTaint(taint.NewReport()))},
+			{"hardened", hv},
+		} {
+			if _, err := e.run(run.v); !errors.Is(err, heap.ErrOutOfMemory) || !strings.HasPrefix(err.Error(), "@main.entry: ") {
+				t.Fatalf("%s %s: err = %v, want ErrOutOfMemory at @main.entry", run.name, e.name, err)
+			}
+			if n := run.v.Heap.Stats().Allocs; n != 0 {
+				t.Fatalf("%s %s: the failed alloc carved %d chunks", run.name, e.name, n)
+			}
+		}
+	}
+	res, err := fuzz.Run(m, [][]byte{{1}}, fuzz.Config{Iterations: 5, MaxInputLen: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Crashers) == 0 {
+		t.Fatal("the campaign recorded no crasher")
+	}
+	if _, err := taint.Analyze(m, [][]byte{{1}}, taint.RunOptions{}); !errors.Is(err, heap.ErrOutOfMemory) {
+		t.Fatalf("taint.Analyze: err = %v, want ErrOutOfMemory", err)
+	}
+}
+
+// parseTestdata parses testdata/name.
+func parseTestdata(t *testing.T, name string) *ir.Module {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ir.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// mustInstance stamps an instance of prog.
+func mustInstance(t *testing.T, prog *vm.Program, opts ...vm.Option) *vm.VM {
+	t.Helper()
+	v, err := prog.NewInstance(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

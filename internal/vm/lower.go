@@ -25,8 +25,8 @@ import (
 //     the per-call frame the interpreter must zero and keeping hot
 //     registers on the same cache lines.
 //
-// Observed runs (taint runs, and runs with the instruction log
-// attached) execute the same lowering through callObserved: a taint
+// Every run executes this one lowering in callBC, observed runs (taint
+// runs, and runs with the instruction log attached) included: a taint
 // run's register labels use the allocated register numbers, and the log
 // maps each micro or pair half back to its source instruction through
 // the block's weights.

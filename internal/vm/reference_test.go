@@ -13,10 +13,10 @@ import (
 // This file is the tree-walking reference interpreter: it executes the
 // source IR directly, one *ir.Instr at a time, resolving every operand
 // and callee by name as it goes. It is test-only. Shipped code runs the
-// bytecode engine (exec_fast.go, exec_observed.go); the differential
-// suites run the same instances here and demand identical results,
-// Stats, outputs, coverage, profiles, taint reports, instruction logs,
-// execution traces and runtime records.
+// bytecode engine (exec_fast.go); the differential suites run the same
+// instances here and demand identical results, Stats, outputs,
+// coverage, profiles, taint reports, instruction logs, execution traces
+// and runtime records.
 //
 // The reference shares the instance's state (memory, heap, fuel, Stats,
 // layout cache, observers, taint sink) with the bytecode engine, so a
@@ -224,14 +224,14 @@ func (r *refEngine) call(fn *ir.Func, args []ir.Value, callerRegs []int64, calle
 
 			switch in.Op {
 			case ir.OpAlloc:
-				count := 1
+				var n int64 = 1
 				if len(in.Args) == 1 {
-					count = int(v.resolve(regs, in.Args[0]))
-					if count < 1 {
-						count = 1
-					}
+					n = v.resolve(regs, in.Args[0])
 				}
-				size := in.Type.Size() * count
+				size, count, err := allocSize(in.Type.Size(), n)
+				if err != nil {
+					return 0, 0, v.fault(fn, b, err)
+				}
 				addr, err := v.Heap.Alloc(size)
 				if err != nil {
 					return 0, 0, v.fault(fn, b, err)

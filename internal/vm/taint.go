@@ -7,11 +7,12 @@ import (
 )
 
 // This file holds the state of a taint run (WithTaint): DFSan's
-// propagation rules run inline in the observed dispatch loop
-// (exec_observed.go) as one-bit byte operations beside the values they
-// shadow, and the VM calls out to a TaintSink only for what a report
-// records. A label is 1 when a value or byte depends on the program's
-// input (the input_* builtins are the sources) and 0 otherwise.
+// propagation rules run inline in the dispatch loop (callBC and its
+// micro stepper, exec_fast.go) as one-bit byte operations beside the
+// values they shadow, and the VM calls out to a TaintSink only for what
+// a report records. A label is 1 when a value or byte depends on the
+// program's input (the input_* builtins are the sources) and 0
+// otherwise.
 
 // TaintSink receives what a taint run reports. The VM resolves the
 // object and its class itself, from the heap's chunk map and its typed
@@ -27,10 +28,10 @@ type TaintSink interface {
 }
 
 // WithTaint runs the instance as a TaintClass taint run reporting into
-// sink. The instance runs observed: the Program's one lowering through
-// callObserved, with a label beside every register and every byte of
-// memory, and no layout-cache reads, so every olr_getptr runs its
-// builtin.
+// sink. The instance runs observed: the Program's one lowering in
+// callBC, fused runs stepped one micro at a time, with a label beside
+// every register and every byte of memory, and no layout-cache reads,
+// so every olr_getptr runs its builtin.
 func WithTaint(sink TaintSink) Option {
 	return func(v *VM) { v.taint = sink }
 }
@@ -46,7 +47,8 @@ func (a bcArg) label(lbl []byte) byte {
 }
 
 // getLabels returns a zeroed label frame of n registers, pooled like
-// getFrame.
+// getFrame. Every call takes one, so labels are written without a
+// branch in every run.
 func (v *VM) getLabels(n int) []byte {
 	if l := len(v.labelPool); l > 0 {
 		fr := v.labelPool[l-1]

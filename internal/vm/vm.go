@@ -120,9 +120,10 @@ type VM struct {
 
 	builtins map[string]Builtin
 
-	// taint is the sink of a taint run (nil = not one); shadow holds
-	// its memory labels, labelPool its register label frames and
-	// argLabels the argument labels a call hands its callee (taint.go).
+	// taint is the sink of a taint run (nil = not one) and shadow its
+	// memory labels; labelPool holds the register label frames every
+	// call takes and argLabels the argument labels a call hands its
+	// callee (taint.go).
 	taint     TaintSink
 	shadow    shadowMem
 	labelPool [][]byte
@@ -253,10 +254,10 @@ func WithHeapRand(seed int64) Option {
 // WithTrace streams every executed instruction to w as
 // "@fn.block\tinstr" lines, stopping after maxLines (0 = unlimited).
 // Tracing is a debugging facility; it slows execution substantially.
-// The instance runs observed (callObserved), one line per source
-// instruction, fused runs included. The stream is produced by a
-// telemetry.InstrLog; the text format and this option's signature are
-// stable.
+// The instance runs observed: callBC writes one line per source
+// instruction, stepping fused runs one micro at a time. The stream is
+// produced by a telemetry.InstrLog; the text format and this option's
+// signature are stable.
 func WithTrace(w io.Writer, maxLines int) Option {
 	return func(v *VM) { v.instrLog = telemetry.NewInstrLog(w, maxLines) }
 }
@@ -440,12 +441,8 @@ func (v *VM) dispatchEntry(name string, args []int64) (int64, error) {
 		}
 		return 0, fmt.Errorf("%w: @%s", ErrUnknownFunc, name)
 	}
-	f := v.prog.bcFuncs[idx]
-	if v.taint == nil && v.instrLog == nil {
-		return v.callBC(f, args)
-	}
 	// Top-level arguments carry no taint, and no branch has been taken.
-	ret, _, err := v.callObserved(f, args, nil, 0)
+	ret, _, err := v.callBC(v.prog.bcFuncs[idx], args, nil, 0)
 	return ret, err
 }
 
@@ -483,6 +480,19 @@ func (v *VM) FuncByHandle(h int64) (*ir.Func, bool) {
 
 func (v *VM) fault(fn *ir.Func, b *ir.Block, err error) error {
 	return fmt.Errorf("@%s.%s: %w", fn.Name, b.Name, err)
+}
+
+// allocSize is the byte size of an alloc of n elements (at least one)
+// of elem bytes, with the element count it used. A size that overflows
+// int fails with heap.ErrOutOfMemory, as a size the heap cannot hold
+// does, before the heap carves anything: wrapped, it would carve a
+// chunk smaller than the program indexes.
+func allocSize(elem int, n int64) (size, count int, err error) {
+	count = int(max(n, 1))
+	if elem > 0 && count > math.MaxInt/elem {
+		return 0, 0, fmt.Errorf("%w: %d elements of %d bytes", heap.ErrOutOfMemory, count, elem)
+	}
+	return elem * count, count, nil
 }
 
 func evalBin(op ir.BinKind, a, b int64) (int64, error) {
