@@ -13,10 +13,10 @@
 // -json emits the same report as deterministic JSON for scripts and CI.
 //
 // -lowered appends the lowered-bytecode section: per-function dispatch
-// counts vs. source instructions, fused superinstruction runs and their
-// micro-op totals, inline layout-cache sites and the operand-file width
-// after register allocation, plus the program fingerprint (DESIGN.md
-// §13). Lowered code is a pure function of the module: the CI
+// counts vs. source instructions, fused runs and their micro-op
+// totals, inline layout-cache sites and the operand-file width after
+// register allocation, plus the program fingerprint (DESIGN.md §13).
+// Lowered code is a pure function of the module: the CI
 // determinism gate runs polarstat -lowered twice and compares
 // fingerprints across processes.
 //
@@ -103,12 +103,12 @@ func printLowered(m *polar.Module) error {
 		return err
 	}
 	fmt.Printf("\nlowered bytecode (fingerprint %016x)\n", prep.Fingerprint())
-	fmt.Printf("%-20s %8s %10s %6s %7s %8s %4s %8s\n",
-		"function", "source", "dispatches", "fused", "micros", "classic", "ic", "regs")
+	fmt.Printf("%-20s %8s %10s %6s %7s %4s %8s\n",
+		"function", "source", "dispatches", "fused", "micros", "ic", "regs")
 	for _, fs := range prep.LoweredStats() {
-		fmt.Printf("%-20s %8d %10d %6d %7d %8d %4d %8s\n",
+		fmt.Printf("%-20s %8d %10d %6d %7d %4d %8s\n",
 			fs.Name, fs.SourceInstrs, fs.Dispatches, fs.FusedRuns, fs.FusedMicros,
-			fs.ClassicPairs, fs.ICSites, fmt.Sprintf("%d/%d", fs.OperandRegs, fs.SourceRegs))
+			fs.ICSites, fmt.Sprintf("%d/%d", fs.OperandRegs, fs.SourceRegs))
 	}
 	return nil
 }

@@ -39,7 +39,8 @@ func TestAbortStillWritesReports(t *testing.T) {
 // and alloc-wrap programs fail with their typed errors, plain and
 // -harden, where they used to kill the process, run with truncated
 // sizes or write past a wrapped allocation. Hardened, the struct
-// holding a 2.4 GB array is an olr_malloc the heap cannot hold.
+// holding a 2.4 GB array is an olr_malloc the heap cannot hold, and an
+// invalid program is the input's fault, not the instrumentation's.
 func TestHostileIRFailsTyped(t *testing.T) {
 	for _, tc := range []struct {
 		file       string
@@ -61,8 +62,8 @@ func TestHostileIRFailsTyped(t *testing.T) {
 		if err := run(runConfig{runs: 1}); !errors.Is(err, tc.want) {
 			t.Errorf("%s: run = %v, want %v", tc.file, err, tc.want)
 		}
-		if err := run(runConfig{harden: true, runs: 1}); !errors.Is(err, tc.hard) {
-			t.Errorf("%s -harden: run = %v, want %v", tc.file, err, tc.hard)
+		if err := run(runConfig{harden: true, runs: 1}); !errors.Is(err, tc.hard) || strings.Contains(err.Error(), "produced invalid module") {
+			t.Errorf("%s -harden: run = %v, want %v blamed on the input", tc.file, err, tc.hard)
 		}
 	}
 }

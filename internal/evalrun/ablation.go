@@ -24,8 +24,9 @@ type AblationRow struct {
 	// MetaBytesPerLive is the strategy's metadata footprint amortized
 	// over the peak live-object population (bytes/object; 0 stateless).
 	MetaBytesPerLive float64
-	// FusedDispatches counts bcFused superinstruction dispatches in the
-	// representative run.
+	// FusedDispatches counts bcFused dispatches in the representative
+	// run: every straight-line dispatch, since each straight-line
+	// instruction is a micro of a fused run.
 	FusedDispatches uint64
 	// ICHitPct is the dispatch loops' layout-cache hit rate in that run
 	// (hits / (hits+misses)). In metadata mode it is the offset cache's

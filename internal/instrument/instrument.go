@@ -54,8 +54,12 @@ func Apply(m *ir.Module, targets []string) (*Result, error) {
 
 // ApplyTraced is Apply with pipeline-phase tracing: when tr is non-nil
 // the CIE analysis and the rewrite pass are emitted as "cie" and
-// "instrument" spans on the trace timeline.
+// "instrument" spans on the trace timeline. An invalid input fails
+// before either runs, with the validator's error wrapped.
 func ApplyTraced(m *ir.Module, targets []string, tr *telemetry.Tracer) (*Result, error) {
+	if err := ir.Validate(m); err != nil {
+		return nil, fmt.Errorf("instrument: invalid input module: %w", err)
+	}
 	var sp *telemetry.Span
 	if tr != nil {
 		sp = tr.Begin("cie", "pipeline")

@@ -20,6 +20,65 @@ var ErrTooManyRegs = errors.New("ir: register number out of range")
 // integer, f64 or pointer of 1, 2, 4 or 8 bytes.
 var ErrAccessType = errors.New("ir: load or store of a non-scalar type")
 
+// ErrOperands is wrapped by the validation error of an instruction
+// that lacks an operand, branch target, type or destination register
+// its op needs. The parser rejects each such shape; a module built in
+// Go can still hold one.
+var ErrOperands = errors.New("ir: instruction lacks an operand its op needs")
+
+// opNeed is what an instruction of one op must carry: at least args
+// operands and blocks branch targets, a type when typed, a destination
+// register when dest.
+type opNeed struct {
+	args, blocks int
+	typed, dest  bool
+}
+
+// opNeeds gives each op's opNeed. A load's type is checked by
+// scalarAccess, a fieldptr's struct on its own; calls and returns need
+// nothing fixed.
+var opNeeds = [...]opNeed{
+	OpAlloc:    {typed: true, dest: true},
+	OpLocal:    {typed: true, dest: true},
+	OpFree:     {args: 1},
+	OpLoad:     {args: 1, dest: true},
+	OpStore:    {args: 2},
+	OpMemcpy:   {args: 3},
+	OpMemset:   {args: 3},
+	OpFieldPtr: {args: 1, dest: true},
+	OpElemPtr:  {args: 2, typed: true, dest: true},
+	OpPtrAdd:   {args: 2, dest: true},
+	OpBin:      {args: 2, dest: true},
+	OpCmp:      {args: 2, dest: true},
+	OpFBin:     {args: 2, dest: true},
+	OpFCmp:     {args: 2, dest: true},
+	OpItoF:     {args: 1, dest: true},
+	OpFtoI:     {args: 1, dest: true},
+	OpMov:      {args: 1, dest: true},
+	OpBr:       {blocks: 1},
+	OpCondBr:   {args: 1, blocks: 2},
+	OpCall:     {},
+	OpRet:      {},
+}
+
+// missing names what in lacks of its op's opNeed ("" when nothing).
+func missing(in *Instr) string {
+	if in.Op < 0 || int(in.Op) >= len(opNeeds) {
+		return ""
+	}
+	switch n := opNeeds[in.Op]; {
+	case len(in.Args) < n.args:
+		return fmt.Sprintf("%d operands, not %d", len(in.Args), n.args)
+	case len(in.Blocks) < n.blocks:
+		return fmt.Sprintf("%d branch targets, not %d", len(in.Blocks), n.blocks)
+	case n.typed && in.Type == nil:
+		return "no type"
+	case n.dest && in.Dest < 0:
+		return "no destination register"
+	}
+	return ""
+}
+
 // scalarAccess reports whether a load or store may name t.
 func scalarAccess(t Type) bool {
 	if t == nil {
@@ -39,7 +98,7 @@ func scalarAccess(t Type) bool {
 type ValidationError struct {
 	Problems []string
 	// Err is the sentinel one of the problems wraps (ErrTooManyRegs,
-	// ErrAccessType), or nil.
+	// ErrAccessType, ErrOperands), or nil.
 	Err error
 }
 
@@ -56,13 +115,14 @@ func (e *ValidationError) Unwrap() error { return e.Err }
 
 // Validate checks structural well-formedness: function and global
 // names are unique, every block ends in exactly one terminator (and has
-// no interior terminators), branch targets are in range, register
-// numbers are in range, loads and stores name a scalar type, callees
-// that are not builtins exist, field indices are valid, and globals
-// referenced by operands exist. Builtin callees (any name starting
-// with a known builtin prefix) are resolved at run time by the VM, so
-// unknown callees are only flagged when they look like module-internal
-// names.
+// no interior terminators), every instruction carries the operands,
+// branch targets, type and destination its op needs, branch targets
+// are in range, register numbers are in range, loads and stores name a
+// scalar type, callees that are not builtins exist, field indices are
+// valid, and globals referenced by operands exist. Builtin callees (any
+// name starting with a known builtin prefix) are resolved at run time
+// by the VM, so unknown callees are only flagged when they look like
+// module-internal names.
 func Validate(m *Module) error {
 	var probs []string
 	addf := func(format string, args ...any) {
@@ -110,6 +170,10 @@ func Validate(m *Module) error {
 					} else {
 						addf("@%s.%s: terminator mid-block at instr %d", f.Name, blk.Name, ii)
 					}
+				}
+				if what := missing(in); what != "" {
+					addf("@%s.%s: instr %d has %s", f.Name, blk.Name, ii, what)
+					sentinel = ErrOperands
 				}
 				if in.Dest >= f.NumRegs {
 					addf("@%s.%s: dest %%r%d out of range (NumRegs=%d)", f.Name, blk.Name, in.Dest, f.NumRegs)

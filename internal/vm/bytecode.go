@@ -4,8 +4,9 @@ import "polar/internal/ir"
 
 // This file defines the lowered form the bytecode engine executes: a
 // dense flat instruction array per function with every operand resolved
-// at compile time. The lowering itself lives in lower.go, the dispatch
-// loop in exec_fast.go.
+// at compile time, in which each run of straight-line code is one
+// bcFused micro-op run. The lowering itself lives in lower.go, the
+// dispatch loop in exec_fast.go.
 //
 // Operand pre-resolution collapses the five ir.Value kinds into two:
 // registers and 64-bit immediates. Integer and float constants are
@@ -14,10 +15,10 @@ import "polar/internal/ir"
 // assigned them; function references become their precomputed handles.
 // The dispatch loop therefore never touches a string map.
 
-// bcOp is a lowered opcode. The set mirrors ir.Op plus the fused
-// superinstructions the hot-site profiler surfaced as the dominant
-// adjacent pairs (fieldptr feeding a load or store, and a compare
-// feeding the block's conditional branch).
+// bcOp is a lowered opcode. Straight-line code has one form: every
+// maximal run of fusable source instructions, a lone one included, is a
+// bcFused micro-op run. The other opcodes are the instructions that
+// touch the heap, the stack, calls or returns.
 type bcOp uint8
 
 // Lowered opcodes.
@@ -26,42 +27,20 @@ const (
 	bcAlloc
 	bcLocal
 	bcFree
-	bcLoad
-	bcStore
 	bcMemcpy
 	bcMemset
-	bcFieldPtr
-	bcElemPtr
-	bcPtrAdd
-	bcBin
-	bcFBin
-	bcCmp
-	bcFCmp
-	bcItoF
-	bcFtoI
-	bcMov
-	bcBr
-	bcCondBr
 	bcCallFunc
 	bcCallBuiltin
 	bcRet
 	bcRetVoid
 
-	// Superinstructions. Each executes two source instructions and
-	// weighs 2 in fuel/stats/profiler accounting; the intermediate
-	// register is still written, so later (or out-of-order) uses of the
-	// fieldptr result or the compare flag observe identical state.
-	bcFieldLoad  // dest = base+off; d2 = load dest
-	bcFieldStore // dest = base+off; store b through it
-	bcCmpBr      // dest = cmp(a,b); branch on it
-
-	// bcFused is the generalized superinstruction: one dispatch executes
-	// an arbitrary straight-line run of fusable source instructions as a
-	// micro-op sequence (bcInstr.micro). Its weight is the micro count,
-	// so fuel, Stats.Instructions and per-site profiler cycles account
-	// exactly as if each source instruction had dispatched on its own;
-	// every intermediate register is still written. The run may end with
-	// the block terminator (br/condbr), in which case the last micro
+	// bcFused executes a straight-line run of fusable source
+	// instructions as a micro-op sequence (bcInstr.micro) in one
+	// dispatch. Its weight is the micro count, so fuel,
+	// Stats.Instructions and per-site profiler cycles account exactly as
+	// if each source instruction had dispatched on its own; every
+	// intermediate register is still written. The run may end with the
+	// block terminator (br/condbr), in which case the last micro
 	// performs the branch.
 	bcFused
 )
@@ -70,14 +49,10 @@ const (
 // for. It is a bcInstr method (not a bcOp one) because bcFused weighs
 // len(micro).
 func (in *bcInstr) weight() uint32 {
-	switch {
-	case in.op == bcFused:
+	if in.op == bcFused {
 		return uint32(len(in.micro))
-	case in.op >= bcFieldLoad:
-		return 2
-	default:
-		return 1
 	}
+	return 1
 }
 
 // bcArg is a pre-resolved operand: an immediate, or a register index
@@ -96,9 +71,9 @@ func (a bcArg) arg(regs []int64) int64 {
 	return a.v
 }
 
-// mcOp is a micro-opcode inside a bcFused run. The set is exactly the
-// fusable subset of bcOp: straight-line register/memory/arithmetic
-// work plus the block terminators. Ops with side channels beyond
+// mcOp is a micro-opcode inside a bcFused run: straight-line
+// register/memory/arithmetic work plus the block terminators, one per
+// fusable source op. Ops with side channels beyond
 // registers, memory and Stats.FieldAccess (allocation, free, memcpy,
 // memset, calls, returns) are never fused — they would need telemetry
 // and accounting hooks inside the micro loop.
@@ -148,9 +123,10 @@ const (
 // mcInstr is one micro-op of a fused run: a fully pre-decoded
 // single-source-instruction operation. Operands collapse to an int64
 // that is either an immediate or (when aReg/bReg) a register index.
-// Field roles mirror bcInstr: size is the load/store width or elemptr
-// element size, off the fieldptr byte offset or a branch's first
-// target, t1 a condbr's false target.
+// size is the load/store width or elemptr element size, off the
+// fieldptr byte offset or a branch's first target, t1 a condbr's false
+// target, kind the ir.BinKind/ir.CmpKind payload and signShift 64-8*size
+// for sign-extending integer loads (0 otherwise).
 type mcInstr struct {
 	op         mcOp
 	kind       uint8
@@ -166,33 +142,22 @@ type mcInstr struct {
 // bcInstr is one lowered instruction. Field meaning varies by opcode:
 //
 //	dest       destination register (-1 if none)
-//	d2         fused second destination (bcFieldLoad's load register)
-//	size       load/store/local/memset width, elemptr element size,
-//	           alloc element size
-//	off        fieldptr byte offset (compile-time constant — the
-//	           Struct.Offset call is gone from the hot path), or the
-//	           callee index for calls
-//	t0, t1     successor block indices for branches
-//	kind       ir.BinKind / ir.CmpKind payload
-//	signShift  64-8*size for sign-extending integer loads, 0 otherwise
+//	size       local width, alloc element size
+//	off        the callee index for calls
 //	st         struct type for typed allocations
 //	irIn       the source instruction — kept for calls (builtin name and
 //	           raw operands for the Call ABI) and diagnostics; never
 //	           consulted by the fused straight-line hot path
 //	args       call arguments
 type bcInstr struct {
-	op        bcOp
-	kind      uint8
-	signShift uint8
-	dest      int32
-	d2        int32
-	size      int32
-	off       int32
-	t0, t1    int32
-	a, b, c   bcArg
-	st        *ir.StructType
-	irIn      *ir.Instr
-	args      []bcArg
+	op      bcOp
+	dest    int32
+	size    int32
+	off     int32
+	a, b, c bcArg
+	st      *ir.StructType
+	irIn    *ir.Instr
+	args    []bcArg
 	// micro is the pre-decoded micro-op sequence of a bcFused run (nil
 	// for every other opcode); irIn then points at the run's first
 	// source instruction.

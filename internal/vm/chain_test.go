@@ -71,7 +71,7 @@ const chainSlack = 8
 // fuel value from 0 up, run-length encoded as (value, repeat) pairs:
 // the first pair of mode 0 says fuel 0 through 4 dispatch no fused run.
 var chainFused = map[int64][]uint64{
-	0: {0, 5, 1, 3, 2, 6, 3, 3, 4, 6, 5, 3, 6, 6, 7, 3, 8, 6, 9, 3, 10, 6, 11, 3, 12, 6, 13, 3, 14, 5, 15, 4, 16, 4, 17, 4, 18, 4, 19, 4, 20, 6, 21, 6, 22, 6, 23, 6, 24, 12},
+	0: {0, 5, 1, 3, 2, 6, 3, 3, 4, 6, 5, 3, 6, 6, 7, 3, 8, 6, 9, 3, 10, 6, 11, 3, 12, 6, 13, 3, 14, 2, 15, 3, 16, 4, 17, 4, 18, 4, 19, 4, 20, 4, 21, 6, 22, 6, 23, 6, 24, 6, 25, 1, 26, 11},
 	1: {0, 5, 1, 3, 2, 4, 3, 4, 4, 4, 5, 7},
 	2: {0, 5, 1, 3, 2, 6, 3, 4, 4, 4, 5, 4, 6, 4, 7, 6},
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // richModule builds a module exercising every opcode — allocation,
-// loads/stores of every width, the fused pairs (fieldptr+load,
+// loads/stores of every width, the dependent pairs (fieldptr+load,
 // fieldptr+store, cmp+condbr), float ops, conversions, memcpy/memset,
 // elemptr/ptradd, global and func-ref operands, recursion, builtins —
 // so one differential run covers the whole lowering surface.
@@ -379,8 +379,8 @@ func TestRegisterBuiltinRebindsBothEngines(t *testing.T) {
 }
 
 // pairsModule is a module whose every maximal fusable run is exactly
-// one classic pair: fieldptr+store, fieldptr+load and cmp+condbr, each
-// fenced by instructions that never fuse.
+// one dependent pair: fieldptr+store, fieldptr+load and cmp+condbr,
+// each fenced by instructions that never fuse.
 func pairsModule() *ir.Module {
 	m := ir.NewModule("pairs")
 	st := m.MustStruct(ir.NewStruct("P", ir.Field{Name: "a", Type: ir.I64}))
@@ -396,20 +396,10 @@ func pairsModule() *ir.Module {
 }
 
 // TestLoweringFusesPairs sanity-checks the lowered form itself: the
-// rich module must contain generalized bcFused runs, and a module whose
-// maximal runs are exactly the classic pairs must lower each to its
-// pair superinstruction — otherwise the differential tests exercise
-// nothing on one of the two fusion paths.
+// rich module must contain bcFused runs that account their micros, and
+// a module whose maximal runs are dependent pairs must lower each to a
+// 2-micro run that both engines execute alike.
 func TestLoweringFusesPairs(t *testing.T) {
-	countOps := func(p *Program) map[bcOp]int {
-		found := map[bcOp]int{}
-		for _, bf := range p.bcFuncs {
-			for i := range bf.code {
-				found[bf.code[i].op]++
-			}
-		}
-		return found
-	}
 	checkWeights := func(p *Program) {
 		// Weight bookkeeping: per function, block costs sum to the source
 		// instruction count regardless of how the fuser carved the runs.
@@ -427,28 +417,32 @@ func TestLoweringFusesPairs(t *testing.T) {
 			}
 		}
 	}
+	// runs lists the micro-op sequence of every bcFused run.
+	runs := func(p *Program) [][]mcOp {
+		var out [][]mcOp
+		for _, bf := range p.bcFuncs {
+			for i := range bf.code {
+				if in := &bf.code[i]; in.op == bcFused {
+					ops := make([]mcOp, len(in.micro))
+					for mi := range in.micro {
+						ops[mi] = in.micro[mi].op
+					}
+					out = append(out, ops)
+					if in.weight() != uint32(len(in.micro)) {
+						t.Errorf("@%s: bcFused weight %d != %d micros", bf.fn.Name, in.weight(), len(in.micro))
+					}
+				}
+			}
+		}
+		return out
+	}
 
 	p, err := Compile(richModule(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := countOps(p)
-	if found[bcFused] == 0 {
-		t.Errorf("fuse-all lowering produced no bcFused runs (counts: %v)", found)
-	}
-	// Every fused run must account as many source instructions as it
-	// carries micro-ops.
-	for _, bf := range p.bcFuncs {
-		for i := range bf.code {
-			if in := &bf.code[i]; in.op == bcFused {
-				if len(in.micro) < 2 {
-					t.Errorf("@%s: bcFused with %d micros", bf.fn.Name, len(in.micro))
-				}
-				if in.weight() != uint32(len(in.micro)) {
-					t.Errorf("@%s: bcFused weight %d != %d micros", bf.fn.Name, in.weight(), len(in.micro))
-				}
-			}
-		}
+	if len(runs(p)) == 0 {
+		t.Error("the all-opcode module lowered no bcFused run")
 	}
 	checkWeights(p)
 
@@ -456,14 +450,9 @@ func TestLoweringFusesPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	classic := countOps(pc)
-	if classic[bcFused] != 0 {
-		t.Errorf("pair-only module produced %d bcFused runs", classic[bcFused])
-	}
-	for _, op := range []bcOp{bcFieldLoad, bcFieldStore, bcCmpBr} {
-		if classic[op] != 1 {
-			t.Errorf("pair-only module lowered to %d %d superinstructions, want 1 (counts: %v)", classic[op], op, classic)
-		}
+	want := [][]mcOp{{mcFieldPtr, mcStore8}, {mcFieldPtr, mcLoad8}, {mcCmpLt, mcCondBr}}
+	if got := runs(pc); !reflect.DeepEqual(got, want) {
+		t.Errorf("pair module lowered to runs %v, want %v", got, want)
 	}
 	checkWeights(pc)
 	for _, e := range engines {

@@ -20,9 +20,16 @@ import (
 // reports and instruction log. The differential suites in this package
 // hold it to that contract.
 //
+// Straight-line code has one form, the bcFused micro-op run (a lone
+// load, store or branch is a run of one micro), so its semantics live in
+// two switches: the kernel's (runFused) and the stepper's (stepMicros).
+// callBC's own switch holds only the instructions that touch the heap,
+// the stack, calls or returns, and every branch is taken in its bcFused
+// case.
+//
 // The speed comes from work moved to compile time (operand kinds, global
 // addresses, func handles, field offsets, load widths, callee binding)
-// plus four dynamic techniques:
+// plus three dynamic techniques:
 //
 //   - Batched accounting: when the remaining fuel covers a whole block,
 //     fuel and the instruction counter are charged once at block entry.
@@ -30,15 +37,14 @@ import (
 //     suffix using the precomputed wTo prefix weights, and a call
 //     un-batches the suffix around the callee so fuel exhaustion surfaces
 //     at the exact instruction the tree-walker reports.
-//   - Superinstructions: the dominant adjacent pairs dispatch once but
-//     account as two source instructions; at a fuel boundary the first
-//     half executes alone (fuelOut) so the cutoff is indistinguishable
-//     from the tree-walker's.
 //   - The fused-run kernel: bcFused micro-op runs execute in runFused, a
 //     small function of its own whose fast path makes no calls. A micro
 //     that needs one (a page-cache miss, a sub-word store, a zero
 //     divisor, a float rem) returns to callBC, which runs it through
-//     stepMicros and re-enters the kernel.
+//     stepMicros and re-enters the kernel. A run dispatches once but
+//     accounts as its micro count; at a fuel boundary its affordable
+//     prefix executes alone (fuelOut), so the cutoff is
+//     indistinguishable from the tree-walker's.
 //   - Block chaining: at a taken branch the kernel enters the target
 //     itself when the target is one fused run ending in its terminator,
 //     no profiler is attached and the fuel covers the whole target. It
@@ -55,8 +61,7 @@ import (
 //
 // The instruction log writes one line per source instruction, before it
 // executes, at the points and in the order of the reference
-// tree-walker: a fused run writes one line per micro and a pair
-// superinstruction one per half (logSource).
+// tree-walker: a fused run writes one line per micro (logSource).
 //
 // A taint run propagates DFSan's rules inline, in the case that computes
 // the value: a one-byte label per register (lbl, indexed like regs), a
@@ -73,10 +78,10 @@ import (
 var errFellOffBlock = errors.New("vm: fell off block end")
 
 // logSource writes the log line of the sub-th source instruction of the
-// lowered instruction at pc: micro sub of a fused run, half sub of a
-// pair superinstruction. Lowering keeps source order and an
-// instruction's weight counts its source instructions, so the line's
-// instruction sits at the block weight before pc, plus sub.
+// lowered instruction at pc (micro sub of a fused run, 0 otherwise).
+// Lowering keeps source order and an instruction's weight counts its
+// source instructions, so the line's instruction sits at the block
+// weight before pc, plus sub.
 func logSource(log *telemetry.InstrLog, f *bcFunc, bb *bcBlock, pc int32, sub int) {
 	in := &bb.irb.Instrs[int(f.wTo[pc]-f.wTo[bb.start])+sub]
 	log.Emit(f.fn.Name, bb.irb.Name, ir.FormatInstr(f.fn, in))
@@ -108,40 +113,19 @@ func (v *VM) bcExitErrAt(f *bcFunc, bb *bcBlock, pc int32, sub uint32, charged u
 
 // fuelOut ends a call whose remaining fuel cannot cover the instruction
 // at pc, exactly as the tree-walker would: it executes the fuelLeft
-// source instructions the fuel affords — a prefix of a fused run, or
-// the first half of a pair superinstruction — and then fails the fuel
+// source instructions the fuel affords — a prefix of a fused run, the
+// only instruction that weighs more than 1 — and then fails the fuel
 // check, or faults mid-prefix with the prefix charged
 // (count-then-execute per micro). charged is what the block has charged
 // before pc.
 func (v *VM) fuelOut(f *bcFunc, bb *bcBlock, pc int32, regs []int64, lbl []byte, charged uint64, psc *profile.SiteCounts) error {
-	in := &f.code[pc]
-	switch k := v.fuelLeft; {
-	case in.op == bcFused && k > 0:
+	if k := v.fuelLeft; k > 0 {
 		v.fuelLeft = 0
 		v.Stats.Instructions += k
 		charged += k
 		if _, _, mi, err := v.stepMicros(f, bb, pc, 0, int(k), regs, lbl); err != nil {
 			return v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(f.fn, bb.irb, err))
 		}
-	case k == 1 && in.weight() == 2:
-		// The first half of a pair executes alone, label and log line
-		// included: a fieldptr, or a compare.
-		if v.instrLog != nil {
-			logSource(v.instrLog, f, bb, pc, 0)
-		}
-		l := in.a.label(lbl)
-		switch in.op {
-		case bcFieldLoad, bcFieldStore:
-			regs[in.dest] = int64(uint64(in.a.arg(regs)) + uint64(in.off))
-			v.Stats.FieldAccess++
-		case bcCmpBr:
-			regs[in.dest] = evalCmp(ir.CmpKind(in.kind), in.a.arg(regs), in.b.arg(regs))
-			l |= in.b.label(lbl)
-		}
-		lbl[in.dest] = l
-		v.fuelLeft = 0
-		v.Stats.Instructions++
-		charged++
 	}
 	if psc != nil && charged != 0 {
 		psc.AddCycles(charged)
@@ -634,35 +618,6 @@ blockLoop:
 					v.tel.Emit(telemetry.Event{Kind: telemetry.EvFree, Addr: addr})
 				}
 				delete(v.objects, addr)
-			case bcLoad:
-				addr := uint64(in.a.arg(regs))
-				u, ok := mem.readFast(addr, in.size)
-				if !ok {
-					var err error
-					u, err = mem.ReadU(addr, int(in.size))
-					if err != nil {
-						return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
-					}
-				}
-				if s := in.signShift; s != 0 {
-					regs[in.dest] = int64(u<<s) >> s
-				} else {
-					regs[in.dest] = int64(u)
-				}
-				if sink != nil {
-					lbl[in.dest] = v.shadow.rangeOr(addr, int(in.size))
-				}
-			case bcStore:
-				addr := uint64(in.b.arg(regs))
-				val := in.a.arg(regs)
-				if in.size != 8 || !mem.write8Fast(addr, uint64(val)) {
-					if err := mem.WriteU(addr, int(in.size), uint64(val)); err != nil {
-						return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
-					}
-				}
-				if sink != nil {
-					v.taintStore(addr, int(in.size), in.a.label(lbl))
-				}
 			case bcMemcpy:
 				dst := uint64(in.a.arg(regs))
 				src := uint64(in.b.arg(regs))
@@ -691,129 +646,6 @@ blockLoop:
 					// A constant fill clears the labels.
 					v.shadow.setRange(dst, n, 0)
 				}
-			case bcFieldPtr:
-				regs[in.dest] = int64(uint64(in.a.arg(regs)) + uint64(in.off))
-				v.Stats.FieldAccess++
-				lbl[in.dest] = in.a.label(lbl)
-			case bcFieldLoad:
-				p := uint64(in.a.arg(regs)) + uint64(in.off)
-				regs[in.dest] = int64(p)
-				v.Stats.FieldAccess++
-				lbl[in.dest] = in.a.label(lbl)
-				if log != nil {
-					logSource(log, f, bb, pc, 1)
-				}
-				u, ok := mem.readFast(p, in.size)
-				if !ok {
-					var err error
-					u, err = mem.ReadU(p, int(in.size))
-					if err != nil {
-						return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
-					}
-				}
-				if s := in.signShift; s != 0 {
-					regs[in.d2] = int64(u<<s) >> s
-				} else {
-					regs[in.d2] = int64(u)
-				}
-				if sink != nil {
-					lbl[in.d2] = v.shadow.rangeOr(p, int(in.size))
-				}
-			case bcFieldStore:
-				p := uint64(in.a.arg(regs)) + uint64(in.off)
-				regs[in.dest] = int64(p)
-				v.Stats.FieldAccess++
-				lbl[in.dest] = in.a.label(lbl)
-				if log != nil {
-					logSource(log, f, bb, pc, 1)
-				}
-				// Resolve the value, and its label, after the pointer
-				// register is written: the store may name the fieldptr
-				// result itself.
-				val := in.b.arg(regs)
-				if in.size != 8 || !mem.write8Fast(p, uint64(val)) {
-					if err := mem.WriteU(p, int(in.size), uint64(val)); err != nil {
-						return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
-					}
-				}
-				if sink != nil {
-					v.taintStore(p, int(in.size), in.b.label(lbl))
-				}
-			case bcElemPtr:
-				base := uint64(in.a.arg(regs))
-				idx := in.b.arg(regs)
-				regs[in.dest] = int64(base + uint64(idx)*uint64(in.size))
-				lbl[in.dest] = in.a.label(lbl)
-			case bcPtrAdd:
-				base := uint64(in.a.arg(regs))
-				off := in.b.arg(regs)
-				regs[in.dest] = int64(base + uint64(off))
-				lbl[in.dest] = in.a.label(lbl)
-			case bcBin:
-				r, err := evalBin(ir.BinKind(in.kind), in.a.arg(regs), in.b.arg(regs))
-				if err != nil {
-					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
-				}
-				regs[in.dest] = r
-				lbl[in.dest] = in.a.label(lbl) | in.b.label(lbl)
-			case bcFBin:
-				a := math.Float64frombits(uint64(in.a.arg(regs)))
-				b := math.Float64frombits(uint64(in.b.arg(regs)))
-				regs[in.dest] = int64(math.Float64bits(evalFBin(ir.BinKind(in.kind), a, b)))
-				lbl[in.dest] = in.a.label(lbl) | in.b.label(lbl)
-			case bcCmp:
-				regs[in.dest] = evalCmp(ir.CmpKind(in.kind), in.a.arg(regs), in.b.arg(regs))
-				lbl[in.dest] = in.a.label(lbl) | in.b.label(lbl)
-			case bcFCmp:
-				a := math.Float64frombits(uint64(in.a.arg(regs)))
-				b := math.Float64frombits(uint64(in.b.arg(regs)))
-				regs[in.dest] = evalFCmp(ir.CmpKind(in.kind), a, b)
-				lbl[in.dest] = in.a.label(lbl) | in.b.label(lbl)
-			case bcItoF:
-				regs[in.dest] = int64(math.Float64bits(float64(in.a.arg(regs))))
-				lbl[in.dest] = in.a.label(lbl)
-			case bcFtoI:
-				regs[in.dest] = int64(math.Float64frombits(uint64(in.a.arg(regs))))
-				lbl[in.dest] = in.a.label(lbl)
-			case bcMov:
-				regs[in.dest] = in.a.arg(regs)
-				lbl[in.dest] = in.a.label(lbl)
-			case bcBr:
-				if psc != nil {
-					psc.AddCycles(charged)
-				}
-				prevBlk, blk = blk, int(in.t0)
-				continue blockLoop
-			case bcCondBr:
-				ctl |= in.a.label(lbl)
-				if psc != nil {
-					psc.AddCycles(charged)
-				}
-				prevBlk = blk
-				if in.a.arg(regs) != 0 {
-					blk = int(in.t0)
-				} else {
-					blk = int(in.t1)
-				}
-				continue blockLoop
-			case bcCmpBr:
-				c := evalCmp(ir.CmpKind(in.kind), in.a.arg(regs), in.b.arg(regs))
-				regs[in.dest] = c
-				lbl[in.dest] = in.a.label(lbl) | in.b.label(lbl)
-				ctl |= lbl[in.dest]
-				if log != nil {
-					logSource(log, f, bb, pc, 1)
-				}
-				if psc != nil {
-					psc.AddCycles(charged)
-				}
-				prevBlk = blk
-				if c != 0 {
-					blk = int(in.t0)
-				} else {
-					blk = int(in.t1)
-				}
-				continue blockLoop
 			case bcFused:
 				v.Perf.FusedDispatches++
 				if sink != nil || log != nil {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"polar"
 	"polar/internal/core"
 	"polar/internal/fuzz"
 	"polar/internal/heap"
@@ -171,6 +172,93 @@ func TestAllocSizeWrap(t *testing.T) {
 	}
 	if _, err := taint.Analyze(m, [][]byte{{1}}, taint.RunOptions{}); !errors.Is(err, heap.ErrOutOfMemory) {
 		t.Fatalf("taint.Analyze: err = %v, want ErrOutOfMemory", err)
+	}
+}
+
+// shapeBase holds one instruction of every op TestOperandShapes
+// breaks.
+const shapeBase = `module "shape"
+
+struct %S { i64 a; }
+
+func @main() i64 {
+entry:
+  %r0 = alloc %S
+  %r1 = local i64
+  %r2 = elemptr i64, %r1, 0
+  %r3 = add 1, 2
+  %r4 = lt %r3, 5
+  %r5 = mov %r3
+  memcpy %r1, %r2, 8
+  free %r0
+  condbr %r4, a, b
+a:
+  br b
+b:
+  ret %r5
+}
+`
+
+// TestOperandShapes: shapeBase broken in one instruction, as a module
+// built in Go can be (an instruction short of the operands, branch
+// targets, type or destination its op needs), fails with ir.ErrOperands
+// from ir.Validate, vm.Compile, the instrumentation pass (blaming its
+// input), fuzz.Run, taint.Analyze and polar.Run, and none of them
+// panics. Each used to pass validation and panic the lowering or the
+// run with an index out of range or a nil dereference.
+func TestOperandShapes(t *testing.T) {
+	base, err := ir.Parse(shapeBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ir.Validate(base); err != nil {
+		t.Fatalf("the unbroken module: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		op   ir.Op
+		edit func(in *ir.Instr)
+	}{
+		{"bin without operands", ir.OpBin, func(in *ir.Instr) { in.Args = nil }},
+		{"cmp with one operand", ir.OpCmp, func(in *ir.Instr) { in.Args = in.Args[:1] }},
+		{"mov without operand", ir.OpMov, func(in *ir.Instr) { in.Args = nil }},
+		{"free without operand", ir.OpFree, func(in *ir.Instr) { in.Args = nil }},
+		{"memcpy with one operand", ir.OpMemcpy, func(in *ir.Instr) { in.Args = in.Args[:1] }},
+		{"alloc without type", ir.OpAlloc, func(in *ir.Instr) { in.Type = nil }},
+		{"local without type", ir.OpLocal, func(in *ir.Instr) { in.Type = nil }},
+		{"elemptr without type", ir.OpElemPtr, func(in *ir.Instr) { in.Type = nil }},
+		{"condbr with one target", ir.OpCondBr, func(in *ir.Instr) { in.Blocks = in.Blocks[:1] }},
+		{"br without target", ir.OpBr, func(in *ir.Instr) { in.Blocks = nil }},
+		{"bin without destination", ir.OpBin, func(in *ir.Instr) { in.Dest = -1 }},
+	} {
+		m := ir.Clone(base)
+	find:
+		for _, blk := range m.Func("main").Blocks {
+			for ii := range blk.Instrs {
+				if blk.Instrs[ii].Op == tc.op {
+					tc.edit(&blk.Instrs[ii])
+					break find
+				}
+			}
+		}
+		if err := ir.Validate(m); !errors.Is(err, ir.ErrOperands) {
+			t.Errorf("%s: ir.Validate: err = %v, want ErrOperands", tc.name, err)
+		}
+		if _, err := vm.Compile(m); !errors.Is(err, ir.ErrOperands) {
+			t.Errorf("%s: vm.Compile: err = %v, want ErrOperands", tc.name, err)
+		}
+		if _, err := instrument.Apply(ir.Clone(m), nil); !errors.Is(err, ir.ErrOperands) || !strings.HasPrefix(err.Error(), "instrument: invalid input module: ") {
+			t.Errorf("%s: instrument.Apply: err = %v, want ErrOperands blamed on the input", tc.name, err)
+		}
+		if _, err := fuzz.Run(m, [][]byte{{1}}, fuzz.Config{Iterations: 5, MaxInputLen: 4, Seed: 1}); !errors.Is(err, ir.ErrOperands) {
+			t.Errorf("%s: fuzz.Run: err = %v, want ErrOperands", tc.name, err)
+		}
+		if _, err := taint.Analyze(m, [][]byte{{1}}, taint.RunOptions{IgnoreRunErrors: true}); !errors.Is(err, ir.ErrOperands) {
+			t.Errorf("%s: taint.Analyze: err = %v, want ErrOperands", tc.name, err)
+		}
+		if _, err := polar.Run(m); !errors.Is(err, ir.ErrOperands) {
+			t.Errorf("%s: polar.Run: err = %v, want ErrOperands", tc.name, err)
+		}
 	}
 }
 

@@ -8,19 +8,16 @@ import (
 )
 
 // Lowering flattens each validated function into the bcFunc form at
-// Compile time. It runs in three phases per function:
+// Compile time. It runs in two phases per function:
 //
-//  1. Straight 1:1 lowering of every source instruction, with every
-//     operand pre-resolved against the Program's global layout and
-//     function-handle table and every callee bound to a small-int index
-//     (module functions directly, builtins through the per-instance
-//     slot table RegisterBuiltin populates).
-//  2. Fusion. Every maximal straight-line run of two or more fusable
-//     instructions in a block collapses into one dispatch: a classic
-//     pair superinstruction when the run is exactly one of the three
-//     dependent-pair patterns, a generalized bcFused micro-op sequence
-//     otherwise.
-//  3. Register allocation (regalloc.go): a linear-scan pass renumbers
+//  1. Lowering proper, with every operand pre-resolved against the
+//     Program's global layout and function-handle table and every
+//     callee bound to a small-int index (module functions directly,
+//     builtins through the per-instance slot table RegisterBuiltin
+//     populates). Every maximal straight-line run of fusable
+//     instructions in a block, a lone one included, becomes one bcFused
+//     micro-op run; every other instruction lowers 1:1.
+//  2. Register allocation (regalloc.go): a linear-scan pass renumbers
 //     the virtual registers into a small dense operand file, shrinking
 //     the per-call frame the interpreter must zero and keeping hot
 //     registers on the same cache lines.
@@ -28,8 +25,8 @@ import (
 // Every run executes this one lowering in callBC, observed runs (taint
 // runs, and runs with the instruction log attached) included: a taint
 // run's register labels use the allocated register numbers, and the log
-// maps each micro or pair half back to its source instruction through
-// the block's weights.
+// maps each micro back to its source instruction through the block's
+// weights.
 
 // sizeFits reports whether t.Size() is exact and within [0, HeapSize]
 // for t and every type inside it. A struct whose fields all fit summed
@@ -159,7 +156,7 @@ func (p *Program) numberGetptrSites() {
 	}
 }
 
-// lowerOne lowers a single source instruction 1:1 (no fusion).
+// lowerOne lowers a single non-fusable source instruction 1:1.
 func (p *Program) lowerOne(in *ir.Instr) bcInstr {
 	var out bcInstr
 	out.dest = int32(in.Dest)
@@ -167,15 +164,6 @@ func (p *Program) lowerOne(in *ir.Instr) bcInstr {
 	out.ic = -1
 
 	switch in.Op {
-	case ir.OpFieldPtr:
-		out.op = bcFieldPtr
-		out.a = p.lowerValue(in.Args[0])
-		out.off = int32(in.Struct.Offset(in.Field))
-	case ir.OpCmp:
-		out.op = bcCmp
-		out.kind = uint8(in.Cmp)
-		out.a = p.lowerValue(in.Args[0])
-		out.b = p.lowerValue(in.Args[1])
 	case ir.OpAlloc:
 		out.op = bcAlloc
 		out.size = int32(in.Type.Size())
@@ -191,16 +179,6 @@ func (p *Program) lowerOne(in *ir.Instr) bcInstr {
 	case ir.OpFree:
 		out.op = bcFree
 		out.a = p.lowerValue(in.Args[0])
-	case ir.OpLoad:
-		out.op = bcLoad
-		out.a = p.lowerValue(in.Args[0])
-		out.size = int32(in.Type.Size())
-		out.signShift = loadShift(in.Type)
-	case ir.OpStore:
-		out.op = bcStore
-		out.a = p.lowerValue(in.Args[0])
-		out.b = p.lowerValue(in.Args[1])
-		out.size = int32(in.Type.Size())
 	case ir.OpMemcpy:
 		out.op = bcMemcpy
 		out.a = p.lowerValue(in.Args[0])
@@ -211,47 +189,6 @@ func (p *Program) lowerOne(in *ir.Instr) bcInstr {
 		out.a = p.lowerValue(in.Args[0])
 		out.b = p.lowerValue(in.Args[1])
 		out.c = p.lowerValue(in.Args[2])
-	case ir.OpElemPtr:
-		out.op = bcElemPtr
-		out.a = p.lowerValue(in.Args[0])
-		out.b = p.lowerValue(in.Args[1])
-		out.size = int32(in.Type.Size())
-	case ir.OpPtrAdd:
-		out.op = bcPtrAdd
-		out.a = p.lowerValue(in.Args[0])
-		out.b = p.lowerValue(in.Args[1])
-	case ir.OpBin:
-		out.op = bcBin
-		out.kind = uint8(in.Bin)
-		out.a = p.lowerValue(in.Args[0])
-		out.b = p.lowerValue(in.Args[1])
-	case ir.OpFBin:
-		out.op = bcFBin
-		out.kind = uint8(in.Bin)
-		out.a = p.lowerValue(in.Args[0])
-		out.b = p.lowerValue(in.Args[1])
-	case ir.OpFCmp:
-		out.op = bcFCmp
-		out.kind = uint8(in.Cmp)
-		out.a = p.lowerValue(in.Args[0])
-		out.b = p.lowerValue(in.Args[1])
-	case ir.OpItoF:
-		out.op = bcItoF
-		out.a = p.lowerValue(in.Args[0])
-	case ir.OpFtoI:
-		out.op = bcFtoI
-		out.a = p.lowerValue(in.Args[0])
-	case ir.OpMov:
-		out.op = bcMov
-		out.a = p.lowerValue(in.Args[0])
-	case ir.OpBr:
-		out.op = bcBr
-		out.t0 = int32(in.Blocks[0])
-	case ir.OpCondBr:
-		out.op = bcCondBr
-		out.a = p.lowerValue(in.Args[0])
-		out.t0 = int32(in.Blocks[0])
-		out.t1 = int32(in.Blocks[1])
 	case ir.OpCall:
 		out.args = make([]bcArg, len(in.Args))
 		for ai, a := range in.Args {
@@ -286,11 +223,11 @@ func (p *Program) lowerOne(in *ir.Instr) bcInstr {
 	return out
 }
 
-// fusableIR reports whether a source instruction may join a fused run:
-// straight-line register/memory/arithmetic work plus the block
+// fusableIR reports whether a source instruction lowers into a fused
+// run: straight-line register/memory/arithmetic work plus the block
 // terminators. Ops with side channels beyond registers, memory and
 // Stats.FieldAccess (alloc, local, free, memcpy, memset, calls, rets)
-// stay un-fused so the micro loop needs no telemetry or accounting
+// stay out of runs so the micro loop needs no telemetry or accounting
 // hooks. Cross-block runs are never formed: fuel-exhaustion errors name
 // the block, so a run must not outlive its block's accounting.
 func fusableIR(op ir.Op) bool {
@@ -433,45 +370,6 @@ func specializeMicro(m mcInstr) mcInstr {
 	return m
 }
 
-// classicPair lowers a length-2 run that matches one of the three
-// historical dependent-pair superinstructions, reporting ok=false when
-// the pair is not one of those patterns (the caller then emits bcFused).
-func (p *Program) classicPair(in, next *ir.Instr) (bcInstr, bool) {
-	var out bcInstr
-	out.dest = int32(in.Dest)
-	out.irIn = in
-	out.ic = -1
-	switch {
-	case in.Op == ir.OpFieldPtr && next.Op == ir.OpLoad &&
-		next.Args[0].Kind == ir.ValReg && next.Args[0].Reg == in.Dest:
-		out.op = bcFieldLoad
-		out.a = p.lowerValue(in.Args[0])
-		out.off = int32(in.Struct.Offset(in.Field))
-		out.d2 = int32(next.Dest)
-		out.size = int32(next.Type.Size())
-		out.signShift = loadShift(next.Type)
-		return out, true
-	case in.Op == ir.OpFieldPtr && next.Op == ir.OpStore &&
-		next.Args[1].Kind == ir.ValReg && next.Args[1].Reg == in.Dest:
-		out.op = bcFieldStore
-		out.a = p.lowerValue(in.Args[0])
-		out.off = int32(in.Struct.Offset(in.Field))
-		out.b = p.lowerValue(next.Args[0])
-		out.size = int32(next.Type.Size())
-		return out, true
-	case in.Op == ir.OpCmp && next.Op == ir.OpCondBr &&
-		next.Args[0].Kind == ir.ValReg && next.Args[0].Reg == in.Dest:
-		out.op = bcCmpBr
-		out.kind = uint8(in.Cmp)
-		out.a = p.lowerValue(in.Args[0])
-		out.b = p.lowerValue(in.Args[1])
-		out.t0 = int32(next.Blocks[0])
-		out.t1 = int32(next.Blocks[1])
-		return out, true
-	}
-	return bcInstr{}, false
-}
-
 // lowerFunc flattens one function.
 func (p *Program) lowerFunc(f *ir.Func) *bcFunc {
 	bf := &bcFunc{fn: f, numRegs: f.NumRegs, blocks: make([]bcBlock, len(f.Blocks)), edgeSeed: edgeSeed(f.Name)}
@@ -487,22 +385,13 @@ func (p *Program) lowerFunc(f *ir.Func) *bcFunc {
 			for hi < len(blk.Instrs) && fusableIR(blk.Instrs[hi].Op) {
 				hi++
 			}
-			if hi-ii < 2 {
+			if hi == ii {
 				emit(p.lowerOne(&blk.Instrs[ii]))
 				ii++
 				continue
 			}
-			// A maximal fusable run collapses into one dispatch: a
-			// classic pair superinstruction when it is exactly one of
-			// the three dependent-pair patterns, the generalized
-			// micro-op sequence otherwise.
-			if hi-ii == 2 {
-				if out, ok := p.classicPair(&blk.Instrs[ii], &blk.Instrs[ii+1]); ok {
-					emit(out)
-					ii = hi
-					continue
-				}
-			}
+			// A maximal fusable run, a lone instruction included, is
+			// one dispatch.
 			out := bcInstr{op: bcFused, dest: -1, ic: -1, irIn: &blk.Instrs[ii]}
 			out.micro = make([]mcInstr, 0, hi-ii)
 			for k := ii; k < hi; k++ {

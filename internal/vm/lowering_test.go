@@ -1,11 +1,17 @@
 package vm
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"polar/internal/instrument"
 	"polar/internal/ir"
 	"polar/internal/telemetry/profile"
+	"polar/internal/workload"
 )
 
 // TestLoweringDeterministic: compiling the same module twice must
@@ -102,4 +108,92 @@ func TestEnginesDifferentialUnderCompileOpts(t *testing.T) {
 			}
 		}
 	})
+}
+
+// checkOneForm checks that straight-line code has one lowered form in
+// every function of p: every fusableIR source instruction is a micro of
+// a bcFused run, no other opcode holds one, and the function dispatches
+// once per non-fusable instruction and once per maximal fusable run.
+func checkOneForm(p *Program) error {
+	for fi, f := range p.mod.Funcs {
+		bf := p.bcFuncs[fi]
+		want := 0
+		for bi, blk := range f.Blocks {
+			for ii := 0; ii < len(blk.Instrs); ii++ {
+				if !fusableIR(blk.Instrs[ii].Op) || ii == 0 || !fusableIR(blk.Instrs[ii-1].Op) {
+					want++
+				}
+			}
+			// Walk the block's lowered code, pricing each instruction's
+			// source span by its weight.
+			end := int32(len(bf.code))
+			if bi+1 < len(bf.blocks) {
+				end = bf.blocks[bi+1].start
+			}
+			src := 0
+			for pc := bf.blocks[bi].start; pc < end; pc++ {
+				in := &bf.code[pc]
+				for k := 0; k < int(in.weight()); k++ {
+					sin := &blk.Instrs[src+k]
+					if fusableIR(sin.Op) != (in.op == bcFused) {
+						return fmt.Errorf("@%s.%s: %q lowered to opcode %d", f.Name, blk.Name, ir.FormatInstr(f, sin), in.op)
+					}
+				}
+				src += int(in.weight())
+			}
+			if src != len(blk.Instrs) {
+				return fmt.Errorf("@%s.%s: lowered code covers %d of %d instructions", f.Name, blk.Name, src, len(blk.Instrs))
+			}
+		}
+		if len(bf.code) != want {
+			return fmt.Errorf("@%s: %d dispatches, want %d (non-fusable instructions plus maximal fusable runs)", f.Name, len(bf.code), want)
+		}
+	}
+	return nil
+}
+
+// TestLoweringOneForm holds every workload, the quickstart and every
+// case study, baseline and hardened, to checkOneForm.
+func TestLoweringOneForm(t *testing.T) {
+	type named struct {
+		name string
+		m    *ir.Module
+	}
+	var mods []named
+	for _, w := range workload.All() {
+		mods = append(mods, named{w.Name, w.Module})
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "casestudies", "*.ir"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append([]string{filepath.Join("..", "..", "examples", "quickstart", "quickstart.ir")}, files...) {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := ir.Parse(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		mods = append(mods, named{strings.TrimSuffix(filepath.Base(path), ".ir"), m})
+	}
+	for _, nm := range mods {
+		ins, err := instrument.Apply(ir.Clone(nm.m), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", nm.name, err)
+		}
+		for _, v := range []struct {
+			variant string
+			m       *ir.Module
+		}{{"baseline", ir.Clone(nm.m)}, {"hardened", ins.Module}} {
+			p, err := Compile(v.m)
+			if err != nil {
+				t.Fatalf("%s %s: %v", nm.name, v.variant, err)
+			}
+			if err := checkOneForm(p); err != nil {
+				t.Errorf("%s %s: %v", nm.name, v.variant, err)
+			}
+		}
+	}
 }

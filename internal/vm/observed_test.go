@@ -216,7 +216,7 @@ func taintFusedModule(t *testing.T) *ir.Module {
 // fuel value of the all-opcode, taint-rule and fused-form programs, as
 // taint runs, traced runs and both: exhaustion must cut both engines'
 // sink logs and instruction logs after the same call and line, also
-// partway through a fused run or a pair superinstruction.
+// partway through a fused run.
 func TestObservedFuelSweep(t *testing.T) {
 	for _, tc := range []struct {
 		m   *ir.Module
@@ -247,44 +247,49 @@ func TestObservedFuelSweep(t *testing.T) {
 
 // TestTaintFusedForms: the fused-form program the fuel sweep runs
 // lowers to a bcFused run holding an 8-byte store, a sub-word store, a
-// load and a div, to bcFieldLoad, bcFieldStore and bcCmpBr, to a fused
-// run ending in a branch, and to a fused run of unary micros in a
-// function whose register 0 is tainted. Its taint run reports every
-// tainted store and both guarded allocs and frees on both engines
-// before the div faults.
+// load and a div, to 2-micro runs of a fieldptr and the load or store
+// through it and of a compare and the branch on it, to a fused run
+// ending in a branch, and to a fused run of unary micros in a function
+// whose register 0 is tainted. Its taint run reports every tainted
+// store and both guarded allocs and frees on both engines before the
+// div faults.
 func TestTaintFusedForms(t *testing.T) {
 	m := taintFusedModule(t)
 	p, err := Compile(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pairs := map[[2]mcOp]string{
+		{mcFieldPtr, mcLoad8}:  "fieldload",
+		{mcFieldPtr, mcStore8}: "fieldstore",
+		{mcCmpGt, mcCondBr}:    "cmpbr",
+	}
 	seen := map[string]bool{}
 	for _, bf := range p.bcFuncs {
 		for pc := range bf.code {
 			in := &bf.code[pc]
-			switch in.op {
-			case bcFieldLoad:
-				seen["fieldload"] = true
-			case bcFieldStore:
-				seen["fieldstore"] = true
-			case bcCmpBr:
-				seen["cmpbr"] = true
-			case bcFused:
-				ops := map[mcOp]bool{}
-				div := false
-				for _, mi := range in.micro {
-					ops[mi.op] = true
-					div = div || mi.op == mcBin && ir.BinKind(mi.kind) == ir.BinDiv
+			if in.op != bcFused {
+				continue
+			}
+			if len(in.micro) == 2 {
+				if form, ok := pairs[[2]mcOp{in.micro[0].op, in.micro[1].op}]; ok {
+					seen[form] = true
 				}
-				if ops[mcStore8] && ops[mcStore] && ops[mcLoad8] && div {
-					seen["fused stores, load, div"] = true
-				}
-				if bf.fn.Name == "clean" && ops[mcMov] && ops[mcFieldPtr] && ops[mcLoad8] && ops[mcItoF] && ops[mcFtoI] {
-					seen["fused unary"] = true
-				}
-				if bf.fn.Name == "guard" && ops[mcCondBr] {
-					seen["fused condbr"] = true
-				}
+			}
+			ops := map[mcOp]bool{}
+			div := false
+			for _, mi := range in.micro {
+				ops[mi.op] = true
+				div = div || mi.op == mcBin && ir.BinKind(mi.kind) == ir.BinDiv
+			}
+			if ops[mcStore8] && ops[mcStore] && ops[mcLoad8] && div {
+				seen["fused stores, load, div"] = true
+			}
+			if bf.fn.Name == "clean" && ops[mcMov] && ops[mcFieldPtr] && ops[mcLoad8] && ops[mcItoF] && ops[mcFtoI] {
+				seen["fused unary"] = true
+			}
+			if bf.fn.Name == "guard" && ops[mcCondBr] {
+				seen["fused condbr"] = true
 			}
 		}
 	}

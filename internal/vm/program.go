@@ -143,14 +143,9 @@ func (p *Program) Fingerprint() uint64 {
 		for pc := range bf.code {
 			in := &bf.code[pc]
 			mix(uint64(in.op))
-			mix(uint64(in.kind))
-			mix(uint64(in.signShift))
 			mix(uint64(uint32(in.dest)))
-			mix(uint64(uint32(in.d2)))
 			mix(uint64(uint32(in.size)))
 			mix(uint64(uint32(in.off)))
-			mix(uint64(uint32(in.t0)))
-			mix(uint64(uint32(in.t1)))
 			mix(uint64(uint32(in.ic)))
 			mixArg(in.a)
 			mixArg(in.b)
@@ -195,7 +190,6 @@ type LoweredFuncStats struct {
 	Dispatches   int    `json:"dispatches"`
 	FusedRuns    int    `json:"fused_runs"`
 	FusedMicros  int    `json:"fused_micros"`
-	ClassicPairs int    `json:"classic_pairs"`
 	ICSites      int    `json:"ic_sites"`
 	OperandRegs  int    `json:"operand_regs"`
 	SourceRegs   int    `json:"source_regs"`
@@ -218,12 +212,9 @@ func (p *Program) LoweredStats() []LoweredFuncStats {
 		for pc := range bf.code {
 			in := &bf.code[pc]
 			s.SourceInstrs += int(in.weight())
-			switch {
-			case in.op == bcFused:
+			if in.op == bcFused {
 				s.FusedRuns++
 				s.FusedMicros += len(in.micro)
-			case in.op >= bcFieldLoad:
-				s.ClassicPairs++
 			}
 			if in.ic >= 0 {
 				s.ICSites++

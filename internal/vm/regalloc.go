@@ -11,8 +11,8 @@ import "sort"
 // over the flat post-fusion instruction array:
 //
 //   - Backward liveness fixpoint over the lowered blocks (successors
-//     read off each block's terminator, including one fused into a
-//     bcFused run).
+//     read off each block's terminator, the last micro of its final
+//     bcFused run when it branches).
 //   - Live intervals in flat pc positions, extended to block starts and
 //     ends for regs live across edges. Registers live into the entry
 //     block are read before any write on some path; their intervals
@@ -51,16 +51,8 @@ func (in *bcInstr) forUses(f func(r int32)) {
 
 // forDefs calls f for every register an instruction writes.
 func (in *bcInstr) forDefs(f func(r int32)) {
-	if in.op == bcFused {
-		return
-	}
-	if in.dest >= 0 {
+	if in.op != bcFused && in.dest >= 0 {
 		f(in.dest)
-	}
-	if in.op == bcFieldLoad {
-		// d2 is only meaningful (and only rewritten) here: every other
-		// opcode leaves it zero, which is a real register index.
-		f(in.d2)
 	}
 }
 
@@ -104,21 +96,14 @@ func popcnt(x uint64) int {
 }
 
 // bcSuccs returns the successor block indices encoded in a block's
-// final instruction.
+// final instruction: a branch is always the last micro of a fused run.
 func bcSuccs(in *bcInstr) []int32 {
-	switch in.op {
-	case bcBr:
-		return []int32{in.t0}
-	case bcCondBr, bcCmpBr:
-		return []int32{in.t0, in.t1}
-	case bcFused:
-		if n := len(in.micro); n > 0 {
-			switch m := &in.micro[n-1]; m.op {
-			case mcBr:
-				return []int32{m.off}
-			case mcCondBr:
-				return []int32{m.off, m.t1}
-			}
+	if n := len(in.micro); n > 0 {
+		switch m := &in.micro[n-1]; m.op {
+		case mcBr:
+			return []int32{m.off}
+		case mcCondBr:
+			return []int32{m.off, m.t1}
 		}
 	}
 	return nil
@@ -141,10 +126,7 @@ func allocRegisters(bf *bcFunc) {
 	}
 
 	// Per-block upward-exposed uses and defs. Within an instruction
-	// uses are visited before defs (per micro for fused runs); the one
-	// read-after-write operand (bcFieldStore's value, resolved after
-	// the pointer register is written) is thereby treated as upward
-	// exposed — conservative, never unsound.
+	// uses are visited before defs, per micro for fused runs.
 	use := make([]raBitset, nb)
 	def := make([]raBitset, nb)
 	liveIn := make([]raBitset, nb)
@@ -334,9 +316,6 @@ func allocRegisters(bf *bcFunc) {
 		}
 		if in.dest >= 0 {
 			in.dest = re(in.dest)
-		}
-		if in.op == bcFieldLoad {
-			in.d2 = re(in.d2)
 		}
 	}
 	if int(next) < nr {

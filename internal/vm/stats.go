@@ -56,8 +56,9 @@ type Perf struct {
 	// it). In metadata mode they are the offset cache's hits and misses.
 	InlineHits   uint64
 	InlineMisses uint64
-	// FusedDispatches counts bcFused superinstruction dispatches (each
-	// executes a whole micro-op run).
+	// FusedDispatches counts bcFused dispatches, each of which executes
+	// a whole micro-op run. Every straight-line instruction is a micro of
+	// one, so this counts every straight-line dispatch.
 	FusedDispatches uint64
 }
 
