@@ -10,3 +10,7 @@ func RunReference(v *VM, args ...int64) (int64, error) { return v.runReference("
 // Pages reports how many pages of simulated memory exist, that is, how
 // many were ever written.
 func (m *Memory) Pages() int { return len(m.pages) }
+
+// RunLengths run-length encodes xs as (value, repeat) pairs, the form
+// the fuel sweeps pin per-fuel counters in.
+func RunLengths(xs []uint64) []uint64 { return rle(xs) }
