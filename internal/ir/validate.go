@@ -21,30 +21,36 @@ var ErrTooManyRegs = errors.New("ir: register number out of range")
 var ErrAccessType = errors.New("ir: load or store of a non-scalar type")
 
 // ErrOperands is wrapped by the validation error of an instruction
-// that lacks an operand, branch target, type or destination register
-// its op needs. The parser rejects each such shape; a module built in
-// Go can still hold one.
-var ErrOperands = errors.New("ir: instruction lacks an operand its op needs")
+// whose operands do not fit its op: one that lacks an operand, branch
+// target, type or destination register its op needs, or names a
+// destination register for an op that defines none (a store, free,
+// memcpy, memset, br, condbr or ret). The parser rejects each missing
+// piece but accepts a destination on any op; a module built in Go can
+// hold either shape. Register allocation would take a destination on
+// an op that defines none for a definition, and the engines would
+// disagree.
+var ErrOperands = errors.New("ir: instruction's operands do not fit its op")
 
 // opNeed is what an instruction of one op must carry: at least args
 // operands and blocks branch targets, a type when typed, a destination
-// register when dest.
+// register when dest. void marks an op that defines no register, so it
+// must carry no destination.
 type opNeed struct {
-	args, blocks int
-	typed, dest  bool
+	args, blocks      int
+	typed, dest, void bool
 }
 
 // opNeeds gives each op's opNeed. A load's type is checked by
-// scalarAccess, a fieldptr's struct on its own; calls and returns need
-// nothing fixed.
+// scalarAccess, a fieldptr's struct on its own; calls need nothing
+// fixed, and a call may or may not define a register.
 var opNeeds = [...]opNeed{
 	OpAlloc:    {typed: true, dest: true},
 	OpLocal:    {typed: true, dest: true},
-	OpFree:     {args: 1},
+	OpFree:     {args: 1, void: true},
 	OpLoad:     {args: 1, dest: true},
-	OpStore:    {args: 2},
-	OpMemcpy:   {args: 3},
-	OpMemset:   {args: 3},
+	OpStore:    {args: 2, void: true},
+	OpMemcpy:   {args: 3, void: true},
+	OpMemset:   {args: 3, void: true},
 	OpFieldPtr: {args: 1, dest: true},
 	OpElemPtr:  {args: 2, typed: true, dest: true},
 	OpPtrAdd:   {args: 2, dest: true},
@@ -55,13 +61,14 @@ var opNeeds = [...]opNeed{
 	OpItoF:     {args: 1, dest: true},
 	OpFtoI:     {args: 1, dest: true},
 	OpMov:      {args: 1, dest: true},
-	OpBr:       {blocks: 1},
-	OpCondBr:   {args: 1, blocks: 2},
+	OpBr:       {blocks: 1, void: true},
+	OpCondBr:   {args: 1, blocks: 2, void: true},
 	OpCall:     {},
-	OpRet:      {},
+	OpRet:      {void: true},
 }
 
-// missing names what in lacks of its op's opNeed ("" when nothing).
+// missing names what in lacks of its op's opNeed, or the destination
+// it carries for a void op ("" when it fits).
 func missing(in *Instr) string {
 	if in.Op < 0 || int(in.Op) >= len(opNeeds) {
 		return ""
@@ -75,6 +82,8 @@ func missing(in *Instr) string {
 		return "no type"
 	case n.dest && in.Dest < 0:
 		return "no destination register"
+	case n.void && in.Dest >= 0:
+		return fmt.Sprintf("destination %%r%d on an op that defines no register", in.Dest)
 	}
 	return ""
 }

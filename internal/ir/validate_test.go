@@ -234,3 +234,30 @@ func TestValidateRejectsNonScalarAccess(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateRejectsDestOnVoidOp: a destination register on an op that
+// defines none fails with ErrOperands (TestOperandShapes in internal/vm
+// covers every such op). The module below used to validate, and the
+// engines disagreed on it: register allocation took the store's %r0 for
+// a definition, so the bytecode engine returned 11 and the reference
+// tree-walker 0.
+func TestValidateRejectsDestOnVoidOp(t *testing.T) {
+	m, err := Parse(`module "m"
+
+func @main() i64 {
+entry:
+  %r1 = add 5, 6
+  %r5 = mov %r1
+  %r2 = local i64
+  %r0 = store i64 7, %r2
+  %r3 = add %r0, 0
+  ret %r3
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Validate(m); !errors.Is(err, ErrOperands) || !strings.Contains(err.Error(), "destination %r0 on an op that defines no register") {
+		t.Fatalf("Validate = %v, want ErrOperands naming the store's destination", err)
+	}
+}

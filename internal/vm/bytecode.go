@@ -72,11 +72,12 @@ func (a bcArg) arg(regs []int64) int64 {
 }
 
 // mcOp is a micro-opcode inside a bcFused run: straight-line
-// register/memory/arithmetic work plus the block terminators, one per
-// fusable source op. Ops with side channels beyond
-// registers, memory and Stats.FieldAccess (allocation, free, memcpy,
-// memset, calls, returns) are never fused — they would need telemetry
-// and accounting hooks inside the micro loop.
+// register/memory/arithmetic work, the olr_getptr member access and the
+// block terminators, one per fusable source op. The other ops with side
+// channels beyond registers, memory and Stats.FieldAccess (allocation,
+// free, memcpy, memset, every other call, returns) are not fused; an
+// olr_getptr whose layout-cache lookup misses runs its builtin in the
+// stepper (stepMicros), which the kernel hands it back to.
 type mcOp uint8
 
 // Micro-opcodes.
@@ -95,6 +96,11 @@ const (
 	mcMov
 	mcBr
 	mcCondBr
+	// mcGetptr is an olr_getptr call site (base a, field index b, class
+	// hash c; off is the builtin's callee slot, dest -1 when the call
+	// has no destination). The kernel serves a layout-cache hit; the
+	// stepper runs the builtin.
+	mcGetptr
 
 	// Specialized forms the lowering splits off from the general micros
 	// above: the non-faulting integer arithmetic kinds, the dominant
@@ -122,21 +128,22 @@ const (
 
 // mcInstr is one micro-op of a fused run: a fully pre-decoded
 // single-source-instruction operation. Operands collapse to an int64
-// that is either an immediate or (when aReg/bReg) a register index.
-// size is the load/store width or elemptr element size, off the
-// fieldptr byte offset or a branch's first target, t1 a condbr's false
-// target, kind the ir.BinKind/ir.CmpKind payload and signShift 64-8*size
-// for sign-extending integer loads (0 otherwise).
+// that is either an immediate or (when aReg/bReg/cReg) a register
+// index; only mcGetptr reads c. size is the load/store width or elemptr
+// element size, off the fieldptr byte offset, a branch's first target
+// or a getptr's callee slot, t1 a condbr's false target, kind the
+// ir.BinKind/ir.CmpKind payload and signShift 64-8*size for
+// sign-extending integer loads (0 otherwise).
 type mcInstr struct {
-	op         mcOp
-	kind       uint8
-	signShift  uint8
-	aReg, bReg bool
-	dest       int32
-	size       int32
-	off        int32
-	t1         int32
-	a, b       int64
+	op               mcOp
+	kind             uint8
+	signShift        uint8
+	aReg, bReg, cReg bool
+	dest             int32
+	size             int32
+	off              int32
+	t1               int32
+	a, b, c          int64
 }
 
 // bcInstr is one lowered instruction. Field meaning varies by opcode:
@@ -162,10 +169,6 @@ type bcInstr struct {
 	// for every other opcode); irIn then points at the run's first
 	// source instruction.
 	micro []mcInstr
-	// ic is the instruction's olr_getptr site ordinal (bcCallBuiltin on
-	// olr_getptr only; -1 everywhere else): the dispatch loops read the
-	// layout cache where it is set.
-	ic int32
 }
 
 // bcBlock locates one basic block inside a bcFunc's flat code array.
@@ -173,6 +176,9 @@ type bcBlock struct {
 	start int32     // pc of the first instruction
 	cost  uint32    // summed instruction weight (source-instruction count)
 	irb   *ir.Block // source block (site names, diagnostics)
+	// site is the block's interned "@fn.block" name, which a layout-cache
+	// hit at one of its getptr micros replays (VM.icHit).
+	site string
 	// chain marks a block that is exactly one bcFused run ending in its
 	// terminator: the fused-run kernel may enter it straight from a
 	// taken branch (runFused).

@@ -79,13 +79,16 @@ func (c *LayoutCache) Get(base, class uint64, field int) (int32, bool) {
 
 // lookup is the dispatch loops' probe. It counts a hit but not a miss:
 // a miss goes on to the builtin, whose resolver probes again with Get
-// and counts it there, so each access is counted once.
+// and counts it there, so each access is counted once. The entry's
+// field is widened for the compare, so a field outside int32, which no
+// entry holds (Put), misses: narrowed, it would alias the field 2^32
+// apart.
 func (c *LayoutCache) lookup(base, class uint64, field int) (int32, bool) {
 	if c.entries == nil {
 		return 0, false
 	}
 	e := &c.entries[c.slot(base, field)]
-	if e.gen == *c.gen && e.base == base && e.class == class && e.field == int32(field) {
+	if e.gen == *c.gen && e.base == base && e.class == class && int(e.field) == field {
 		c.hits++
 		return e.offset, true
 	}
@@ -94,8 +97,12 @@ func (c *LayoutCache) lookup(base, class uint64, field int) (int32, bool) {
 
 // Put installs a resolution result under the current generation,
 // allocating the entry array on first use and replacing whatever the
-// slot held.
+// slot held. A field outside int32 is not stored: the entry keeps the
+// field as an int32.
 func (c *LayoutCache) Put(base, class uint64, field int, offset int32) {
+	if int(int32(field)) != field {
+		return
+	}
 	if c.entries == nil {
 		if c.size == 0 {
 			return

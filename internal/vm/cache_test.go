@@ -109,3 +109,25 @@ func TestLayoutCacheGeneration(t *testing.T) {
 		t.Fatalf("get after re-put = %d %v", off, hit)
 	}
 }
+
+// TestLayoutCacheFieldOutsideInt32: the entry keeps its field as an
+// int32, so a field index outside int32 must neither hit an entry nor
+// install one. 1 + 2^42 hashes to field 1's slot at every table size
+// up to 2^13 entries, and compared as an int32 it is field 1.
+func TestLayoutCacheFieldOutsideInt32(t *testing.T) {
+	const alias = 1 + 1<<42
+	for _, size := range []int{SmallCacheSize, 8192} {
+		c := newTestCache(size)
+		if c.slot(0x4000_0000, alias) != c.slot(0x4000_0000, 1) {
+			t.Fatalf("size %d: field %d does not share field 1's slot", size, alias)
+		}
+		c.Put(0x4000_0000, 5, 1, 8)
+		if off, hit := c.Get(0x4000_0000, 5, alias); hit {
+			t.Fatalf("size %d: field %d hit field 1's entry (offset %d)", size, alias, off)
+		}
+		c.Put(0x4000_0000, 5, alias, 16)
+		if off, hit := c.Get(0x4000_0000, 5, 1); !hit || off != 8 {
+			t.Fatalf("size %d: field 1 = %d %v after a put of field %d, want its own offset 8", size, off, hit, alias)
+		}
+	}
+}

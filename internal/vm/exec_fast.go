@@ -38,13 +38,14 @@ import (
 //     un-batches the suffix around the callee so fuel exhaustion surfaces
 //     at the exact instruction the tree-walker reports.
 //   - The fused-run kernel: bcFused micro-op runs execute in runFused, a
-//     small function of its own whose fast path makes no calls. A micro
-//     that needs one (a page-cache miss, a sub-word store, a zero
-//     divisor, a float rem) returns to callBC, which runs it through
-//     stepMicros and re-enters the kernel. A run dispatches once but
-//     accounts as its micro count; at a fuel boundary its affordable
-//     prefix executes alone (fuelOut), so the cutoff is
-//     indistinguishable from the tree-walker's.
+//     small function of its own whose fast path makes no calls but the
+//     layout-cache hit replay at a getptr micro. A micro that needs one
+//     (a page-cache miss, a layout-cache miss or a detached cache at a
+//     getptr micro, a zero divisor, a float rem) returns to callBC,
+//     which runs it through stepMicros and re-enters the kernel. A run
+//     dispatches once but accounts as its micro count; at a fuel
+//     boundary its affordable prefix executes alone (fuelOut), so the
+//     cutoff is indistinguishable from the tree-walker's.
 //   - Block chaining: at a taken branch the kernel enters the target
 //     itself when the target is one fused run ending in its terminator,
 //     no profiler is attached and the fuel covers the whole target. It
@@ -73,18 +74,21 @@ import (
 // kernel, without a branch; only shadow memory and the input builtins
 // set a label, and those act in a taint run only, so every other run's
 // labels stay 0 and the kernel need not write them. A taint run never
-// reads the layout cache, so every olr_getptr runs its builtin.
+// reads the layout cache, so every getptr micro runs its builtin.
 
 var errFellOffBlock = errors.New("vm: fell off block end")
 
-// logSource writes the log line of the sub-th source instruction of the
-// lowered instruction at pc (micro sub of a fused run, 0 otherwise).
-// Lowering keeps source order and an instruction's weight counts its
-// source instructions, so the line's instruction sits at the block
-// weight before pc, plus sub.
+// sourceInstr returns the sub-th source instruction of the lowered
+// instruction at pc (micro sub of a fused run, 0 otherwise). Lowering
+// keeps source order and an instruction's weight counts its source
+// instructions, so it sits at the block weight before pc, plus sub.
+func sourceInstr(f *bcFunc, bb *bcBlock, pc int32, sub int) *ir.Instr {
+	return &bb.irb.Instrs[int(f.wTo[pc]-f.wTo[bb.start])+sub]
+}
+
+// logSource writes the log line of sourceInstr(f, bb, pc, sub).
 func logSource(log *telemetry.InstrLog, f *bcFunc, bb *bcBlock, pc int32, sub int) {
-	in := &bb.irb.Instrs[int(f.wTo[pc]-f.wTo[bb.start])+sub]
-	log.Emit(f.fn.Name, bb.irb.Name, ir.FormatInstr(f.fn, in))
+	log.Emit(f.fn.Name, bb.irb.Name, ir.FormatInstr(f.fn, sourceInstr(f, bb, pc, sub)))
 }
 
 // bcExitErr settles block accounting on an early error exit: the
@@ -139,9 +143,11 @@ func (v *VM) fuelOut(f *bcFunc, bb *bcBlock, pc int32, regs []int64, lbl []byte,
 // fuel-affordable prefix of any run (fuelOut) and the micro runFused
 // hands back (fusedStep); a prefix is strictly shorter than its run and
 // the kernel hands back no terminator, so only an observed run reaches
-// one. It returns the block a terminator micro chose (-1 when none ran)
-// with the label of its condition, and on a fault the faulting micro's
-// index with the error.
+// one. A getptr micro probes the layout cache, counting the hit or the
+// miss, except in a taint run, and runs its builtin when the probe
+// does not serve it. It returns the block a terminator micro chose (-1
+// when none ran) with the label of its condition, and on a fault the
+// faulting micro's index with the error.
 //
 // A micro reads the labels of only the operands its op uses, because an
 // unused operand aliases register 0 (poolMicroConstants); pooled
@@ -187,8 +193,10 @@ func (v *VM) stepMicros(f *bcFunc, bb *bcBlock, pc int32, lo, hi int, regs []int
 			}
 		case mcStore:
 			bv := regs[m.b]
-			if err := mem.WriteU(uint64(bv), int(m.size), uint64(av)); err != nil {
-				return -1, 0, mi, err
+			if !mem.writeFast(uint64(bv), m.size, uint64(av)) {
+				if err := mem.WriteU(uint64(bv), int(m.size), uint64(av)); err != nil {
+					return -1, 0, mi, err
+				}
 			}
 			if sink {
 				v.taintStore(uint64(bv), int(m.size), lbl[m.a])
@@ -296,9 +304,49 @@ func (v *VM) stepMicros(f *bcFunc, bb *bcBlock, pc int32, lo, hi int, regs []int
 				return int(m.off), lbl[m.a], mi, nil
 			}
 			return int(m.t1), lbl[m.a], mi, nil
+		case mcGetptr:
+			field, class := regs[m.b], uint64(regs[m.c])
+			if v.lc != nil && !sink {
+				if addr, ok := v.cachedGetptr(bb.site, uint64(av), field, class); ok {
+					if m.dest >= 0 {
+						regs[m.dest] = addr
+						lbl[m.dest] = 0
+					}
+					continue
+				}
+			}
+			argv := append(v.argvScratch[:0], av, field, int64(class))
+			v.argvScratch = argv[:0]
+			ret, l, err := v.callBuiltin(m.off, sourceInstr(f, bb, pc, mi), f.fn, bb.irb, argv, lbl[m.a]|lbl[m.b]|lbl[m.c], true)
+			if err != nil {
+				return -1, 0, mi, err
+			}
+			if m.dest >= 0 {
+				regs[m.dest] = ret
+				lbl[m.dest] = l
+			}
 		}
 	}
 	return -1, 0, hi, nil
+}
+
+// callBuiltin runs the builtin bound to slot for the call instruction in
+// of block blk of fn on its resolved arguments argv, and returns the
+// result with its label: argl, the OR of the arguments' labels, or what
+// an input builtin's rule gives, in a taint run; 0 in any other run.
+// getptr marks a getptr micro, whose resolution Call.Memoize may cache.
+// The caller prices and places an error.
+func (v *VM) callBuiltin(slot int32, in *ir.Instr, fn *ir.Func, blk *ir.Block, argv []int64, argl byte, getptr bool) (int64, byte, error) {
+	bi := v.builtinSlots[slot]
+	if bi == nil {
+		return 0, 0, fmt.Errorf("%w: @%s", ErrUnknownFunc, in.Callee)
+	}
+	v.callScratch = Call{VM: v, Name: in.Callee, Args: argv, RawArgs: in.Args, fn: fn, blk: blk, getptr: getptr}
+	ret, err := bi(&v.callScratch)
+	if err != nil || v.taint == nil {
+		return ret, 0, err
+	}
+	return ret, v.taintBuiltin(in.Callee, argv, ret, argl), nil
 }
 
 // fusedExit says why runFused returned to callBC.
@@ -311,22 +359,24 @@ const (
 	// fusedBranch: a terminator chose a block the kernel does not enter.
 	fusedBranch
 	// fusedStep: the micro at mi needs stepMicros — a page-cache miss, a
-	// sub-word store, a zero divisor or a float rem.
+	// layout-cache miss or a detached cache at a getptr micro, a zero
+	// divisor or a float rem.
 	fusedStep
 )
 
 // runFused is the fused-run kernel: it executes micros of the bcFused
 // run at pc of block blk from micro mi on, with no calls on its fast
-// path. At a taken branch it enters the target itself when the target
-// is one fused run ending in its terminator (bcBlock.chain), no
-// profiler is attached and the fuel covers the whole target: it does
-// the block-loop top's work — the trace frame, the coverage edge, the
-// batched fuel and instruction charge, the fused-dispatch count — and
-// runs the target's micros. It returns the block and pc it stopped in,
-// the micro to step (fusedStep), the branch target (fusedBranch), and
-// whether it entered any block, after which callBC resyncs its block
-// state. It is a function of its own because callBC's locals, kept
-// live across its many calls, would be spilled around every micro.
+// path but a layout-cache hit's replay (VM.icHit). At a taken branch
+// it enters the target itself when the target is one fused run ending
+// in its terminator (bcBlock.chain), no profiler is attached and the
+// fuel covers the whole target: it does the block-loop top's work —
+// the trace frame, the coverage edge, the batched fuel and instruction
+// charge, the fused-dispatch count — and runs the target's micros. It
+// returns the block and pc it stopped in, the micro to step
+// (fusedStep), the branch target (fusedBranch), and whether it entered
+// any block, after which callBC resyncs its block state. It is a
+// function of its own because callBC's locals, kept live across its
+// many calls, would be spilled around every micro.
 func (v *VM) runFused(f *bcFunc, regs []int64, xtFrames []uint32, blk int, pc int32, mi int) (int, int, int32, int, fusedExit, bool) {
 	mem := v.Mem
 	chained := false
@@ -413,7 +463,27 @@ runs:
 					regs[m.dest] = int64(u)
 				}
 			case mcStore:
-				return blk, blk, pc, mi, fusedStep, chained
+				if !mem.writeFast(uint64(regs[m.b]), m.size, uint64(av)) {
+					return blk, blk, pc, mi, fusedStep, chained
+				}
+			case mcGetptr:
+				// A hit is served here. A miss, or no cache attached,
+				// goes to stepMicros, which probes again and counts
+				// the miss before it runs the builtin.
+				lc := v.lc
+				if lc == nil {
+					return blk, blk, pc, mi, fusedStep, chained
+				}
+				field, class := regs[m.b], uint64(regs[m.c])
+				off, hit := lc.lookup(uint64(av), class, int(field))
+				if !hit {
+					return blk, blk, pc, mi, fusedStep, chained
+				}
+				v.Perf.InlineHits++
+				v.icHit(f.blocks[blk].site, uint64(av), field, class, int64(off))
+				if m.dest >= 0 {
+					regs[m.dest] = int64(uint64(av) + uint64(off))
+				}
 			case mcFBin:
 				fa := math.Float64frombits(uint64(av))
 				fb := math.Float64frombits(uint64(regs[m.b]))
@@ -737,41 +807,19 @@ blockLoop:
 					lbl[in.dest] = rl
 				}
 			case bcCallBuiltin:
-				if in.ic >= 0 && v.lc != nil && sink == nil {
-					// Layout cache: an olr_getptr whose (base, field, class)
-					// the runtime's cache holds skips the builtin entirely.
-					// A taint run never reads it, so every olr_getptr runs
-					// its builtin.
-					if addr, ok := v.cachedGetptr(bb.irb, uint64(in.args[0].arg(regs)), in.args[1].arg(regs), uint64(in.args[2].arg(regs))); ok {
-						if in.dest >= 0 {
-							regs[in.dest] = addr
-						}
-						break
-					}
-				}
-				bi := v.builtinSlots[in.off]
-				if bi == nil {
-					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc,
-						v.fault(fn, bb.irb, fmt.Errorf("%w: @%s", ErrUnknownFunc, in.irIn.Callee)))
-				}
-				argv := v.argvScratch[:0]
+				argv, argl := v.argvScratch[:0], byte(0)
 				for i := range in.args {
 					argv = append(argv, in.args[i].arg(regs))
+					argl |= in.args[i].label(lbl)
 				}
 				v.argvScratch = argv[:0]
-				v.callScratch = Call{VM: v, Name: in.irIn.Callee, Args: argv, RawArgs: in.irIn.Args, fn: fn, blk: bb.irb, getptr: in.ic >= 0}
-				ret, err := bi(&v.callScratch)
+				ret, l, err := v.callBuiltin(in.off, in.irIn, fn, bb.irb, argv, argl, false)
 				if err != nil {
 					return 0, 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
 				}
 				if in.dest >= 0 {
 					regs[in.dest] = ret
-				}
-				if sink != nil {
-					l := v.taintBuiltin(in.irIn.Callee, in.args, argv, ret, lbl)
-					if in.dest >= 0 {
-						lbl[in.dest] = l
-					}
+					lbl[in.dest] = l
 				}
 			case bcRet, bcRetVoid:
 				var rv int64

@@ -94,22 +94,22 @@ var getptrPerf = map[string]struct{ hits, misses, fused []uint64 }{
 	"metadata/0": {
 		hits:   []uint64{0, 9, 1, 9, 2, 2, 3, 2, 4, 3, 5, 6, 6, 2, 7, 2, 8, 3, 9, 6, 10, 2, 11, 2, 12, 3, 13, 15, 14, 9, 15, 2, 16, 2, 17, 3, 18, 6, 19, 2, 20, 2, 21, 3, 22, 6, 23, 2, 24, 2, 25, 3, 26, 15, 27, 9, 28, 2, 29, 2, 30, 3, 31, 6, 32, 2, 33, 2, 34, 3, 35, 6, 36, 2, 37, 2, 38, 3, 39, 19},
 		misses: []uint64{0, 5, 1, 2, 2, 5, 3, 50, 4, 2, 5, 5, 6, 50, 7, 2, 8, 5, 9, 58},
-		fused:  []uint64{0, 4, 1, 2, 2, 2, 3, 3, 4, 6, 5, 2, 6, 2, 7, 3, 8, 6, 9, 2, 10, 2, 11, 3, 12, 6, 13, 2, 14, 2, 15, 3, 16, 6, 17, 2, 18, 3, 19, 2, 20, 2, 21, 3, 22, 6, 23, 2, 24, 2, 25, 3, 26, 6, 27, 2, 28, 2, 29, 3, 30, 6, 31, 2, 32, 2, 33, 3, 34, 6, 35, 2, 36, 3, 37, 2, 38, 2, 39, 3, 40, 6, 41, 2, 42, 2, 43, 3, 44, 6, 45, 2, 46, 2, 47, 3, 48, 6, 49, 2, 50, 2, 51, 3, 52, 6, 53, 2, 54, 2, 55, 10},
+		fused:  []uint64{0, 4, 1, 13, 2, 13, 3, 13, 4, 13, 5, 2, 6, 3, 7, 13, 8, 13, 9, 13, 10, 13, 11, 2, 12, 3, 13, 13, 14, 13, 15, 13, 16, 13, 17, 2, 18, 2, 19, 10},
 	},
 	"metadata/1": {
 		hits:   []uint64{0, 9, 1, 9, 2, 2, 3, 2, 4, 3, 5, 6, 6, 2, 7, 2, 8, 3, 9, 6, 10, 2, 11, 2, 12, 3, 13, 15, 14, 9, 15, 2, 16, 2, 17, 3, 18, 6, 19, 2, 20, 2, 21, 3, 22, 6, 23, 2, 24, 2, 25, 3, 26, 15, 27, 9, 28, 2, 29, 2, 30, 3, 31, 6, 32, 2, 33, 2, 34, 3, 35, 6, 36, 2, 37, 2, 38, 3, 39, 20},
 		misses: []uint64{0, 5, 1, 2, 2, 5, 3, 50, 4, 2, 5, 5, 6, 50, 7, 2, 8, 5, 9, 50, 10, 9},
-		fused:  []uint64{0, 4, 1, 2, 2, 2, 3, 3, 4, 6, 5, 2, 6, 2, 7, 3, 8, 6, 9, 2, 10, 2, 11, 3, 12, 6, 13, 2, 14, 2, 15, 3, 16, 6, 17, 2, 18, 3, 19, 2, 20, 2, 21, 3, 22, 6, 23, 2, 24, 2, 25, 3, 26, 6, 27, 2, 28, 2, 29, 3, 30, 6, 31, 2, 32, 2, 33, 3, 34, 6, 35, 2, 36, 3, 37, 2, 38, 2, 39, 3, 40, 6, 41, 2, 42, 2, 43, 3, 44, 6, 45, 2, 46, 2, 47, 3, 48, 6, 49, 2, 50, 2, 51, 3, 52, 6, 53, 2, 54, 2, 55, 11},
+		fused:  []uint64{0, 4, 1, 13, 2, 13, 3, 13, 4, 13, 5, 2, 6, 3, 7, 13, 8, 13, 9, 13, 10, 13, 11, 2, 12, 3, 13, 13, 14, 13, 15, 13, 16, 13, 17, 2, 18, 2, 19, 3, 20, 8},
 	},
 	"stateless/0": {
 		hits:   []uint64{0, 9, 1, 9, 2, 2, 3, 2, 4, 3, 5, 6, 6, 2, 7, 2, 8, 3, 9, 6, 10, 2, 11, 2, 12, 3, 13, 15, 14, 9, 15, 2, 16, 2, 17, 3, 18, 6, 19, 2, 20, 2, 21, 3, 22, 6, 23, 2, 24, 2, 25, 3, 26, 15, 27, 9, 28, 2, 29, 2, 30, 3, 31, 6, 32, 2, 33, 2, 34, 3, 35, 6, 36, 2, 37, 2, 38, 3, 39, 19},
 		misses: []uint64{0, 5, 1, 2, 2, 5, 3, 50, 4, 2, 5, 5, 6, 50, 7, 2, 8, 5, 9, 58},
-		fused:  []uint64{0, 4, 1, 2, 2, 2, 3, 3, 4, 6, 5, 2, 6, 2, 7, 3, 8, 6, 9, 2, 10, 2, 11, 3, 12, 6, 13, 2, 14, 2, 15, 3, 16, 6, 17, 2, 18, 3, 19, 2, 20, 2, 21, 3, 22, 6, 23, 2, 24, 2, 25, 3, 26, 6, 27, 2, 28, 2, 29, 3, 30, 6, 31, 2, 32, 2, 33, 3, 34, 6, 35, 2, 36, 3, 37, 2, 38, 2, 39, 3, 40, 6, 41, 2, 42, 2, 43, 3, 44, 6, 45, 2, 46, 2, 47, 3, 48, 6, 49, 2, 50, 2, 51, 3, 52, 6, 53, 2, 54, 2, 55, 10},
+		fused:  []uint64{0, 4, 1, 13, 2, 13, 3, 13, 4, 13, 5, 2, 6, 3, 7, 13, 8, 13, 9, 13, 10, 13, 11, 2, 12, 3, 13, 13, 14, 13, 15, 13, 16, 13, 17, 2, 18, 2, 19, 10},
 	},
 	"stateless/1": {
 		hits:   []uint64{0, 9, 1, 9, 2, 2, 3, 2, 4, 3, 5, 6, 6, 2, 7, 2, 8, 3, 9, 6, 10, 2, 11, 2, 12, 3, 13, 15, 14, 9, 15, 2, 16, 2, 17, 3, 18, 6, 19, 2, 20, 2, 21, 3, 22, 6, 23, 2, 24, 2, 25, 3, 26, 15, 27, 9, 28, 2, 29, 2, 30, 3, 31, 6, 32, 2, 33, 2, 34, 3, 35, 6, 36, 2, 37, 2, 38, 3, 39, 22},
 		misses: []uint64{0, 5, 1, 2, 2, 5, 3, 50, 4, 2, 5, 5, 6, 50, 7, 2, 8, 5, 9, 50, 10, 11},
-		fused:  []uint64{0, 4, 1, 2, 2, 2, 3, 3, 4, 6, 5, 2, 6, 2, 7, 3, 8, 6, 9, 2, 10, 2, 11, 3, 12, 6, 13, 2, 14, 2, 15, 3, 16, 6, 17, 2, 18, 3, 19, 2, 20, 2, 21, 3, 22, 6, 23, 2, 24, 2, 25, 3, 26, 6, 27, 2, 28, 2, 29, 3, 30, 6, 31, 2, 32, 2, 33, 3, 34, 6, 35, 2, 36, 3, 37, 2, 38, 2, 39, 3, 40, 6, 41, 2, 42, 2, 43, 3, 44, 6, 45, 2, 46, 2, 47, 3, 48, 6, 49, 2, 50, 2, 51, 3, 52, 6, 53, 2, 54, 2, 55, 3, 56, 10},
+		fused:  []uint64{0, 4, 1, 13, 2, 13, 3, 13, 4, 13, 5, 2, 6, 3, 7, 13, 8, 13, 9, 13, 10, 13, 11, 2, 12, 3, 13, 13, 14, 13, 15, 13, 16, 13, 17, 2, 18, 2, 19, 3, 20, 10},
 	},
 }
 

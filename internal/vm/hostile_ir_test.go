@@ -185,6 +185,8 @@ func @main() i64 {
 entry:
   %r0 = alloc %S
   %r1 = local i64
+  store i64 7, %r1
+  memset %r1, 0, 8
   %r2 = elemptr i64, %r1, 0
   %r3 = add 1, 2
   %r4 = lt %r3, 5
@@ -201,11 +203,14 @@ b:
 
 // TestOperandShapes: shapeBase broken in one instruction, as a module
 // built in Go can be (an instruction short of the operands, branch
-// targets, type or destination its op needs), fails with ir.ErrOperands
-// from ir.Validate, vm.Compile, the instrumentation pass (blaming its
+// targets, type or destination its op needs, or carrying a destination
+// on an op that defines no register), fails with ir.ErrOperands from
+// ir.Validate, vm.Compile, the instrumentation pass (blaming its
 // input), fuzz.Run, taint.Analyze and polar.Run, and none of them
-// panics. Each used to pass validation and panic the lowering or the
-// run with an index out of range or a nil dereference.
+// panics. Each short shape used to pass validation and panic the
+// lowering or the run with an index out of range or a nil dereference;
+// a destination on a store used to split the engines (register
+// allocation took it for a definition).
 func TestOperandShapes(t *testing.T) {
 	base, err := ir.Parse(shapeBase)
 	if err != nil {
@@ -230,6 +235,13 @@ func TestOperandShapes(t *testing.T) {
 		{"condbr with one target", ir.OpCondBr, func(in *ir.Instr) { in.Blocks = in.Blocks[:1] }},
 		{"br without target", ir.OpBr, func(in *ir.Instr) { in.Blocks = nil }},
 		{"bin without destination", ir.OpBin, func(in *ir.Instr) { in.Dest = -1 }},
+		{"store with destination", ir.OpStore, func(in *ir.Instr) { in.Dest = 5 }},
+		{"memcpy with destination", ir.OpMemcpy, func(in *ir.Instr) { in.Dest = 5 }},
+		{"memset with destination", ir.OpMemset, func(in *ir.Instr) { in.Dest = 5 }},
+		{"free with destination", ir.OpFree, func(in *ir.Instr) { in.Dest = 5 }},
+		{"condbr with destination", ir.OpCondBr, func(in *ir.Instr) { in.Dest = 5 }},
+		{"br with destination", ir.OpBr, func(in *ir.Instr) { in.Dest = 5 }},
+		{"ret with destination", ir.OpRet, func(in *ir.Instr) { in.Dest = 5 }},
 	} {
 		m := ir.Clone(base)
 	find:

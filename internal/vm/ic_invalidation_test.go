@@ -361,6 +361,67 @@ func TestInlineCacheMatchesCoreCache(t *testing.T) {
 	}
 }
 
+// TestLayoutCacheFieldAliasing: a field index that differs from a
+// cached one by a multiple of 2^32 must resolve with the layout cache
+// read as it does without it. The hardened module resolves member 1 of
+// a %S {i64, i64, i64} and then member 1 + 2^42, which hashes to the
+// same slot of both the metadata runtime's table and the stateless
+// one, and returns the second member's offset. It used to come back as
+// member 1's cached offset with the cache read, and as the base (the
+// out-of-range index's static answer) without it.
+func TestLayoutCacheFieldAliasing(t *testing.T) {
+	m := ir.NewModule("alias")
+	st := m.MustStruct(ir.NewStruct("S",
+		ir.Field{Name: "a", Type: ir.I64},
+		ir.Field{Name: "b", Type: ir.I64},
+		ir.Field{Name: "c", Type: ir.I64},
+	))
+	table, err := classinfo.FromModule(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls, ok := table.ByName(st.Name)
+	if !ok {
+		t.Fatal("no class for %S")
+	}
+	class := ir.Const(int64(cls.Hash))
+	b := ir.NewFunc(m, "main", ir.I64)
+	p := b.Call("olr_malloc", class)
+	b.Call("olr_getptr", p, ir.Const(1), class)
+	q := b.Call("olr_getptr", p, ir.Const(1+1<<42), class)
+	b.Ret(b.Bin(ir.BinSub, q, p))
+	prog, err := vm.Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []core.LayoutMode{core.LayoutModeMetadata, core.LayoutModeStateless} {
+		var offs [2]int64
+		for i, size := range []int{core.DefaultConfig(7).CacheSize, -1} {
+			for _, e := range engines {
+				v, err := prog.NewInstance()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := core.DefaultConfig(7)
+				cfg.LayoutMode, cfg.CacheSize = mode, size
+				core.New(table, cfg).Attach(v)
+				off, err := e.run(v)
+				if err != nil {
+					t.Fatalf("%v cache %d %s: %v", mode, size, e.name, err)
+				}
+				if e.name == engines[0].name {
+					offs[i] = off
+				} else if off != offs[i] {
+					t.Fatalf("%v cache %d: the engines resolve member 1+2^42 to offsets %d and %d", mode, size, offs[i], off)
+				}
+			}
+		}
+		if offs[0] != offs[1] {
+			t.Errorf("%v: member 1+2^42 resolves to offset %d with the layout cache, %d without", mode, offs[0], offs[1])
+		}
+	}
+}
+
 // genCacheModule builds a program, a pure function of seed, that
 // exercises every way an object's cache entries can die. It declares 2–3
 // classes of I64 members and keeps five pointer slots, each holding an

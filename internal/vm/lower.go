@@ -131,29 +131,20 @@ func loadShift(t ir.Type) uint8 {
 	return 0
 }
 
-// olrGetptrName is the instrumented member-access builtin at whose call
-// sites the dispatch loops read the layout cache (3 args: base, field
-// index, class hash — see internal/instrument).
+// olrGetptrName is the instrumented member-access builtin whose call
+// sites lower to mcGetptr micros (3 args: base, field index, class
+// hash — see internal/instrument).
 const olrGetptrName = "olr_getptr"
 
-// numberGetptrSites gives every olr_getptr call site its ordinal,
-// walking the module in lowering order so the numbering is a pure
-// function of the module. The lowering carries the ordinal in
-// bcInstr.ic as the mark that the site may be served from the layout
-// cache.
-func (p *Program) numberGetptrSites() {
-	next := int32(0)
-	for _, f := range p.mod.Funcs {
-		for _, blk := range f.Blocks {
-			for ii := range blk.Instrs {
-				in := &blk.Instrs[ii]
-				if in.Op == ir.OpCall && in.Callee == olrGetptrName && len(in.Args) == 3 {
-					p.getptrSites[in] = next
-					next++
-				}
-			}
-		}
+// getptrSite reports whether in is an olr_getptr call site: a call of
+// the builtin with its three operands. A module function of that name
+// is an ordinary callee.
+func (p *Program) getptrSite(in *ir.Instr) bool {
+	if in.Op != ir.OpCall || in.Callee != olrGetptrName || len(in.Args) != 3 {
+		return false
 	}
+	_, fn := p.funcIdx[in.Callee]
+	return !fn
 }
 
 // lowerOne lowers a single non-fusable source instruction 1:1.
@@ -161,7 +152,6 @@ func (p *Program) lowerOne(in *ir.Instr) bcInstr {
 	var out bcInstr
 	out.dest = int32(in.Dest)
 	out.irIn = in
-	out.ic = -1
 
 	switch in.Op {
 	case ir.OpAlloc:
@@ -200,11 +190,6 @@ func (p *Program) lowerOne(in *ir.Instr) bcInstr {
 		} else {
 			out.op = bcCallBuiltin
 			out.off = int32(p.builtinSlotFor(in.Callee))
-			// The olr_getptr site ordinal marks where the dispatch
-			// loops read the layout cache.
-			if n, ok := p.getptrSites[in]; ok {
-				out.ic = n
-			}
 		}
 	case ir.OpRet:
 		if len(in.Args) == 1 {
@@ -224,24 +209,28 @@ func (p *Program) lowerOne(in *ir.Instr) bcInstr {
 }
 
 // fusableIR reports whether a source instruction lowers into a fused
-// run: straight-line register/memory/arithmetic work plus the block
-// terminators. Ops with side channels beyond registers, memory and
-// Stats.FieldAccess (alloc, local, free, memcpy, memset, calls, rets)
-// stay out of runs so the micro loop needs no telemetry or accounting
-// hooks. Cross-block runs are never formed: fuel-exhaustion errors name
-// the block, so a run must not outlive its block's accounting.
-func fusableIR(op ir.Op) bool {
-	switch op {
+// run: straight-line register/memory/arithmetic work, the olr_getptr
+// call sites and the block terminators. A getptr site is the one call
+// in a run: the kernel serves its layout-cache hits, replaying the
+// runtime's observables through VM.icHit, and hands a miss to the
+// stepper, which runs the builtin. The other ops with side channels
+// beyond registers, memory and Stats.FieldAccess (alloc, local, free,
+// memcpy, memset, every other call, rets) stay out of runs, so the
+// micro loop needs no telemetry or accounting hooks for them.
+// Cross-block runs are never formed: fuel-exhaustion errors name the
+// block, so a run must not outlive its block's accounting.
+func (p *Program) fusableIR(in *ir.Instr) bool {
+	switch in.Op {
 	case ir.OpLoad, ir.OpStore, ir.OpFieldPtr, ir.OpElemPtr, ir.OpPtrAdd,
 		ir.OpBin, ir.OpFBin, ir.OpCmp, ir.OpFCmp, ir.OpItoF, ir.OpFtoI,
 		ir.OpMov, ir.OpBr, ir.OpCondBr:
 		return true
 	}
-	return false
+	return p.getptrSite(in)
 }
 
 // microFor pre-decodes one fusable source instruction into a micro-op.
-// Only called for ops fusableIR admits.
+// Only called for instructions fusableIR admits.
 func (p *Program) microFor(in *ir.Instr) mcInstr {
 	m := mcInstr{dest: int32(in.Dest)}
 	setA := func(v ir.Value) {
@@ -253,6 +242,13 @@ func (p *Program) microFor(in *ir.Instr) mcInstr {
 		m.b, m.bReg = b.v, b.reg
 	}
 	switch in.Op {
+	case ir.OpCall:
+		m.op = mcGetptr
+		setA(in.Args[0])
+		setB(in.Args[1])
+		c := p.lowerValue(in.Args[2])
+		m.c, m.cReg = c.v, c.reg
+		m.off = int32(p.builtinSlotFor(in.Callee))
 	case ir.OpLoad:
 		m.op = mcLoad
 		setA(in.Args[0])
@@ -382,7 +378,7 @@ func (p *Program) lowerFunc(f *ir.Func) *bcFunc {
 		}
 		for ii := 0; ii < len(blk.Instrs); {
 			hi := ii
-			for hi < len(blk.Instrs) && fusableIR(blk.Instrs[hi].Op) {
+			for hi < len(blk.Instrs) && p.fusableIR(&blk.Instrs[hi]) {
 				hi++
 			}
 			if hi == ii {
@@ -392,7 +388,7 @@ func (p *Program) lowerFunc(f *ir.Func) *bcFunc {
 			}
 			// A maximal fusable run, a lone instruction included, is
 			// one dispatch.
-			out := bcInstr{op: bcFused, dest: -1, ic: -1, irIn: &blk.Instrs[ii]}
+			out := bcInstr{op: bcFused, dest: -1, irIn: &blk.Instrs[ii]}
 			out.micro = make([]mcInstr, 0, hi-ii)
 			for k := ii; k < hi; k++ {
 				out.micro = append(out.micro, p.microFor(&blk.Instrs[k]))
@@ -406,7 +402,7 @@ func (p *Program) lowerFunc(f *ir.Func) *bcFunc {
 			last := micro[len(micro)-1].op
 			chain = last == mcBr || last == mcCondBr
 		}
-		bf.blocks[bi] = bcBlock{start: start, cost: cost, irb: blk, chain: chain}
+		bf.blocks[bi] = bcBlock{start: start, cost: cost, irb: blk, site: p.siteNames[blk], chain: chain}
 	}
 	// Cumulative weights: wTo[pc] prices code[:pc].
 	bf.wTo = make([]uint32, len(bf.code)+1)

@@ -112,15 +112,17 @@ func TestEnginesDifferentialUnderCompileOpts(t *testing.T) {
 
 // checkOneForm checks that straight-line code has one lowered form in
 // every function of p: every fusableIR source instruction is a micro of
-// a bcFused run, no other opcode holds one, and the function dispatches
-// once per non-fusable instruction and once per maximal fusable run.
+// a bcFused run, no other opcode holds one, every olr_getptr call site
+// (a 3-operand call of the builtin, not of a module function) is a
+// getptr micro and no other micro is, and the function dispatches once
+// per non-fusable instruction and once per maximal fusable run.
 func checkOneForm(p *Program) error {
 	for fi, f := range p.mod.Funcs {
 		bf := p.bcFuncs[fi]
 		want := 0
 		for bi, blk := range f.Blocks {
 			for ii := 0; ii < len(blk.Instrs); ii++ {
-				if !fusableIR(blk.Instrs[ii].Op) || ii == 0 || !fusableIR(blk.Instrs[ii-1].Op) {
+				if !p.fusableIR(&blk.Instrs[ii]) || ii == 0 || !p.fusableIR(&blk.Instrs[ii-1]) {
 					want++
 				}
 			}
@@ -135,8 +137,12 @@ func checkOneForm(p *Program) error {
 				in := &bf.code[pc]
 				for k := 0; k < int(in.weight()); k++ {
 					sin := &blk.Instrs[src+k]
-					if fusableIR(sin.Op) != (in.op == bcFused) {
+					if p.fusableIR(sin) != (in.op == bcFused) {
 						return fmt.Errorf("@%s.%s: %q lowered to opcode %d", f.Name, blk.Name, ir.FormatInstr(f, sin), in.op)
+					}
+					site := sin.Op == ir.OpCall && sin.Callee == "olr_getptr" && len(sin.Args) == 3 && p.mod.Func(sin.Callee) == nil
+					if site != (in.op == bcFused && in.micro[k].op == mcGetptr) {
+						return fmt.Errorf("@%s.%s: %q is a getptr site %v but lowered to opcode %d", f.Name, blk.Name, ir.FormatInstr(f, sin), site, in.op)
 					}
 				}
 				src += int(in.weight())

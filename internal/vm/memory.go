@@ -161,6 +161,26 @@ func (m *Memory) write8Fast(addr uint64, v uint64) bool {
 	return false
 }
 
+// writeFast is write8Fast for the sub-word store widths n ∈ {1, 2, 4}:
+// it rewrites the 8 cached bytes at addr with the low n bytes of v in
+// place of their own, and keeps the others as they were.
+func (m *Memory) writeFast(addr uint64, n int32, v uint64) bool {
+	off := addr & (pageSize - 1)
+	if addr < NullGuard || off+8 > pageSize {
+		return false
+	}
+	p := m.lastPage
+	if idx := addr >> pageBits; idx != m.lastIdx {
+		if idx != m.last2Idx {
+			return false
+		}
+		p = m.last2Page
+	}
+	mask := loadMask[n]
+	binary.LittleEndian.PutUint64(p[off:], binary.LittleEndian.Uint64(p[off:])&^mask|v&mask)
+	return true
+}
+
 // ReadU reads an n-byte little-endian unsigned integer (n ∈ {1,2,4,8}).
 func (m *Memory) ReadU(addr uint64, n int) (uint64, error) {
 	if err := m.check(addr, n); err != nil {

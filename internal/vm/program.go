@@ -46,11 +46,6 @@ type Program struct {
 	bcFuncs     []*bcFunc
 	funcIdx     map[string]int
 	builtinSlot map[string]int
-
-	// getptrSites maps each olr_getptr source instruction to its
-	// ordinal in lowering order (numberGetptrSites); the dispatch loops
-	// read the layout cache at these sites only.
-	getptrSites map[*ir.Instr]int32
 }
 
 type globalInit struct {
@@ -77,7 +72,6 @@ func Compile(m *ir.Module) (*Program, error) {
 		siteNames:   make(map[*ir.Block]string),
 		funcIdx:     make(map[string]int, len(m.Funcs)),
 		builtinSlot: make(map[string]int),
-		getptrSites: make(map[*ir.Instr]int32),
 	}
 	addr := uint64(GlobalBase)
 	for _, g := range m.Globals {
@@ -96,20 +90,18 @@ func Compile(m *ir.Module) (*Program, error) {
 			p.siteNames[b] = "@" + f.Name + "." + b.Name
 		}
 	}
-	// Number the olr_getptr sites, then lower every function to fused
-	// flat bytecode (needs the complete funcIdx for direct callee
-	// binding).
-	p.numberGetptrSites()
+	// Lower every function to fused flat bytecode (needs the complete
+	// funcIdx for direct callee binding and getptr sites).
 	p.bcFuncs = p.lowerAll()
 	return p, nil
 }
 
 // Fingerprint hashes the complete lowered instruction stream (opcodes,
-// operand kinds and values, micro-op sequences, weights, getptr sites,
-// block layout) into a stable 64-bit FNV-1a digest. Two Programs with
-// equal fingerprints execute identical bytecode; the lowering golden
-// and the determinism gate assert that compiling the same module twice
-// agrees here.
+// operand kinds and values, micro-op sequences with their getptr
+// micros, weights, block layout) into a stable 64-bit FNV-1a digest.
+// Two Programs with equal fingerprints execute identical bytecode; the
+// lowering golden and the determinism gate assert that compiling the
+// same module twice agrees here.
 func (p *Program) Fingerprint() uint64 {
 	h := uint64(fnvOffset64)
 	mix := func(x uint64) {
@@ -146,7 +138,6 @@ func (p *Program) Fingerprint() uint64 {
 			mix(uint64(uint32(in.dest)))
 			mix(uint64(uint32(in.size)))
 			mix(uint64(uint32(in.off)))
-			mix(uint64(uint32(in.ic)))
 			mixArg(in.a)
 			mixArg(in.b)
 			mixArg(in.c)
@@ -170,12 +161,18 @@ func (p *Program) Fingerprint() uint64 {
 				} else {
 					mix(0)
 				}
+				if m.cReg {
+					mix(1)
+				} else {
+					mix(0)
+				}
 				mix(uint64(uint32(m.dest)))
 				mix(uint64(uint32(m.size)))
 				mix(uint64(uint32(m.off)))
 				mix(uint64(uint32(m.t1)))
 				mix(uint64(m.a))
 				mix(uint64(m.b))
+				mix(uint64(m.c))
 			}
 		}
 	}
@@ -197,8 +194,8 @@ type LoweredFuncStats struct {
 
 // LoweredStats reports per-function lowering statistics: how many
 // dispatches the flat code needs for how many source instructions,
-// where the fuser collapsed runs, how many olr_getptr sites carry
-// inline caches, and how far register allocation shrank the operand
+// where the fuser collapsed runs, how many getptr micros read the
+// layout cache, and how far register allocation shrank the operand
 // file.
 func (p *Program) LoweredStats() []LoweredFuncStats {
 	out := make([]LoweredFuncStats, 0, len(p.bcFuncs))
@@ -215,9 +212,11 @@ func (p *Program) LoweredStats() []LoweredFuncStats {
 			if in.op == bcFused {
 				s.FusedRuns++
 				s.FusedMicros += len(in.micro)
-			}
-			if in.ic >= 0 {
-				s.ICSites++
+				for mi := range in.micro {
+					if in.micro[mi].op == mcGetptr {
+						s.ICSites++
+					}
+				}
 			}
 		}
 		out = append(out, s)

@@ -480,8 +480,8 @@ func (r *refEngine) call(fn *ir.Func, args []ir.Value, callerRegs []int64, calle
 
 // boundCallee is a resolved call target: a module function, a builtin,
 // or (both nil) a callee that resolves to nothing and faults. getptr
-// marks an olr_getptr site of the Program's numbering, where the
-// layout cache is read.
+// marks an olr_getptr call site (Program.getptrSite), where the layout
+// cache is read.
 type boundCallee struct {
 	fn     *ir.Func
 	bi     Builtin
@@ -502,7 +502,7 @@ func (r *refEngine) dispatchCall(fn *ir.Func, b *ir.Block, regs []int64, lbl []b
 		if bound.fn == nil {
 			bound.bi = v.builtins[in.Callee]
 		}
-		_, bound.getptr = v.prog.getptrSites[in]
+		bound.getptr = v.prog.getptrSite(in)
 		r.binds[in] = bound
 	}
 	if bound.fn != nil {
@@ -515,7 +515,7 @@ func (r *refEngine) dispatchCall(fn *ir.Func, b *ir.Block, regs []int64, lbl []b
 	// cache, same hit callback — that is what keeps the engines' event
 	// and trace streams identical). A taint run never takes it.
 	if bound.getptr && v.lc != nil && v.taint == nil {
-		if addr, ok := v.cachedGetptr(b, uint64(v.resolve(regs, in.Args[0])), v.resolve(regs, in.Args[1]), uint64(v.resolve(regs, in.Args[2]))); ok {
+		if addr, ok := v.cachedGetptr(v.prog.SiteName(b), uint64(v.resolve(regs, in.Args[0])), v.resolve(regs, in.Args[1]), uint64(v.resolve(regs, in.Args[2]))); ok {
 			return addr, 0, nil
 		}
 	}

@@ -151,6 +151,9 @@ func allocRegisters(bf *bcFunc) {
 					if m.bReg {
 						addUse(int32(m.b))
 					}
+					if m.cReg {
+						addUse(int32(m.c))
+					}
 					if m.dest >= 0 {
 						d.set(m.dest)
 					}
@@ -211,6 +214,9 @@ func allocRegisters(bf *bcFunc) {
 					}
 					if m.bReg {
 						touch(int32(m.b), pc)
+					}
+					if m.cReg {
+						touch(int32(m.c), pc)
 					}
 					if m.dest >= 0 {
 						touch(m.dest, pc)
@@ -294,6 +300,9 @@ func allocRegisters(bf *bcFunc) {
 				if m.bReg {
 					m.b = int64(re(int32(m.b)))
 				}
+				if m.cReg {
+					m.c = int64(re(int32(m.c)))
+				}
 				if m.dest >= 0 {
 					m.dest = re(m.dest)
 				}
@@ -324,16 +333,18 @@ func allocRegisters(bf *bcFunc) {
 }
 
 // microReads reports which operands a micro-op actually consumes.
-func microReads(op mcOp) (a, b bool) {
+func microReads(op mcOp) (a, b, c bool) {
 	switch op {
+	case mcGetptr:
+		return true, true, true
 	case mcStore, mcStore8, mcElemPtr, mcPtrAdd, mcBin, mcFBin, mcCmp, mcFCmp,
 		mcAdd, mcSub, mcMul, mcAnd, mcOr, mcXor, mcShl, mcShr,
 		mcCmpEq, mcCmpNe, mcCmpLt, mcCmpLe, mcCmpGt, mcCmpGe:
-		return true, true
+		return true, true, false
 	case mcBr:
-		return false, false
+		return false, false, false
 	default: // mcLoad, mcLoad8, mcFieldPtr, mcItoF, mcFtoI, mcMov, mcCondBr
-		return true, false
+		return true, false, false
 	}
 }
 
@@ -356,6 +367,13 @@ func poolMicroConstants(bf *bcFunc) {
 		}
 		return s
 	}
+	poolOperand := func(v *int64, reg *bool, used bool) {
+		if used && !*reg {
+			*v, *reg = int64(slotFor(*v)), true
+		} else if !used {
+			*v, *reg = 0, true
+		}
+	}
 	fused := false
 	for pc := range bf.code {
 		in := &bf.code[pc]
@@ -365,19 +383,10 @@ func poolMicroConstants(bf *bcFunc) {
 		fused = true
 		for mi := range in.micro {
 			m := &in.micro[mi]
-			usesA, usesB := microReads(m.op)
-			if usesA && !m.aReg {
-				m.a = int64(slotFor(m.a))
-				m.aReg = true
-			} else if !usesA {
-				m.a, m.aReg = 0, true
-			}
-			if usesB && !m.bReg {
-				m.b = int64(slotFor(m.b))
-				m.bReg = true
-			} else if !usesB {
-				m.b, m.bReg = 0, true
-			}
+			usesA, usesB, usesC := microReads(m.op)
+			poolOperand(&m.a, &m.aReg, usesA)
+			poolOperand(&m.b, &m.bReg, usesB)
+			poolOperand(&m.c, &m.cReg, usesC)
 		}
 	}
 	bf.numRegs += len(bf.consts)

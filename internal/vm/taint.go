@@ -92,8 +92,8 @@ func (v *VM) taintStore(addr uint64, n int, l byte) {
 // taintBuiltin applies a builtin call's rule and returns the label of
 // its result: input_read taints the bytes it wrote and reports them,
 // input_byte and input_len return input, and any other builtin's result
-// takes the OR of its argument labels.
-func (v *VM) taintBuiltin(name string, args []bcArg, argv []int64, ret int64, lbl []byte) byte {
+// takes argl, the OR of its argument labels.
+func (v *VM) taintBuiltin(name string, argv []int64, ret int64, argl byte) byte {
 	switch name {
 	case "input_read":
 		if n := int(ret); n > 0 {
@@ -104,11 +104,7 @@ func (v *VM) taintBuiltin(name string, args []bcArg, argv []int64, ret int64, lb
 	case "input_byte", "input_len":
 		return 1
 	}
-	var l byte
-	for i := range args {
-		l |= args[i].label(lbl)
-	}
-	return l
+	return argl
 }
 
 const (

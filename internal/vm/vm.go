@@ -353,18 +353,18 @@ func (v *VM) UseLayoutCache(c *LayoutCache, onHit func(site string, base uint64,
 	v.lc, v.icHit = c, onHit
 }
 
-// cachedGetptr serves an olr_getptr call at a site in blk from the
-// layout cache when it holds (base, field, class): it counts the
-// lookup in Perf, replays the hit and returns the member address.
-// ok=false sends the call on to the builtin.
-func (v *VM) cachedGetptr(blk *ir.Block, base uint64, field int64, class uint64) (addr int64, ok bool) {
+// cachedGetptr serves an olr_getptr call at site from the layout cache
+// when it holds (base, field, class): it counts the lookup in Perf,
+// replays the hit and returns the member address. ok=false sends the
+// call on to the builtin.
+func (v *VM) cachedGetptr(site string, base uint64, field int64, class uint64) (addr int64, ok bool) {
 	off, hit := v.lc.lookup(base, class, int(field))
 	if !hit {
 		v.Perf.InlineMisses++
 		return 0, false
 	}
 	v.Perf.InlineHits++
-	v.icHit(v.prog.SiteName(blk), base, field, class, int64(off))
+	v.icHit(site, base, field, class, int64(off))
 	return int64(base + uint64(off)), true
 }
 
